@@ -11,6 +11,10 @@ artifacts plus a manifest. Example:
     mesh = M3
     out = results/slopes
 
+Lists are separated by commas only. `;` and `#` start a comment, on a line of
+their own or after whitespace inside a line, so `p = 10, 12 ; degrees` reads
+as `p = 10, 12`.
+
 Exit codes: 0 ok, 2 config error, 3 solve error, 4 postprocess error.
 """
 
@@ -19,7 +23,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -43,6 +49,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVE = 3
 EXIT_POST = 4
+
+_MESH_SPEC = re.compile(r"[Mm][1-9][0-9]*")
 
 
 class ConfigError(ValueError):
@@ -74,8 +82,10 @@ class ExperimentConfig:
             raise ConfigError("field 'config': corner-study requires configuration A")
         if not self.sigmas:
             raise ConfigError("field 'sigma': empty conductivity list")
-        if any(s <= 0 for s in self.sigmas):
-            raise ConfigError("field 'sigma': conductivities must be positive")
+        if not all(0 < s < math.inf for s in self.sigmas):
+            raise ConfigError("field 'sigma': conductivities must be positive and finite")
+        if not 0 < self.omega < math.inf:
+            raise ConfigError(f"field 'omega': {self.omega!r} is not positive and finite")
         if not self.ps:
             raise ConfigError("field 'p': empty degree list")
         if any(not 1 <= p <= fem.MAX_DEGREE for p in self.ps):
@@ -84,8 +94,13 @@ class ExperimentConfig:
             raise ConfigError("field 'p': give one degree or one per sigma")
         if self.study in ("sigma-scaling", "corner-study", "field-map", "h-stability", "p-convergence") and len(self.ps) < 1:
             raise ConfigError("field 'p': at least one degree required")
-        if not self.mesh_spec.upper().startswith("M"):
-            raise ConfigError(f"field 'mesh': bad spec {self.mesh_spec!r} (expected 'M<k>')")
+        specs = self.mesh_spec.split("+") if self.study == "h-stability" else [self.mesh_spec]
+        if not all(_MESH_SPEC.fullmatch(s.strip()) for s in specs):
+            raise ConfigError(
+                f"field 'mesh': bad spec {self.mesh_spec!r} (expected 'M<k>' with k >= 1)"
+            )
+        if not self.out:
+            raise ConfigError("field 'out': empty output directory")
 
     def paired(self):
         """(sigma, p) pairs: a single p broadcasts over all sigmas."""
@@ -106,24 +121,33 @@ class ExperimentConfig:
         return hashlib.sha256(raw.encode()).hexdigest()
 
 
+def _parse_float(tok: str, name: str) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        raise ConfigError(f"field {name!r}: cannot parse {tok.strip()!r} as a number")
+
+
 def _parse_floats(raw: str, name: str):
+    return [_parse_float(tok, name) for tok in raw.split(",") if tok.strip()]
+
+
+def _parse_ints(raw: str, name: str):
     out = []
-    for tok in raw.replace(";", ",").split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise ConfigError(f"field {name!r}: cannot parse {tok!r} as a number")
+    for x in _parse_floats(raw, name):
+        if not x.is_integer():
+            raise ConfigError(f"field {name!r}: {x!r} is not an integer")
+        out.append(int(x))
     return out
 
 
 def load_config(path: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None
+    )
     try:
-        read = cp.read(path)
-    except configparser.Error as exc:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}")
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -138,10 +162,10 @@ def load_config(path: str) -> ExperimentConfig:
         study=sec.get("study", "solve").strip(),
         config=sec.get("config", "").strip(),
         sigmas=_parse_floats(sec.get("sigma", ""), "sigma"),
-        ps=[int(p) for p in _parse_floats(sec.get("p", ""), "p")],
+        ps=_parse_ints(sec.get("p", ""), "p"),
         mesh_spec=sec.get("mesh", "M3").strip(),
         out=sec.get("out", "results").strip(),
-        omega=float(sec.get("omega", str(physics.OMEGA_DEFAULT))),
+        omega=_parse_float(sec.get("omega", str(physics.OMEGA_DEFAULT)), "omega"),
     )
     return cfg
 
@@ -207,6 +231,11 @@ class _Runner:
 
     def run(self):
         os.makedirs(self.cfg.out, exist_ok=True)
+        # A manifest left by an earlier run must not vouch for this one's
+        # artifacts if it fails; a successful run writes a new one last.
+        manifest = os.path.join(self.cfg.out, "manifest.txt")
+        if os.path.exists(manifest):
+            os.remove(manifest)
         getattr(self, "study_" + self.cfg.study.replace("-", "_"))()
         self._write_manifest()
 

@@ -37,6 +37,7 @@ __all__ = [
     "PointLocationError",
     "shape_basis",
     "assemble",
+    "global_matrix",
     "solve",
     "evaluate",
     "write_field",
@@ -157,8 +158,11 @@ class FeSpace:
 
     DOFs are identified topologically: one DOF per mesh vertex, p-1 per mesh
     edge (oriented from the lower to the higher vertex id), (p-1)^2 per
-    element interior. Outer-boundary and axis DOFs are flagged for essential
-    conditions; every axis DOF is constrained to zero.
+    element interior. The vertex and edge (skeleton) DOFs are numbered first,
+    `n_skeleton` of them; the interior DOFs follow, element by element.
+    `elem_dofs` is an (n_elements, (p+1)^2) array in local tensor order.
+    Outer-boundary and axis DOFs are flagged for essential conditions; every
+    axis DOF is constrained to zero.
     """
 
     def __init__(self, mesh: QuadMesh, p: int):
@@ -193,6 +197,7 @@ class FeSpace:
                     if key not in edge_dof:
                         edge_dof[key] = next_dof
                         next_dof += p - 1
+        self.n_skeleton = next_dof
         for e in range(mesh.n_elements):
             c = mesh.corner_ids(e)
             dofs = np.empty(n1 * n1, dtype=np.int64)
@@ -224,7 +229,7 @@ class FeSpace:
                         next_dof += 1
             elem_dofs.append(dofs)
         self.n_dofs = next_dof
-        self.elem_dofs = elem_dofs
+        self.elem_dofs = np.array(elem_dofs, dtype=np.int64).reshape(-1, n1 * n1)
 
     # -- dof coordinates ----------------------------------------------------
 
@@ -310,11 +315,15 @@ class DiscreteField:
 
 @dataclass
 class AssembledSystem:
-    """Full (unconstrained) matrix, lifted rhs, and constraint data."""
+    """Element matrices, lifted global rhs, and constraint data.
+
+    No global matrix is formed: `solve` condenses the element matrices, and
+    `global_matrix` builds the assembled (unconstrained) CSR on request.
+    """
 
     space: FeSpace
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
+    element_matrices: np.ndarray  # (n_elements, (p+1)^2, (p+1)^2) complex
+    rhs: np.ndarray  # b - A g over all dofs
     gvec: np.ndarray  # prescribed values at constrained dofs, 0 elsewhere
 
 
@@ -332,7 +341,7 @@ def assemble(
     source: SourceSpec,
     uniform_eps: bool = False,
 ) -> AssembledSystem:
-    """Assemble the weighted complex form and the lifted right-hand side."""
+    """Element matrices of the weighted complex form and the lifted rhs."""
     mesh, p = space.mesh, space.p
     nq1 = p + 3
     kappa2 = params.kappa**2
@@ -342,12 +351,9 @@ def assemble(
     phi, dxi, deta, w2 = _ref_2d(p, nq1)
 
     nel = mesh.n_elements
-    rows = np.empty(nel * n2 * n2, dtype=np.int64)
-    cols = np.empty(nel * n2 * n2, dtype=np.int64)
-    vals = np.empty(nel * n2 * n2, dtype=np.complex128)
-    b = np.zeros(space.n_dofs, dtype=np.complex128)
+    Ae = np.empty((nel, n2, n2), dtype=np.complex128)
+    be = np.zeros((nel, n2))
 
-    pos = 0
     for e in range(nel):
         g = int(mesh.elem_geomdeg[e])
         GV, GDu, GDv = _geom_at(g, "quad", p, nq1)
@@ -361,13 +367,7 @@ def assemble(
         dphiz = (-dxi * xv[:, None] + deta * xu[:, None]) / det[:, None]
         wq = w2 * det
         inv_eps = inv_eps_cond if mesh.elem_tag[e] == TAG_CONDUCTOR else 1.0
-        A_loc = kernels.element_matrix(phi, dphir, dphiz, rq, wq, inv_eps, kappa2)
-
-        gdofs = space.elem_dofs[e]
-        rows[pos : pos + n2 * n2] = np.repeat(gdofs, n2)
-        cols[pos : pos + n2 * n2] = np.tile(gdofs, n2)
-        vals[pos : pos + n2 * n2] = A_loc.ravel()
-        pos += n2 * n2
+        Ae[e] = kernels.element_matrix(phi, dphir, dphiz, rq, wq, inv_eps, kappa2)
 
         if source.interior_f is not None:
             cut = source.support is not None and _element_is_cut(
@@ -378,13 +378,10 @@ def assemble(
                 sGV, sGDu, sGDv = _geom_at(g, "subquad", p, nq1, 4)
                 srq, szq, sxu, sxv, syu, syv, sdet = _geometry_eval(X, sGV, sGDu, sGDv)
                 fq = np.asarray(source.interior_f(srq, szq), dtype=float)
-                b_loc = kernels.element_load(sphi, srq, sw2 * sdet, fq)
+                be[e] = kernels.element_load(sphi, srq, sw2 * sdet, fq)
             else:
                 fq = np.asarray(source.interior_f(rq, zq), dtype=float)
-                b_loc = kernels.element_load(phi, rq, wq, fq)
-            np.add.at(b, gdofs, b_loc.astype(np.complex128))
-
-    A = _accumulate_csr(rows, cols, vals, space.n_dofs)
+                be[e] = kernels.element_load(phi, rq, wq, fq)
 
     gvec = np.zeros(space.n_dofs, dtype=np.complex128)
     if source.boundary_g is not None and len(space.outer_dofs):
@@ -393,8 +390,21 @@ def assemble(
             source.boundary_g(pts[:, 0], pts[:, 1]), dtype=np.complex128
         )
     # axis dofs stay 0
-    b = b - A @ gvec
-    return AssembledSystem(space=space, matrix=A, rhs=b, gvec=gvec)
+    dofs = space.elem_dofs
+    rhs = _scatter(dofs, be - _matvec(Ae, gvec[dofs]), space.n_dofs)
+    return AssembledSystem(space=space, element_matrices=Ae, rhs=rhs, gvec=gvec)
+
+
+def _matvec(mats, vecs):
+    """Batched matrix-vector product: (k, m, n) x (k, n) -> (k, m)."""
+    return (mats @ vecs[..., None])[..., 0]
+
+
+def _scatter(dofs, vals, n) -> np.ndarray:
+    """Sum per-element vectors vals[e, i] into a length-n vector at dofs[e, i]."""
+    idx = dofs.ravel()
+    vals = vals.ravel()
+    return np.bincount(idx, vals.real, n) + 1j * np.bincount(idx, vals.imag, n)
 
 
 def _accumulate_csr(rows, cols, vals, n) -> sp.csr_matrix:
@@ -411,23 +421,91 @@ def _accumulate_csr(rows, cols, vals, n) -> sp.csr_matrix:
     return sp.csr_matrix((sums, (urows, ucols)), shape=(n, n))
 
 
+def _element_triplets(dofs):
+    """Row and column indices of the entries of element matrices over dofs."""
+    k = dofs.shape[1]
+    return np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
+
+
+def global_matrix(system: AssembledSystem) -> sp.csr_matrix:
+    """The assembled n_dofs x n_dofs matrix, constrained rows included.
+
+    `solve` never forms it; it is for checks on the full system.
+    """
+    rows, cols = _element_triplets(system.space.elem_dofs)
+    return _accumulate_csr(
+        rows, cols, system.element_matrices.ravel(), system.space.n_dofs
+    )
+
+
+def _interior_locals(p: int) -> np.ndarray:
+    """Local tensor indices of the (p-1)^2 element-interior nodes."""
+    inner = np.arange(1, p)
+    return (inner[:, None] * (p + 1) + inner[None, :]).ravel()
+
+
 def solve(system: AssembledSystem) -> DiscreteField:
-    """Direct solve of the constrained system; residual <= 1e-10 relative."""
+    """Direct solve by static condensation; full residual <= 1e-10 relative.
+
+    The interior DOFs of each element are eliminated against its skeleton
+    (vertex and edge) DOFs. The element Schur complements are summed over
+    the skeleton, whose free block is factored by sparse LU; the interiors
+    are then recovered by element back-substitution.
+    """
     space = system.space
+    Ae = system.element_matrices
+    dofs = space.elem_dofs
+    ns = space.n_skeleton
+    il = _interior_locals(space.p)
+    bl = np.setdiff1d(np.arange(dofs.shape[1]), il)
+    skel = dofs[:, bl]
+
+    # A_ii^-1 [A_ib | r_i], one batched LAPACK solve over all elements.
+    A_ii = Ae[:, il[:, None], il]
+    rhs_i = np.concatenate(
+        [Ae[:, il[:, None], bl], system.rhs[dofs[:, il]][..., None]], axis=2
+    )
+    try:
+        X = np.linalg.solve(A_ii, rhs_i)
+    except np.linalg.LinAlgError:
+        for e in range(len(A_ii)):
+            try:
+                np.linalg.solve(A_ii[e], rhs_i[e])
+            except np.linalg.LinAlgError:
+                raise AssemblyError(
+                    f"singular interior block in element {e}"
+                ) from None
+        raise
+    del A_ii, rhs_i
+    X_b, x_r = X[..., :-1], X[..., -1]
+
+    A_bi = Ae[:, bl[:, None], il]
+    schur = Ae[:, bl[:, None], bl] - A_bi @ X_b
+    rhs_s = system.rhs[:ns] - _scatter(skel, _matvec(A_bi, x_r), ns)
+    del A_bi
+
+    # Constrained skeleton rows and columns are dropped: rhs carries -A g.
+    free_s = space.free[space.free < ns]
+    index = np.full(ns, -1, dtype=np.int64)
+    index[free_s] = np.arange(len(free_s))
+    rows, cols = _element_triplets(index[skel])
+    keep = (rows >= 0) & (cols >= 0)
+    S_ff = _accumulate_csr(rows[keep], cols[keep], schur.ravel()[keep], len(free_s))
+    fact = linsolve.factor(linsolve.SparseComplexMatrix.from_csr(S_ff))
+
+    y = np.zeros(space.n_dofs, dtype=np.complex128)  # coefficients minus gvec
+    y[free_s] = linsolve.backsolve(fact, rhs_s[free_s])
+    y[dofs[:, il]] = x_r - _matvec(X_b, y[skel])
+
     free = space.free
-    A_ff = system.matrix[free][:, free].tocsc()
     b_f = system.rhs[free]
-    mat = linsolve.SparseComplexMatrix.from_csr(A_ff)
-    fact = linsolve.factor(mat)
-    x_f = linsolve.backsolve(fact, b_f)
     scale = np.max(np.abs(b_f)) if len(b_f) else 1.0
     if scale > 0:
-        res = np.max(np.abs(A_ff @ x_f - b_f)) / scale
-        if res > 1e-10:
+        Ay = _scatter(dofs, _matvec(Ae, y[dofs]), space.n_dofs)
+        res = np.max(np.abs(Ay[free] - b_f)) / scale
+        if not res <= 1e-10:
             raise AssemblyError(f"solver residual {res:.3e} exceeds 1e-10")
-    coeffs = system.gvec.copy()
-    coeffs[free] = x_f
-    return DiscreteField(space=space, coeffs=coeffs)
+    return DiscreteField(space=space, coeffs=system.gvec + y)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +513,6 @@ def solve(system: AssembledSystem) -> DiscreteField:
 
 class _Locator:
     def __init__(self, mesh: QuadMesh):
-        self.mesh = mesh
         boxes = np.empty((mesh.n_elements, 4))
         for e in range(mesh.n_elements):
             X = mesh.nodes[mesh.elem_nodes[e]]
@@ -451,15 +528,11 @@ class _Locator:
         return np.nonzero(mask)[0]
 
 
-_locator_cache: dict[int, _Locator] = {}
-
-
 def _locator(mesh: QuadMesh) -> _Locator:
-    loc = _locator_cache.get(id(mesh))
-    if loc is None:
-        loc = _Locator(mesh)
-        _locator_cache[id(mesh)] = loc
-    return loc
+    """The mesh's locator, built on first use and freed with the mesh."""
+    if mesh._locator is None:
+        mesh._locator = _Locator(mesh)
+    return mesh._locator
 
 
 def inverse_map(mesh: QuadMesh, e: int, r: float, z: float, tol: float = 1e-12):

@@ -1,7 +1,11 @@
 import os
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skinfem import cli
 
@@ -66,6 +70,67 @@ class TestValidation:
         )
         assert cli.main(["--config", path]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("p = 2", "p = 2\nomega = fast", "omega"),
+            ("p = 2", "p = 2.7", "p"),
+            ("mesh = M1", "mesh = Mx", "mesh"),
+            ("sigma = 5", "sigma = nan", "sigma"),
+            ("sigma = 5", "sigma = 5;20", "sigma"),
+        ],
+    )
+    def test_bad_field_is_config_error(self, tmp_path, capsys, old, new, field):
+        body = BASE.format(out=tmp_path / "out").replace(old, new)
+        path = write_ini(tmp_path, body)
+        assert cli.main(["--config", path]) == cli.EXIT_CONFIG
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = cli.load_config(write_ini(tmp_path, example))
+        cfg.validate()
+        assert (cfg.study, cfg.config, cfg.mesh_spec) == ("slope-study", "B1", "M3")
+        assert cfg.sigmas == [5.0, 20.0, 80.0]
+        assert cfg.ps == [10, 12, 16]
+
+
+_KEYS = ["study", "config", "sigma", "p", "mesh", "out", "omega"]
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+_TOKEN = st.one_of(
+    st.integers(-3, 25).map(str),
+    st.floats().map(repr),
+    st.sampled_from(
+        ["M1", "M2+M3", "Mx", "M0", "fast", "2.7", "1e400", "A", "B1", "C1",
+         "solve", "h-stability", "corner-study", "%(x)s", ";", "#", ""]
+    ),
+    _TEXT,
+)
+_VALUE = st.lists(_TOKEN, max_size=4).map(", ".join)
+_LINE = st.one_of(
+    st.tuples(st.sampled_from(_KEYS) | _TEXT, _VALUE).map(" = ".join),
+    _TEXT,
+)
+_INI = st.tuples(
+    st.sampled_from(["[experiment]", "[other]", "", "[experiment]\n[experiment]"]),
+    st.lists(_LINE, max_size=8),
+).map(lambda t: "\n".join([t[0], *t[1]]) + "\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INI)
+def test_fuzz_load_config_ends_in_config_error_or_success(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "exp.ini")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        try:
+            cli.load_config(path).validate()
+        except cli.ConfigError:
+            pass
+
 
 class TestRuns:
     def test_solve_study_artifacts(self, tmp_path):
@@ -114,6 +179,16 @@ class TestRuns:
         assert cli.main(["--config", path]) == cli.EXIT_OK
         header = (out / "slope_table.csv").read_text().splitlines()[0]
         assert header == "sigma,ell,s,curv_ratio,p,n,s_fit,err"
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_ini(tmp_path, BASE.format(out=out))]) == cli.EXIT_OK
+        assert (out / "manifest.txt").exists()
+        # One sigma is too few for the scaling fit: a postprocess failure.
+        body = BASE.format(out=out).replace("study = solve", "study = sigma-scaling")
+        assert cli.main(["--config", write_ini(tmp_path, body, "b.ini")]) == cli.EXIT_POST
+        assert not (out / "manifest.txt").exists()
+        assert not (out / "scaling.csv").exists()
 
     def test_solve_failure_removes_partial_outputs(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

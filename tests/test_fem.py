@@ -1,10 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from skinfem import fem, mesh, physics
 from skinfem.fem import (
     AssembledSystem,
+    AssemblyError,
     FeSpace,
     PointLocationError,
     SourceSpec,
@@ -94,8 +100,8 @@ class TestSpace:
 class TestAssembly:
     def test_exact_complex_symmetry(self, mesh_b1, params5):
         sp = FeSpace(mesh_b1, 3)
-        sys_ = assemble(sp, params5, SourceSpec.dirichlet_radius())
-        d = (sys_.matrix - sys_.matrix.T).tocoo()
+        A = fem.global_matrix(assemble(sp, params5, SourceSpec.dirichlet_radius()))
+        d = (A - A.T).tocoo()
         assert d.nnz == 0 or np.max(np.abs(d.data)) == 0.0
 
     def test_energy_of_linear_field(self, params5):
@@ -107,7 +113,7 @@ class TestAssembly:
         x = sp.dof_coords[:, 0].astype(np.complex128)
         k2 = params5.kappa**2
         expect = 32.0 - 16.0 * k2
-        assert x @ (sys_.matrix @ x) == pytest.approx(expect, rel=1e-12)
+        assert x @ (fem.global_matrix(sys_) @ x) == pytest.approx(expect, rel=1e-12)
 
     def test_element_order_invariance(self, params5):
         import dataclasses
@@ -129,12 +135,55 @@ class TestAssembly:
         sp = FeSpace(mesh_b1, 4)
         sys_ = assemble(sp, params5, SourceSpec.dirichlet_radius())
         f = solve(sys_)
+        A = fem.global_matrix(sys_)
         free = sp.free
-        r = sys_.matrix[free] @ f.coeffs - sys_.rhs[free] - (sys_.matrix[free] @ sys_.gvec)
         # rhs already contains -A g; full residual on free rows:
-        r = (sys_.matrix @ f.coeffs)[free] - (sys_.rhs + sys_.matrix @ sys_.gvec)[free]
+        r = (A @ f.coeffs)[free] - (sys_.rhs + A @ sys_.gvec)[free]
         scale = np.max(np.abs(sys_.rhs[free])) or 1.0
         assert np.max(np.abs(r)) / scale < 1e-9
+
+
+class TestCondensation:
+    """solve() against an uncondensed direct solve of the same system."""
+
+    @pytest.mark.parametrize("config", ["A", "B1", "C1"])
+    @pytest.mark.parametrize("p", [1, 2, 4, 8])
+    def test_matches_global_solve(self, params5, config, p):
+        m = mesh.mesh_for(config, "M1", sigma_max=80.0)
+        space = FeSpace(m, p)
+        if p == 1:
+            assert space.n_skeleton == space.n_dofs  # nothing to condense
+        src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
+        sys_ = assemble(space, params5, src)
+        # Global CSR from the element matrices; scipy sums the duplicates.
+        dofs = space.elem_dofs
+        n2 = dofs.shape[1]
+        rows = np.repeat(dofs, n2, axis=1).ravel()
+        cols = np.tile(dofs, (1, n2)).ravel()
+        A = sparse.csr_matrix(
+            (sys_.element_matrices.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2
+        )
+        free = space.free
+        ref = sys_.gvec.copy()
+        ref[free] = spla.spsolve(A[free][:, free].tocsc(), sys_.rhs[free])
+        got = solve(sys_).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_interior_block_names_element(self, mesh_a2, params5):
+        sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
+        il = fem._interior_locals(3)
+        sys_.element_matrices[5][np.ix_(il, il)] = 0.0
+        with pytest.raises(AssemblyError, match=r"element 5\b"):
+            solve(sys_)
+
+    def test_full_residual_checked(self, mesh_a2, params5, monkeypatch):
+        sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
+        backsolve = fem.linsolve.backsolve
+        monkeypatch.setattr(
+            fem.linsolve, "backsolve", lambda fact, rhs: backsolve(fact, rhs) * (1 + 1e-6)
+        )
+        with pytest.raises(AssemblyError, match="residual"):
+            solve(sys_)
 
 
 class TestManufactured:
@@ -189,6 +238,15 @@ class TestEvaluation:
             assert abs(vals[0] - vals[1]) < 1e-10
             checked += 1
         assert checked > 0
+
+    def test_locator_does_not_pin_mesh(self, params5):
+        m = mesh.square_mesh_A(1)
+        f = solve(assemble(FeSpace(m, 2), params5, SourceSpec.dirichlet_radius()))
+        f.evaluate(np.array([[0.5, 0.5], [1.5, -1.0]]))
+        ref = weakref.ref(m)
+        del f, m
+        gc.collect()
+        assert ref() is None
 
     def test_outside_raises(self, mesh_a2, params5):
         sp = FeSpace(mesh_a2, 2)
