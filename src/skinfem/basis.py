@@ -1,4 +1,4 @@
-"""1D Gauss-Lobatto nodes, barycentric Lagrange evaluation, Gauss quadrature.
+"""Gauss-Lobatto nodes, Lagrange evaluation, Gauss quadrature, tensor bases.
 
 Shared by the mesh generator (curved-facet geometry interpolation) and the
 finite element space. All reference coordinates live on [0, 1].
@@ -15,7 +15,8 @@ __all__ = [
     "gauss_rule",
     "lagrange_matrix",
     "lagrange_deriv_matrix",
-    "tensor_gauss_rule",
+    "tensor_lagrange",
+    "tensor_lagrange_grid",
 ]
 
 
@@ -75,13 +76,11 @@ def lagrange_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def lagrange_deriv_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Derivatives L_j'(x_i), shape (len(x), len(nodes))."""
-    nodes = np.asarray(nodes, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = len(nodes)
-    w = _bary_weights(nodes)
-    # Differentiation matrix at the nodes themselves.
+@lru_cache(maxsize=None)
+def _diff_matrix_cached(key: bytes, n: int) -> np.ndarray:
+    """Differentiation matrix of the Lagrange basis at its own nodes."""
+    nodes = np.frombuffer(key, dtype=np.float64)
+    w = _bary_weights_cached(key, n)
     D = np.empty((n, n))
     for i in range(n):
         for j in range(n):
@@ -89,6 +88,14 @@ def lagrange_deriv_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
                 D[i, j] = (w[j] / w[i]) / (nodes[i] - nodes[j])
         D[i, i] = 0.0
         D[i, i] = -D[i, :].sum()
+    D.flags.writeable = False
+    return D
+
+
+def lagrange_deriv_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Derivatives L_j'(x_i), shape (len(x), len(nodes))."""
+    nodes = np.asarray(nodes, dtype=float)
+    D = _diff_matrix_cached(np.ascontiguousarray(nodes).tobytes(), len(nodes))
     # L'(x) = L(x) @ D works because the derivative of a degree-n polynomial
     # is itself degree < n and interpolation at the nodes is exact.
     return lagrange_matrix(nodes, x) @ D
@@ -101,10 +108,36 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def tensor_lagrange(deg: int, u, v):
+    """Tensor-product Q_deg Lagrange basis on GLL nodes at points (u[k], v[k]).
+
+    Returns (phi, dphi_du, dphi_dv), each of shape (len(u), (deg+1)^2); basis
+    function j*(deg+1)+i is L_i(u) L_j(v), so the u index is fast.
+    """
+    nodes = gll_points(deg)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    Vu, Du = lagrange_matrix(nodes, u), lagrange_deriv_matrix(nodes, u)
+    Vv, Dv = lagrange_matrix(nodes, v), lagrange_deriv_matrix(nodes, v)
+
+    def outer(a, b):
+        return (b[:, :, None] * a[:, None, :]).reshape(len(u), -1)
+
+    return outer(Vu, Vv), outer(Du, Vv), outer(Vu, Dv)
+
+
 @lru_cache(maxsize=None)
-def tensor_gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tensorized n x n Gauss rule on [0,1]^2: (u, v, w) flat arrays, u fast."""
-    x, w = gauss_rule(n)
+def _tensor_grid_cached(deg: int, key: bytes):
+    x = np.frombuffer(key, dtype=np.float64)
     U, V = np.meshgrid(x, x, indexing="xy")  # V slow, U fast along rows
-    W = np.outer(w, w)
-    return U.ravel(), V.ravel(), W.ravel()
+    tables = tensor_lagrange(deg, U.ravel(), V.ravel())
+    for t in tables:
+        t.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def tensor_lagrange_grid(deg: int, x):
+    """`tensor_lagrange` on the tensor grid x × x, point index b*len(x)+a for
+    (x[a], x[b]). Cached per degree and point set; the tables are read-only."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return _tensor_grid_cached(deg, x.tobytes())

@@ -404,12 +404,7 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="path to INI experiment file")
     ap.add_argument("--study", choices=STUDIES, help="override the study kind")
     ap.add_argument("--out", help="override the output directory")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads (runs are deterministic)")
-    ap.add_argument("--seed", type=int, default=0, help="reserved; the pipeline is deterministic")
     args = ap.parse_args(argv)
-    if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

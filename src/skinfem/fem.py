@@ -11,20 +11,20 @@ DOF nodes plus right-hand-side lifting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import kernels, linsolve
-from .basis import gauss_rule, gll_points, lagrange_deriv_matrix, lagrange_matrix
+from .basis import gauss_rule, gll_points, tensor_lagrange, tensor_lagrange_grid
 from .mesh import (
     FACET_AXIS,
     FACET_OUTER,
     TAG_CONDUCTOR,
     QuadMesh,
     _face_locals,
+    _parse_text,
 )
 from .physics import PhysicalParams
 
@@ -66,76 +66,20 @@ def shape_basis(p: int):
     """
     if not 1 <= p <= MAX_DEGREE:
         raise ValueError(f"degree p={p} outside supported range 1..{MAX_DEGREE}")
-    nodes = gll_points(p)
 
     def basis(u, v):
-        vu = lagrange_matrix(nodes, np.atleast_1d(u))
-        vv = lagrange_matrix(nodes, np.atleast_1d(v))
-        out = np.einsum("qi,qj->qji", vu, vv)
-        return out.reshape(len(vu), -1)
+        return tensor_lagrange(p, u, v)[0]
 
     return basis
 
 
-@lru_cache(maxsize=None)
-def _ref_2d(p: int, nq1: int):
-    """Basis values/derivatives at the tensor Gauss rule: (phi, dxi, deta, w2)."""
-    nodes = gll_points(p)
+def _quad_points(nq1: int, nsub: int = 1):
+    """nq1-point Gauss rule on each of nsub equal subintervals of [0, 1]:
+    (points, tensor weights), the weights ordered like the tensor grid."""
     gx, gw = gauss_rule(nq1)
-    V = lagrange_matrix(nodes, gx)
-    D = lagrange_deriv_matrix(nodes, gx)
-    phi = np.einsum("ai,bj->baji", V, V).reshape(nq1 * nq1, -1)
-    dxi = np.einsum("ai,bj->baji", D, V).reshape(nq1 * nq1, -1)
-    deta = np.einsum("ai,bj->baji", V, D).reshape(nq1 * nq1, -1)
-    w2 = np.outer(gw, gw).reshape(-1)
-    return phi, dxi, deta, w2
-
-
-@lru_cache(maxsize=None)
-def _ref_2d_subdivided(p: int, nq1: int, nsub: int):
-    """Same as _ref_2d but on an nsub x nsub subdivided Gauss rule."""
-    nodes = gll_points(p)
-    gx, gw = gauss_rule(nq1)
-    us, ws = [], []
-    for s in range(nsub):
-        us.append((s + gx) / nsub)
-        ws.append(gw / nsub)
-    u1 = np.concatenate(us)
-    w1 = np.concatenate(ws)
-    V = lagrange_matrix(nodes, u1)
-    D = lagrange_deriv_matrix(nodes, u1)
-    phi = np.einsum("ai,bj->baji", V, V).reshape(len(u1) ** 2, -1)
-    dxi = np.einsum("ai,bj->baji", D, V).reshape(len(u1) ** 2, -1)
-    deta = np.einsum("ai,bj->baji", V, D).reshape(len(u1) ** 2, -1)
-    w2 = np.outer(w1, w1).reshape(-1)
-    return phi, dxi, deta, w2
-
-
-@lru_cache(maxsize=None)
-def _geom_at(g: int, key: str, p: int, nq1: int, nsub: int = 1):
-    """Geometry basis (values and reference derivatives) at evaluation points.
-
-    key selects the point set: 'quad' (tensor Gauss), 'gll' (tensor GLL of
-    degree p), 'subquad' (subdivided Gauss).
-    """
-    gnodes = gll_points(g)
-    if key == "quad":
-        gx, _ = gauss_rule(nq1)
-        pts = gx
-    elif key == "gll":
-        pts = gll_points(p)
-    elif key == "subquad":
-        gx, _ = gauss_rule(nq1)
-        pts = np.concatenate([(s + gx) / nsub for s in range(nsub)])
-    else:
-        raise ValueError(key)
-    V = lagrange_matrix(gnodes, pts)
-    D = lagrange_deriv_matrix(gnodes, pts)
-    n = len(pts)
-    GV = np.einsum("ai,bj->baji", V, V).reshape(n * n, -1)
-    GDu = np.einsum("ai,bj->baji", D, V).reshape(n * n, -1)
-    GDv = np.einsum("ai,bj->baji", V, D).reshape(n * n, -1)
-    return GV, GDu, GDv
+    x = np.concatenate([(s + gx) / nsub for s in range(nsub)])
+    w = np.tile(gw / nsub, nsub)
+    return x, np.outer(w, w).reshape(-1)
 
 
 def _geometry_eval(coords, GV, GDu, GDv):
@@ -238,7 +182,7 @@ class FeSpace:
         coords = np.empty((self.n_dofs, 2))
         for e in range(mesh.n_elements):
             g = int(mesh.elem_geomdeg[e])
-            GV, _, _ = _geom_at(g, "gll", p, 0)
+            GV = tensor_lagrange_grid(g, gll_points(p))[0]
             X = mesh.nodes[mesh.elem_nodes[e]]
             pts = GV @ X
             coords[self.elem_dofs[e]] = pts
@@ -348,7 +292,8 @@ def assemble(
     inv_eps_cond = 1.0 if uniform_eps else 1.0 / params.eps_conductor
 
     n2 = (p + 1) ** 2
-    phi, dxi, deta, w2 = _ref_2d(p, nq1)
+    xq, w2 = _quad_points(nq1)
+    phi, dxi, deta = tensor_lagrange_grid(p, xq)
 
     nel = mesh.n_elements
     Ae = np.empty((nel, n2, n2), dtype=np.complex128)
@@ -356,9 +301,8 @@ def assemble(
 
     for e in range(nel):
         g = int(mesh.elem_geomdeg[e])
-        GV, GDu, GDv = _geom_at(g, "quad", p, nq1)
         X = mesh.nodes[mesh.elem_nodes[e]]
-        rq, zq, xu, xv, yu, yv, det = _geometry_eval(X, GV, GDu, GDv)
+        rq, zq, xu, xv, yu, yv, det = _geometry_eval(X, *tensor_lagrange_grid(g, xq))
         if np.any(det <= 0.0):
             raise AssemblyError(f"nonpositive Jacobian in element {e}")
         if np.any(rq <= 0.0):
@@ -374,9 +318,11 @@ def assemble(
                 source.support, X[[0, (g + 1) - 1, -1, -(g + 1)], :]
             )
             if cut:
-                sphi, sdxi, sdeta, sw2 = _ref_2d_subdivided(p, nq1, 4)
-                sGV, sGDu, sGDv = _geom_at(g, "subquad", p, nq1, 4)
-                srq, szq, sxu, sxv, syu, syv, sdet = _geometry_eval(X, sGV, sGDu, sGDv)
+                sxq, sw2 = _quad_points(nq1, 4)
+                sphi = tensor_lagrange_grid(p, sxq)[0]
+                srq, szq, _, _, _, _, sdet = _geometry_eval(
+                    X, *tensor_lagrange_grid(g, sxq)
+                )
                 fq = np.asarray(source.interior_f(srq, szq), dtype=float)
                 be[e] = kernels.element_load(sphi, srq, sw2 * sdet, fq)
             else:
@@ -491,7 +437,7 @@ def solve(system: AssembledSystem) -> DiscreteField:
     rows, cols = _element_triplets(index[skel])
     keep = (rows >= 0) & (cols >= 0)
     S_ff = _accumulate_csr(rows[keep], cols[keep], schur.ravel()[keep], len(free_s))
-    fact = linsolve.factor(linsolve.SparseComplexMatrix.from_csr(S_ff))
+    fact = linsolve.factor(S_ff)
 
     y = np.zeros(space.n_dofs, dtype=np.complex128)  # coefficients minus gvec
     y[free_s] = linsolve.backsolve(fact, rhs_s[free_s])
@@ -541,23 +487,16 @@ def inverse_map(mesh: QuadMesh, e: int, r: float, z: float, tol: float = 1e-12):
     Returns (u, v) or None if the iteration leaves the element or stalls.
     """
     g = int(mesh.elem_geomdeg[e])
-    gnodes = gll_points(g)
     X = mesh.nodes[mesh.elem_nodes[e]]
     u, v = 0.5, 0.5
     target = np.array([r, z])
     for _ in range(60):
-        Vu = lagrange_matrix(gnodes, np.array([u]))
-        Vv = lagrange_matrix(gnodes, np.array([v]))
-        Du = lagrange_deriv_matrix(gnodes, np.array([u]))
-        Dv = lagrange_deriv_matrix(gnodes, np.array([v]))
-        GV = np.einsum("ai,aj->ji", Vu, Vv).reshape(-1)
-        GDu = np.einsum("ai,aj->ji", Du, Vv).reshape(-1)
-        GDv = np.einsum("ai,aj->ji", Vu, Dv).reshape(-1)
-        pos = X.T @ GV
+        GV, GDu, GDv = tensor_lagrange(g, u, v)
+        pos = X.T @ GV[0]
         resid = pos - target
         if np.max(np.abs(resid)) < 1e-14 * (1.0 + np.max(np.abs(target))):
             return u, v
-        J = np.column_stack([X.T @ GDu, X.T @ GDv])
+        J = np.column_stack([X.T @ GDu[0], X.T @ GDv[0]])
         try:
             step = np.linalg.solve(J, resid)
         except np.linalg.LinAlgError:
@@ -574,10 +513,7 @@ def inverse_map(mesh: QuadMesh, e: int, r: float, z: float, tol: float = 1e-12):
 
 def forward_map(mesh: QuadMesh, e: int, u: float, v: float):
     g = int(mesh.elem_geomdeg[e])
-    gnodes = gll_points(g)
-    Vu = lagrange_matrix(gnodes, np.array([u]))
-    Vv = lagrange_matrix(gnodes, np.array([v]))
-    GV = np.einsum("ai,aj->ji", Vu, Vv).reshape(-1)
+    GV = tensor_lagrange(g, u, v)[0][0]
     X = mesh.nodes[mesh.elem_nodes[e]]
     return tuple(X.T @ GV)
 
@@ -636,22 +572,28 @@ def write_field(field: DiscreteField, path):
 
 
 def read_field(path, space: Optional[FeSpace] = None):
-    """Read a FIELD v1 file; returns (coeffs, meta) or a DiscreteField."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if lines[0] != "FIELD v1":
-        raise ValueError(f"not a FIELD v1 file: {path}")
-    pos = 1
-    nmeta = int(lines[pos]); pos += 1
-    meta = {}
-    for _ in range(nmeta):
-        k, v = lines[pos].split(None, 1); pos += 1
-        meta[k] = v
-    n = int(lines[pos]); pos += 1
-    coeffs = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        re, im = lines[pos].split(); pos += 1
-        coeffs[i] = complex(float(re), float(im))
-    if space is not None:
-        return DiscreteField(space=space, coeffs=coeffs, meta=meta)
-    return coeffs, meta
+    """Read a FIELD v1 file; returns (coeffs, meta) or a DiscreteField.
+
+    Raises ValueError naming the file when it is truncated or malformed, or
+    when its coefficient count differs from `space.n_dofs`.
+    """
+
+    def parse(line):
+        meta = {}
+        for _ in range(int(line())):
+            k, v = line().split(None, 1)
+            meta[k] = v
+        coeffs = np.empty(int(line()), dtype=np.complex128)
+        for i in range(len(coeffs)):
+            re, im = line().split()
+            coeffs[i] = complex(float(re), float(im))
+        return coeffs, meta
+
+    coeffs, meta = _parse_text(path, "FIELD v1", parse)
+    if space is None:
+        return coeffs, meta
+    if len(coeffs) != space.n_dofs:
+        raise ValueError(
+            f"{path}: {len(coeffs)} coefficients for a space with {space.n_dofs} DOFs"
+        )
+    return DiscreteField(space=space, coeffs=coeffs, meta=meta)

@@ -1,34 +1,14 @@
 """Hot numeric kernels: element matrices and load vectors.
 
-Two implementations are provided: a numba @njit path and a pure-numpy
-fallback. Selection happens at import time; set SKINFEM_DISABLE_NUMBA=1 to
-force the numpy path (also used automatically when numba is unavailable).
-Both paths return bitwise-symmetric element matrices; cross-path agreement
-is to rounding, not bitwise.
+Element matrices come out bitwise symmetric.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-__all__ = ["USE_NUMBA", "element_matrix", "element_load"]
-
-_DISABLED = os.environ.get("SKINFEM_DISABLE_NUMBA", "0") == "1"
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        USE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-else:
-    USE_NUMBA = False
+__all__ = ["element_matrix", "element_load"]
 
 
-def _element_matrix_numpy(phi, dphir, dphiz, rq, wq, inv_eps, kappa2):
+def element_matrix(phi, dphir, dphiz, rq, wq, inv_eps, kappa2):
     """Element matrix of the axisymmetric orthoradial form.
 
     A_ij = inv_eps * sum_q w_q r_q [dz_i dz_j + (dr + 1/r)_i (dr + 1/r)_j]
@@ -45,54 +25,6 @@ def _element_matrix_numpy(phi, dphir, dphiz, rq, wq, inv_eps, kappa2):
     return inv_eps * S - kappa2 * M
 
 
-def _element_load_numpy(phi, rq, wq, fq):
+def element_load(phi, rq, wq, fq):
     """Load vector sum_q w_q r_q f_q phi_i."""
     return phi.T @ (wq * rq * fq)
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _element_matrix_core(phi, dphir, dphiz, rq, wq):
-        nq, n = phi.shape
-        wr = wq * rq
-        g2 = np.empty((nq, n))
-        wz = np.empty((nq, n))
-        wg = np.empty((nq, n))
-        wp = np.empty((nq, n))
-        for q in range(nq):
-            inv_r = 1.0 / rq[q]
-            for i in range(n):
-                g2[q, i] = dphir[q, i] + phi[q, i] * inv_r
-                wz[q, i] = wr[q] * dphiz[q, i]
-                wg[q, i] = wr[q] * g2[q, i]
-                wp[q, i] = wr[q] * phi[q, i]
-        S = np.dot(dphiz.T.copy(), wz) + np.dot(g2.T.copy(), wg)
-        M = np.dot(phi.T.copy(), wp)
-        S = 0.5 * (S + S.T)
-        M = 0.5 * (M + M.T)
-        return S, M
-
-    @njit(cache=True)
-    def _element_load_core(phi, rq, wq, fq):
-        nq, n = phi.shape
-        b = np.zeros(n)
-        for q in range(nq):
-            c = wq[q] * rq[q] * fq[q]
-            for i in range(n):
-                b[i] += c * phi[q, i]
-        return b
-
-    def element_matrix(phi, dphir, dphiz, rq, wq, inv_eps, kappa2):
-        S, M = _element_matrix_core(phi, dphir, dphiz, rq, wq)
-        return inv_eps * S - kappa2 * M
-
-    def element_load(phi, rq, wq, fq):
-        return _element_load_core(phi, rq, wq, fq)
-
-else:
-    element_matrix = _element_matrix_numpy
-    element_load = _element_load_numpy
-
-element_matrix.__doc__ = _element_matrix_numpy.__doc__
-element_load.__doc__ = _element_load_numpy.__doc__

@@ -14,7 +14,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "SparseComplexMatrix",
     "Factorization",
     "SingularMatrixError",
     "factor",
@@ -31,57 +30,21 @@ class SingularMatrixError(RuntimeError):
 
 
 @dataclass
-class SparseComplexMatrix:
-    """Square sparse complex matrix in CSR form.
-
-    `symmetric` records (but does not enforce) structural/value symmetry;
-    the direct solver does not rely on it.
-    """
-
-    csr: sp.csr_matrix
-    symmetric: bool = False
-
-    @staticmethod
-    def from_triplets(n: int, rows, cols, vals, symmetric: bool = False):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.complex128)
-        if len(rows) != len(cols) or len(rows) != len(vals):
-            raise ValueError("triplet arrays must have equal length")
-        if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-            raise ValueError("triplet index out of range")
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        mat.sum_duplicates()
-        return SparseComplexMatrix(csr=mat, symmetric=symmetric)
-
-    @staticmethod
-    def from_csr(mat, symmetric: bool = False):
-        return SparseComplexMatrix(
-            csr=sp.csr_matrix(mat, dtype=np.complex128), symmetric=symmetric
-        )
-
-    @property
-    def shape(self):
-        return self.csr.shape
-
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
-
-
-@dataclass
 class Factorization:
     lu: spla.SuperLU
     n: int
 
 
-def factor(matrix: SparseComplexMatrix) -> Factorization:
-    """Sparse LU factorization; raises SingularMatrixError on singular pivots."""
-    n = matrix.n
+def factor(matrix) -> Factorization:
+    """Sparse LU factorization of a square scipy sparse matrix, taken as complex.
+
+    Raises SingularMatrixError on singular pivots.
+    """
+    n = matrix.shape[0]
     if n == 0:
         return Factorization(lu=None, n=0)
     try:
-        lu = spla.splu(matrix.csr.tocsc())
+        lu = spla.splu(sp.csc_matrix(matrix, dtype=np.complex128))
     except RuntimeError as exc:
         msg = str(exc)
         index = None

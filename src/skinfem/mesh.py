@@ -463,34 +463,61 @@ def write_mesh(mesh: QuadMesh, path):
         f.write("\n".join(lines) + "\n")
 
 
-def read_mesh(path) -> QuadMesh:
+def _parse_text(path, magic: str, parse):
+    """Run parse(line) over a plain-text file whose first line is `magic`.
+
+    `line()` returns the next line. A missing line or a malformed field
+    (a ValueError or IndexError inside parse) is raised as a ValueError that
+    names the file and the line.
+    """
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if lines[0] != "QUADMESH v1":
-        raise ValueError(f"not a QUADMESH v1 file: {path}")
+        lines = f.read().splitlines()
+    if not lines or lines[0] != magic:
+        raise ValueError(f"not a {magic} file: {path}")
     pos = 1
-    n_nodes = int(lines[pos]); pos += 1
-    nodes = np.empty((n_nodes, 2))
-    for i in range(n_nodes):
-        parts = lines[pos].split(); pos += 1
-        nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
-    n_el = int(lines[pos]); pos += 1
-    elem_nodes, geomdeg, tags = [], [], []
-    for _ in range(n_el):
-        parts = lines[pos].split(); pos += 1
-        tags.append(parts[1])
-        geomdeg.append(int(parts[2]))
-        n = int(parts[3])
-        elem_nodes.append(np.asarray([int(x) for x in parts[4 : 4 + n]], dtype=np.int64))
-    n_fac = int(lines[pos]); pos += 1
-    facets = []
-    for _ in range(n_fac):
-        parts = lines[pos].split(); pos += 1
-        facets.append((int(parts[0]), int(parts[1]), parts[2]))
-    return QuadMesh(
-        nodes=nodes,
-        elem_nodes=elem_nodes,
-        elem_geomdeg=np.asarray(geomdeg, dtype=np.int64),
-        elem_tag=tags,
-        facets=facets,
-    )
+
+    def line() -> str:
+        nonlocal pos
+        pos += 1
+        return lines[pos - 1]
+
+    try:
+        return parse(line)
+    except (IndexError, ValueError) as exc:
+        if pos > len(lines):
+            raise ValueError(f"truncated {magic} file {path}: line {pos} missing") from None
+        raise ValueError(f"malformed {magic} file {path}, line {pos}: {exc}") from None
+
+
+def read_mesh(path) -> QuadMesh:
+    def parse(line):
+        n_nodes = int(line())
+        nodes = np.empty((n_nodes, 2))
+        for k in range(n_nodes):
+            i, r, z = line().split()
+            if int(i) != k:
+                raise ValueError(f"node {i} where node {k} was expected")
+            nodes[k] = (float(r), float(z))
+        n_el = int(line())
+        elem_nodes, geomdeg, tags = [], [], []
+        for _ in range(n_el):
+            parts = line().split()
+            tags.append(parts[1])
+            geomdeg.append(int(parts[2]))
+            ids = parts[4:]
+            if len(ids) != int(parts[3]):
+                raise ValueError(f"expected {parts[3]} node ids, got {len(ids)}")
+            elem_nodes.append(np.asarray([int(x) for x in ids], dtype=np.int64))
+        facets = []
+        for _ in range(int(line())):
+            e, face, tag = line().split()
+            facets.append((int(e), int(face), tag))
+        return QuadMesh(
+            nodes=nodes,
+            elem_nodes=elem_nodes,
+            elem_geomdeg=np.asarray(geomdeg, dtype=np.int64),
+            elem_tag=tags,
+            facets=facets,
+        )
+
+    return _parse_text(path, "QUADMESH v1", parse)

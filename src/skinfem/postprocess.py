@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import gauss_rule
-from .fem import DiscreteField, PointLocationError, _geom_at, _geometry_eval, _ref_2d
+from .basis import tensor_lagrange_grid
+from .fem import DiscreteField, PointLocationError, _geometry_eval, _quad_points
 from .mesh import TAG_CONDUCTOR
 from .physics import PhysicalParams, curv_ratio, theoretical_slope
 
@@ -37,16 +37,15 @@ def conductor_norm(field: DiscreteField) -> float:
     """Weighted L2 norm sqrt(int_conductor |H|^2 r dr dz)."""
     space = field.space
     mesh, p = space.mesh, space.p
-    nq1 = p + 3
-    phi, _, _, w2 = _ref_2d(p, nq1)
+    xq, w2 = _quad_points(p + 3)
+    phi = tensor_lagrange_grid(p, xq)[0]
     total = 0.0
     for e in range(mesh.n_elements):
         if mesh.elem_tag[e] != TAG_CONDUCTOR:
             continue
         g = int(mesh.elem_geomdeg[e])
-        GV, GDu, GDv = _geom_at(g, "quad", p, nq1)
         X = mesh.nodes[mesh.elem_nodes[e]]
-        rq, _, _, _, _, _, det = _geometry_eval(X, GV, GDu, GDv)
+        rq, _, _, _, _, _, det = _geometry_eval(X, *tensor_lagrange_grid(g, xq))
         hq = phi @ field.coeffs[space.elem_dofs[e]]
         total += np.sum(w2 * det * rq * np.abs(hq) ** 2)
     return float(np.sqrt(total))

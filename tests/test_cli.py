@@ -59,9 +59,12 @@ class TestValidation:
     def test_missing_file(self):
         assert cli.main(["--config", "/nonexistent/exp.ini"]) == cli.EXIT_CONFIG
 
-    def test_bad_threads(self, tmp_path):
+    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    def test_removed_flag_rejected(self, tmp_path, flag):
         path = write_ini(tmp_path, BASE.format(out=tmp_path / "out"))
-        assert cli.main(["--config", path, "--threads", "0"]) == cli.EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", path, flag, "1"])
+        assert exc.value.code == 2
 
     def test_nonnumeric_sigma(self, tmp_path):
         path = write_ini(

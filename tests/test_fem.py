@@ -81,11 +81,11 @@ class TestSpace:
         sp = FeSpace(mesh_b1, 5)
         # dof coordinates were written once per adjacent element; recompute
         # from each element and compare
-        from skinfem.fem import _geom_at
+        from skinfem.basis import gll_points, tensor_lagrange_grid
 
         for e in range(mesh_b1.n_elements):
             g = int(mesh_b1.elem_geomdeg[e])
-            GV, _, _ = _geom_at(g, "gll", 5, 0)
+            GV = tensor_lagrange_grid(g, gll_points(5))[0]
             pts = GV @ mesh_b1.nodes[mesh_b1.elem_nodes[e]]
             assert np.max(np.abs(pts - sp.dof_coords[sp.elem_dofs[e]])) < 1e-12
 
@@ -282,3 +282,28 @@ class TestFieldIO:
         path.write_text("SOMETHING ELSE\n")
         with pytest.raises(ValueError):
             read_field(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",  # empty file
+            "FIELD v1\n",  # header ends before the meta count
+            "FIELD v1\n2\np 3\n",  # meta list cut short
+            "FIELD v1\n0\n5\n1 0\n",  # coefficient list cut short
+            "FIELD v1\n0\ntwo\n",  # malformed count
+            "FIELD v1\n0\n1\n1.0\n",  # coefficient without imaginary part
+        ],
+        ids=["empty", "header", "meta", "coeffs", "count", "coeff-field"],
+    )
+    def test_bad_file_names_file(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.txt"):
+            read_field(path)
+
+    def test_count_mismatch(self, mesh_a2, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("FIELD v1\n0\n2\n1 0\n2 0\n")
+        assert len(read_field(path)[0]) == 2
+        with pytest.raises(ValueError, match="short.txt"):
+            read_field(path, FeSpace(mesh_a2, 2))

@@ -1,24 +1,14 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from skinfem import kernels
-from skinfem.basis import gauss_rule, gll_points, lagrange_deriv_matrix, lagrange_matrix
+from skinfem.basis import gauss_rule, tensor_lagrange_grid
 
 
 def make_inputs(p, seed=0):
     nq1 = p + 3
-    nodes = gll_points(p)
     gx, gw = gauss_rule(nq1)
-    V = lagrange_matrix(nodes, gx)
-    D = lagrange_deriv_matrix(nodes, gx)
-    phi = np.einsum("ai,bj->baji", V, V).reshape(nq1 * nq1, -1)
-    dphir = np.einsum("ai,bj->baji", D, V).reshape(nq1 * nq1, -1)
-    dphiz = np.einsum("ai,bj->baji", V, D).reshape(nq1 * nq1, -1)
+    phi, dphir, dphiz = tensor_lagrange_grid(p, gx)
     rng = np.random.default_rng(seed)
     rq = 0.5 + rng.random(nq1 * nq1)
     wq = np.outer(gw, gw).reshape(-1) * (0.5 + rng.random(nq1 * nq1))
@@ -30,46 +20,6 @@ def test_matrix_bitwise_symmetric(p):
     phi, dphir, dphiz, rq, wq = make_inputs(p)
     A = kernels.element_matrix(phi, dphir, dphiz, rq, wq, 1.0 / (1 + 2j), 0.3)
     assert np.array_equal(A, A.T)
-
-
-@pytest.mark.parametrize("p", [2, 6, 12])
-def test_numpy_path_matches_dispatch(p):
-    phi, dphir, dphiz, rq, wq = make_inputs(p)
-    args = (phi, dphir, dphiz, rq, wq, 1.0 / (1 + 2j), 0.3)
-    A1 = kernels.element_matrix(*args)
-    A2 = kernels._element_matrix_numpy(*args)
-    scale = np.max(np.abs(A2))
-    assert np.max(np.abs(A1 - A2)) <= 1e-12 * scale
-
-
-def test_load_vector_matches():
-    phi, dphir, dphiz, rq, wq = make_inputs(5)
-    fq = np.sin(rq)
-    b1 = kernels.element_load(phi, rq, wq, fq)
-    b2 = kernels._element_load_numpy(phi, rq, wq, fq)
-    assert np.max(np.abs(b1 - b2)) <= 1e-14 * max(np.max(np.abs(b2)), 1.0)
-
-
-def test_env_flag_disables_numba():
-    # The child must import the same skinfem as this process, whether it
-    # comes from a source tree on PYTHONPATH or from an install.
-    pkg_root = str(Path(kernels.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["SKINFEM_DISABLE_NUMBA"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [pkg_root, env.get("PYTHONPATH")])
-    )
-    code = (
-        "import sys, skinfem.kernels as k; "
-        "print('_DISABLED', k._DISABLED, 'USE_NUMBA', k.USE_NUMBA); "
-        "sys.exit(0 if k._DISABLED and not k.USE_NUMBA else 1)"
-    )
-    res = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert res.returncode == 0, (
-        f"child exited {res.returncode}; stdout:\n{res.stdout}\nstderr:\n{res.stderr}"
-    )
 
 
 def test_positive_definite_stiffness_part():

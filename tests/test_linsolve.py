@@ -5,15 +5,13 @@ import scipy.sparse as sp
 from skinfem.linsolve import (
     Factorization,
     SingularMatrixError,
-    SparseComplexMatrix,
     backsolve,
     factor,
 )
 
 
 def solve_dense(A, b):
-    mat = SparseComplexMatrix.from_csr(sp.csr_matrix(A))
-    return backsolve(factor(mat), b)
+    return backsolve(factor(sp.csr_matrix(A)), b)
 
 
 def test_small_complex_symmetric():
@@ -42,7 +40,7 @@ def test_random_residual():
 def test_factor_reuse():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((20, 20)) + 20 * np.eye(20)
-    fact = factor(SparseComplexMatrix.from_csr(sp.csr_matrix(A)))
+    fact = factor(sp.csr_matrix(A))
     for seed in range(3):
         b = np.random.default_rng(seed).standard_normal(20)
         x = backsolve(fact, b)
@@ -52,27 +50,11 @@ def test_factor_reuse():
 def test_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
     with pytest.raises(SingularMatrixError):
-        backsolve(factor(SparseComplexMatrix.from_csr(sp.csr_matrix(A))), np.ones(2))
-
-
-def test_from_triplets_sums_duplicates():
-    m = SparseComplexMatrix.from_triplets(
-        2, [0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0], symmetric=True
-    )
-    assert m.symmetric
-    assert m.csr[0, 0] == 3.0
-    assert m.csr[1, 1] == 5.0
-
-
-def test_from_triplets_validation():
-    with pytest.raises(ValueError):
-        SparseComplexMatrix.from_triplets(2, [0, 2], [0, 0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        SparseComplexMatrix.from_triplets(2, [0], [0, 1], [1.0, 1.0])
+        backsolve(factor(sp.csr_matrix(A)), np.ones(2))
 
 
 def test_rhs_size_check():
     A = np.eye(3)
-    fact = factor(SparseComplexMatrix.from_csr(sp.csr_matrix(A)))
+    fact = factor(sp.csr_matrix(A))
     with pytest.raises(ValueError):
         backsolve(fact, np.ones(4))

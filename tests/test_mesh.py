@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from skinfem import mesh
-from skinfem.basis import gauss_rule
-from skinfem.fem import _geom_at, _geometry_eval
+from skinfem.basis import gauss_rule, tensor_lagrange_grid
+from skinfem.fem import _geometry_eval
 from skinfem.mesh import (
     FACET_AXIS,
     FACET_INTERFACE,
@@ -22,11 +22,11 @@ def element_areas(m):
     """Per-element area and minimum Jacobian via degree-5 Gauss quadrature."""
     areas = np.empty(m.n_elements)
     detmin = np.empty(m.n_elements)
-    _, w = gauss_rule(5)
+    x, w = gauss_rule(5)
     w2 = np.outer(w, w).reshape(-1)
     for e in range(m.n_elements):
         g = int(m.elem_geomdeg[e])
-        GV, GDu, GDv = _geom_at(g, "quad", 2, 5)
+        GV, GDu, GDv = tensor_lagrange_grid(g, x)
         X = m.nodes[m.elem_nodes[e]]
         _, _, _, _, _, _, det = _geometry_eval(X, GV, GDu, GDv)
         areas[e] = np.sum(w2 * det)
@@ -171,3 +171,24 @@ def test_mesh_io_roundtrip(tmp_path):
 def test_mesh_for_rejects_bad_spec():
     with pytest.raises(ValueError):
         mesh_for("B1", "fine")
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda lines: [],  # empty file
+        lambda lines: lines[:1],  # header only
+        lambda lines: lines[:5],  # node list cut short
+        lambda lines: lines[:-1],  # facet list cut short
+        lambda lines: lines[:1] + ["many"] + lines[2:],  # malformed node count
+        lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],  # nodes out of order
+    ],
+    ids=["empty", "header", "nodes", "facets", "node-count", "node-order"],
+)
+def test_read_mesh_bad_file_names_file(tmp_path, cut):
+    path = tmp_path / "bad.txt"
+    write_mesh(square_mesh_A(1), path)
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + "\n" for line in cut(lines)))
+    with pytest.raises(ValueError, match="bad.txt"):
+        read_mesh(path)
