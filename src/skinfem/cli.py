@@ -15,7 +15,9 @@ Lists are separated by commas only. `;` and `#` start a comment, on a line of
 their own or after whitespace inside a line, so `p = 10, 12 ; degrees` reads
 as `p = 10, 12`.
 
-Exit codes: 0 ok, 2 config error, 3 solve error, 4 postprocess error.
+Exit codes: 0 ok, 2 config error (or an output path under `out` that cannot
+be written), 3 solve error, 4 postprocess error. Any other exception is a bug:
+the run removes its partial outputs and lets it propagate.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, geometry, mesh, physics, postprocess
+from . import fem, geometry, linsolve, mesh, physics, postprocess
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main", "ConfigError"]
 
@@ -59,6 +61,10 @@ class ConfigError(ValueError):
 
 class PostprocessError(RuntimeError):
     pass
+
+
+# Failures of the numerical pipeline on valid input: exit 3.
+_SOLVE_ERRORS = (fem.AssemblyError, linsolve.SingularMatrixError, mesh.MeshGenerationError)
 
 
 @dataclass
@@ -173,6 +179,14 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Study implementations
 
+def _post(fn, *args, **kwargs):
+    """Call a postprocess function; a ValueError from it is a PostprocessError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise PostprocessError(str(exc)) from exc
+
+
 def _source_for(config: str) -> fem.SourceSpec:
     if config == "C1":
         return fem.SourceSpec.config_C1()
@@ -185,7 +199,9 @@ class _Runner:
         self.written: list[str] = []
         self.dom = geometry.meridian_domain(cfg.config)
         self.source = _source_for(cfg.config)
-        self._spaces: dict[tuple[str, int], fem.FeSpace] = {}
+        # The last assembled system and its (spec, p). One slot: a study
+        # visits each (spec, p) in one run of consecutive solves.
+        self._assembled: tuple[tuple[str, int], fem.AssembledSystem] | None = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -193,17 +209,18 @@ class _Runner:
         sigma_max = max(self.cfg.sigmas)
         return mesh.mesh_for(self.cfg.config, spec, sigma_max=sigma_max)
 
-    def _space(self, spec: str, p: int) -> fem.FeSpace:
-        key = (spec, p)
-        if key not in self._spaces:
-            self._spaces[key] = fem.FeSpace(self._mesh(spec), p)
-        return self._spaces[key]
-
     def _solve(self, spec: str, p: int, sigma: float) -> fem.DiscreteField:
+        """Solve at sigma, assembling only when (spec, p) changes."""
         params = physics.PhysicalParams(sigma=sigma, omega=self.cfg.omega)
-        space = self._space(spec, p)
-        system = fem.assemble(space, params, self.source)
-        return fem.solve(system)
+        if self._assembled is None or self._assembled[0] != (spec, p):
+            self._assembled = None  # free the old system before assembling
+            space = fem.FeSpace(self._mesh(spec), p)
+            system = fem.assemble(space, params, self.source)
+            self._assembled = ((spec, p), system)
+        return fem.solve(self._assembled[1].at(params))
+
+    def _norm(self, spec: str, p: int, sigma: float) -> float:
+        return _post(postprocess.conductor_norm, self._solve(spec, p, sigma))
 
     def _path(self, name: str) -> str:
         path = os.path.join(self.cfg.out, name)
@@ -222,7 +239,7 @@ class _Runner:
         if os.path.exists(cache):
             with open(cache) as f:
                 return float(f.read().strip())
-        A = postprocess.conductor_norm(self._solve(spec, p, sigma))
+        A = self._norm(spec, p, sigma)
         with open(cache, "w") as f:
             f.write(f"{A:.17g}\n")
         return A
@@ -245,7 +262,7 @@ class _Runner:
             f = self._solve(self.cfg.mesh_spec, p, sigma)
             f.meta = {"config": self.cfg.config, "sigma": sigma, "mesh": self.cfg.mesh_spec}
             fem.write_field(f, self._path(f"field_s{sigma:g}_p{p}.txt"))
-            rows.append((sigma, float(p), postprocess.conductor_norm(f)))
+            rows.append((sigma, float(p), _post(postprocess.conductor_norm, f)))
         cols = tuple(np.array(c) for c in zip(*rows))
         postprocess._write_csv(self._path("norms.csv"), "sigma,p,A", cols)
 
@@ -256,8 +273,8 @@ class _Runner:
         for sigma, p in self.cfg.paired():
             params = physics.PhysicalParams(sigma=sigma, omega=self.cfg.omega)
             f = self._solve(self.cfg.mesh_spec, p, sigma)
-            rep = postprocess.slope_report(f, params, H, a)
-            y3, vals = postprocess.extract_radial(f, a)
+            rep = _post(postprocess.slope_report, f, params, H, a)
+            y3, vals = _post(postprocess.extract_radial, f, a)
             postprocess.write_profile_csv(
                 self._path(f"profile_s{sigma:g}_p{p}.csv"), y3, vals
             )
@@ -284,45 +301,40 @@ class _Runner:
             ref_spec, ref_p = "M3", 16
         else:
             ref_spec, ref_p = "M6", 20
-        for sigma in self.cfg.sigmas:
-            ref = self._ref_norm(ref_spec, ref_p, sigma)
-            ps, diffs = [], []
-            for p in self.cfg.ps:
-                A = postprocess.conductor_norm(self._solve(self.cfg.mesh_spec, p, sigma))
-                ps.append(float(p))
-                diffs.append(abs(A - ref))
+        # Degree outermost: the solves of one (mesh, p) share an assembly.
+        refs = [self._ref_norm(ref_spec, ref_p, sigma) for sigma in self.cfg.sigmas]
+        norms = [
+            [self._norm(self.cfg.mesh_spec, p, sigma) for sigma in self.cfg.sigmas]
+            for p in self.cfg.ps
+        ]
+        for k, (sigma, ref) in enumerate(zip(self.cfg.sigmas, refs)):
             postprocess._write_csv(
                 self._path(f"pconv_s{sigma:g}.csv"),
                 "p,absdiff",
-                (np.array(ps), np.array(diffs)),
+                (
+                    np.array([float(p) for p in self.cfg.ps]),
+                    np.array([abs(row[k] - ref) for row in norms]),
+                ),
             )
 
     def study_h_stability(self):
         specs = [s.strip() for s in self.cfg.mesh_spec.split("+")]
         p = self.cfg.ps[0]
-        for sigma in self.cfg.sigmas:
-            ks, norms = [], []
-            for spec in specs:
-                A = postprocess.conductor_norm(self._solve(spec, p, sigma))
-                ks.append(float(spec[1:]))
-                norms.append(A)
+        # Mesh outermost: the solves on one mesh share an assembly.
+        norms = [[self._norm(spec, p, sigma) for sigma in self.cfg.sigmas] for spec in specs]
+        ks = np.array([float(spec[1:]) for spec in specs])
+        for k, sigma in enumerate(self.cfg.sigmas):
             postprocess._write_csv(
                 self._path(f"hstab_s{sigma:g}_p{p}.csv"),
                 "mesh,A",
-                (np.array(ks), np.array(norms)),
+                (ks, np.array([row[k] for row in norms])),
             )
 
     def study_sigma_scaling(self):
         p = self.cfg.ps[0]
-        norms = [
-            postprocess.conductor_norm(self._solve(self.cfg.mesh_spec, p, s))
-            for s in self.cfg.sigmas
-        ]
+        norms = [self._norm(self.cfg.mesh_spec, p, s) for s in self.cfg.sigmas]
         postprocess.write_scaling_csv(self._path("scaling.csv"), self.cfg.sigmas, norms)
-        try:
-            t = postprocess.scaling_exponent(self.cfg.sigmas, norms)
-        except ValueError as exc:
-            raise PostprocessError(str(exc))
+        t = _post(postprocess.scaling_exponent, self.cfg.sigmas, norms)
         with open(self._path("scaling_exponent.txt"), "w") as f:
             f.write(f"{t:.17g}\n")
 
@@ -333,8 +345,12 @@ class _Runner:
             f = self._solve(self.cfg.mesh_spec, p, sigma)
             r0 = self.dom.params["r0"]
             l0 = self.dom.params["l0"]
-            mid, slopes = postprocess.corner_slopes(
-                f, corner=(r0, l0 / 2.0), params=params, max_depth=10 * params.ell / 4
+            mid, slopes = _post(
+                postprocess.corner_slopes,
+                f,
+                corner=(r0, l0 / 2.0),
+                params=params,
+                max_depth=10 * params.ell / 4,
             )
             postprocess.write_slopes_csv(
                 self._path(f"corner_s{sigma:g}_p{p}.csv"), mid, slopes
@@ -350,8 +366,8 @@ class _Runner:
         else:
             rmax = self.dom.params["b"]
             zmax = self.dom.params["d"]
-        r_axis, z_axis, vals = postprocess.imag_field_map(
-            f, (0.0, rmax), (-zmax, zmax), 81, 81
+        r_axis, z_axis, vals = _post(
+            postprocess.imag_field_map, f, (0.0, rmax), (-zmax, zmax), 81, 81
         )
         lines = ["r,z,imH"]
         for j, z in enumerate(z_axis):
@@ -375,7 +391,7 @@ class _Runner:
 
     def cleanup_partial(self):
         for path in self.written:
-            if os.path.exists(path):
+            if os.path.isfile(path):
                 os.remove(path)
 
 
@@ -388,15 +404,27 @@ def run(cfg: ExperimentConfig) -> int:
     runner = _Runner(cfg)
     try:
         runner.run()
-    except PostprocessError as exc:
+    except BaseException as exc:
         runner.cleanup_partial()
-        print(f"postprocess error: {exc}", file=sys.stderr)
-        return EXIT_POST
-    except Exception as exc:
-        runner.cleanup_partial()
-        print(f"solve error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
+        if isinstance(exc, PostprocessError):
+            print(f"postprocess error: {exc}", file=sys.stderr)
+            return EXIT_POST
+        if isinstance(exc, _SOLVE_ERRORS):
+            print(f"solve error: {exc}", file=sys.stderr)
+            return EXIT_SOLVE
+        if isinstance(exc, OSError) and _under(exc.filename, cfg.out):
+            print(f"output error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
+        raise
     return EXIT_OK
+
+
+def _under(path, root: str) -> bool:
+    """Whether path is root or lies below it."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        return False
+    path, root = os.path.abspath(os.fsdecode(path)), os.path.abspath(root)
+    return os.path.commonpath([path, root]) == root
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ DOF nodes plus right-hand-side lifting.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -257,18 +258,45 @@ class DiscreteField:
         return evaluate(self, points)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssembledSystem:
-    """Element matrices, lifted global rhs, and constraint data.
+    """Sigma-independent element pieces plus one coefficient per element.
 
-    No global matrix is formed: `solve` condenses the element matrices, and
-    `global_matrix` builds the assembled (unconstrained) CSR on request.
+    The matrix of element e is coef[e] * stiffness[e] - kappa2 * mass[e],
+    where coef is 1/eps_conductor in the conductor and 1 in the dielectric
+    (or everywhere under `uniform_eps`). Sigma enters only through coef, so
+    `at` re-targets the system to another conductivity without recomputing
+    an element matrix. No global matrix is formed: `solve` condenses element
+    by element, and `global_matrix` builds the assembled CSR on request.
     """
 
     space: FeSpace
-    element_matrices: np.ndarray  # (n_elements, (p+1)^2, (p+1)^2) complex
-    rhs: np.ndarray  # b - A g over all dofs
+    stiffness: np.ndarray  # (n_elements, (p+1)^2, (p+1)^2) real
+    mass: np.ndarray  # (n_elements, (p+1)^2, (p+1)^2) real
+    loads: np.ndarray  # (n_elements, (p+1)^2) real element loads
     gvec: np.ndarray  # prescribed values at constrained dofs, 0 elsewhere
+    kappa2: float
+    coef: np.ndarray  # (n_elements,) complex
+    uniform_eps: bool = False
+
+    def at(self, params: PhysicalParams) -> "AssembledSystem":
+        """The same system at params.sigma, sharing every element array.
+
+        Raises ValueError if params.kappa (set by omega) differs from the
+        assembled one: kappa scales the mass part, which is not re-targeted.
+        """
+        if params.kappa**2 != self.kappa2:
+            raise ValueError(
+                f"kappa^2 = {params.kappa**2!r} differs from the assembled {self.kappa2!r}"
+            )
+        coef = _coefficients(self.space.mesh, params, self.uniform_eps)
+        return dataclasses.replace(self, coef=coef)
+
+    def lifted_rhs(self) -> np.ndarray:
+        """b - A g over all dofs."""
+        dofs = self.space.elem_dofs
+        Ag = _element_products(self, self.gvec)
+        return _scatter(dofs, self.loads - Ag, self.space.n_dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +307,31 @@ def _element_is_cut(support, corners) -> bool:
     return any(vals) and not all(vals)
 
 
+def _coefficients(mesh: QuadMesh, params: PhysicalParams, uniform_eps: bool):
+    """Stiffness coefficient per element: 1/eps_conductor in the conductor, else 1."""
+    coef = np.ones(mesh.n_elements, dtype=np.complex128)
+    if not uniform_eps:
+        coef[np.asarray(mesh.elem_tag) == TAG_CONDUCTOR] = 1.0 / params.eps_conductor
+    return coef
+
+
 def assemble(
     space: FeSpace,
     params: PhysicalParams,
     source: SourceSpec,
     uniform_eps: bool = False,
 ) -> AssembledSystem:
-    """Element matrices of the weighted complex form and the lifted rhs."""
+    """Element stiffness, mass and load arrays, with params' coefficients."""
     mesh, p = space.mesh, space.p
     nq1 = p + 3
-    kappa2 = params.kappa**2
-    inv_eps_cond = 1.0 if uniform_eps else 1.0 / params.eps_conductor
 
     n2 = (p + 1) ** 2
     xq, w2 = _quad_points(nq1)
     phi, dxi, deta = tensor_lagrange_grid(p, xq)
 
     nel = mesh.n_elements
-    Ae = np.empty((nel, n2, n2), dtype=np.complex128)
+    S = np.empty((nel, n2, n2))
+    M = np.empty((nel, n2, n2))
     be = np.zeros((nel, n2))
 
     for e in range(nel):
@@ -310,8 +345,7 @@ def assemble(
         dphir = (dxi * yv[:, None] - deta * yu[:, None]) / det[:, None]
         dphiz = (-dxi * xv[:, None] + deta * xu[:, None]) / det[:, None]
         wq = w2 * det
-        inv_eps = inv_eps_cond if mesh.elem_tag[e] == TAG_CONDUCTOR else 1.0
-        Ae[e] = kernels.element_matrix(phi, dphir, dphiz, rq, wq, inv_eps, kappa2)
+        S[e], M[e] = kernels.element_matrix(phi, dphir, dphiz, rq, wq)
 
         if source.interior_f is not None:
             cut = source.support is not None and _element_is_cut(
@@ -336,14 +370,35 @@ def assemble(
             source.boundary_g(pts[:, 0], pts[:, 1]), dtype=np.complex128
         )
     # axis dofs stay 0
-    dofs = space.elem_dofs
-    rhs = _scatter(dofs, be - _matvec(Ae, gvec[dofs]), space.n_dofs)
-    return AssembledSystem(space=space, element_matrices=Ae, rhs=rhs, gvec=gvec)
+    return AssembledSystem(
+        space=space,
+        stiffness=S,
+        mass=M,
+        loads=be,
+        gvec=gvec,
+        kappa2=params.kappa**2,
+        coef=_coefficients(mesh, params, uniform_eps),
+        uniform_eps=uniform_eps,
+    )
 
 
 def _matvec(mats, vecs):
     """Batched matrix-vector product: (k, m, n) x (k, n) -> (k, m)."""
     return (mats @ vecs[..., None])[..., 0]
+
+
+def _element_products(system: AssembledSystem, v) -> np.ndarray:
+    """A_e v_e for every element, (n_elements, (p+1)^2) complex.
+
+    The real element arrays multiply the (re, im) pairs of the complex
+    vector v as two real columns; no complex element matrix is formed.
+    """
+    dofs = system.space.elem_dofs
+    pairs = np.ascontiguousarray(v[dofs], dtype=np.complex128).view(np.float64)
+    pairs = pairs.reshape(*dofs.shape, 2)
+    Sv = (system.stiffness @ pairs).view(np.complex128)[..., 0]
+    Mv = (system.mass @ pairs).view(np.complex128)[..., 0]
+    return system.coef[:, None] * Sv - system.kappa2 * Mv
 
 
 def _scatter(dofs, vals, n) -> np.ndarray:
@@ -379,9 +434,8 @@ def global_matrix(system: AssembledSystem) -> sp.csr_matrix:
     `solve` never forms it; it is for checks on the full system.
     """
     rows, cols = _element_triplets(system.space.elem_dofs)
-    return _accumulate_csr(
-        rows, cols, system.element_matrices.ravel(), system.space.n_dofs
-    )
+    vals = system.coef[:, None, None] * system.stiffness - system.kappa2 * system.mass
+    return _accumulate_csr(rows, cols, vals.ravel(), system.space.n_dofs)
 
 
 def _interior_locals(p: int) -> np.ndarray:
@@ -399,36 +453,36 @@ def solve(system: AssembledSystem) -> DiscreteField:
     are then recovered by element back-substitution.
     """
     space = system.space
-    Ae = system.element_matrices
     dofs = space.elem_dofs
     ns = space.n_skeleton
     il = _interior_locals(space.p)
     bl = np.setdiff1d(np.arange(dofs.shape[1]), il)
     skel = dofs[:, bl]
+    nel, ni, nb = len(dofs), len(il), len(bl)
+    rhs = system.lifted_rhs()
+    r_i = rhs[dofs[:, il]]
 
-    # A_ii^-1 [A_ib | r_i], one batched LAPACK solve over all elements.
-    A_ii = Ae[:, il[:, None], il]
-    rhs_i = np.concatenate(
-        [Ae[:, il[:, None], bl], system.rhs[dofs[:, il]][..., None]], axis=2
-    )
-    try:
-        X = np.linalg.solve(A_ii, rhs_i)
-    except np.linalg.LinAlgError:
-        for e in range(len(A_ii)):
-            try:
-                np.linalg.solve(A_ii[e], rhs_i[e])
-            except np.linalg.LinAlgError:
-                raise AssemblyError(
-                    f"singular interior block in element {e}"
-                ) from None
-        raise
-    del A_ii, rhs_i
-    X_b, x_r = X[..., :-1], X[..., -1]
-
-    A_bi = Ae[:, bl[:, None], il]
-    schur = Ae[:, bl[:, None], bl] - A_bi @ X_b
-    rhs_s = system.rhs[:ns] - _scatter(skel, _matvec(A_bi, x_r), ns)
-    del A_bi
+    # One element matrix at a time: A_ii^-1 [A_ib | r_i] and the Schur
+    # complement on the element's skeleton. A real coefficient keeps the
+    # matrix real; its interior rhs is then solved as (re, im) columns.
+    X_b = np.empty((nel, ni, nb), dtype=np.complex128)
+    x_r = np.empty((nel, ni), dtype=np.complex128)
+    schur = np.empty((nel, nb, nb), dtype=np.complex128)
+    A_bi_x = np.empty((nel, nb), dtype=np.complex128)
+    for e in range(nel):
+        c = system.coef[e]
+        A = (c if c.imag else c.real) * system.stiffness[e] - system.kappa2 * system.mass[e]
+        r = r_i[e][:, None] if c.imag else np.column_stack([r_i[e].real, r_i[e].imag])
+        try:
+            X = np.linalg.solve(A[il[:, None], il], np.hstack([A[il[:, None], bl], r]))
+        except np.linalg.LinAlgError:
+            raise AssemblyError(f"singular interior block in element {e}") from None
+        X_b[e] = X[:, :nb]
+        x_r[e] = X[:, nb] if c.imag else X[:, nb] + 1j * X[:, nb + 1]
+        A_bi = A[bl[:, None], il]
+        schur[e] = A[bl[:, None], bl] - A_bi @ X[:, :nb]
+        A_bi_x[e] = A_bi @ x_r[e]
+    rhs_s = rhs[:ns] - _scatter(skel, A_bi_x, ns)
 
     # Constrained skeleton rows and columns are dropped: rhs carries -A g.
     free_s = space.free[space.free < ns]
@@ -437,6 +491,7 @@ def solve(system: AssembledSystem) -> DiscreteField:
     rows, cols = _element_triplets(index[skel])
     keep = (rows >= 0) & (cols >= 0)
     S_ff = _accumulate_csr(rows[keep], cols[keep], schur.ravel()[keep], len(free_s))
+    del schur
     fact = linsolve.factor(S_ff)
 
     y = np.zeros(space.n_dofs, dtype=np.complex128)  # coefficients minus gvec
@@ -444,10 +499,10 @@ def solve(system: AssembledSystem) -> DiscreteField:
     y[dofs[:, il]] = x_r - _matvec(X_b, y[skel])
 
     free = space.free
-    b_f = system.rhs[free]
+    b_f = rhs[free]
     scale = np.max(np.abs(b_f)) if len(b_f) else 1.0
     if scale > 0:
-        Ay = _scatter(dofs, _matvec(Ae, y[dofs]), space.n_dofs)
+        Ay = _scatter(dofs, _element_products(system, y), space.n_dofs)
         res = np.max(np.abs(Ay[free] - b_f)) / scale
         if not res <= 1e-10:
             raise AssemblyError(f"solver residual {res:.3e} exceeds 1e-10")

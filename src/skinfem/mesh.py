@@ -504,13 +504,22 @@ def read_mesh(path) -> QuadMesh:
             parts = line().split()
             tags.append(parts[1])
             geomdeg.append(int(parts[2]))
-            ids = parts[4:]
-            if len(ids) != int(parts[3]):
-                raise ValueError(f"expected {parts[3]} node ids, got {len(ids)}")
-            elem_nodes.append(np.asarray([int(x) for x in ids], dtype=np.int64))
+            ids = np.asarray([int(x) for x in parts[4:]], dtype=np.int64)
+            if not len(ids) == int(parts[3]) == (geomdeg[-1] + 1) ** 2:
+                raise ValueError(
+                    f"expected {(geomdeg[-1] + 1) ** 2} node ids for geometry degree "
+                    f"{geomdeg[-1]}, got {len(ids)} (count field {parts[3]})"
+                )
+            if np.any((ids < 0) | (ids >= n_nodes)):
+                raise ValueError(f"node id outside 0..{n_nodes - 1}")
+            elem_nodes.append(ids)
         facets = []
         for _ in range(int(line())):
             e, face, tag = line().split()
+            if not 0 <= int(e) < n_el:
+                raise ValueError(f"facet element {e} outside 0..{n_el - 1}")
+            if not 0 <= int(face) <= 3:
+                raise ValueError(f"facet face {face} outside 0..3")
             facets.append((int(e), int(face), tag))
         return QuadMesh(
             nodes=nodes,

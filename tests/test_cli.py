@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import tempfile
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skinfem import cli
+from skinfem import cli, fem, linsolve, mesh, physics, postprocess
 
 
 def write_ini(tmp_path, body, name="exp.ini"):
@@ -199,10 +200,146 @@ class TestRuns:
         from skinfem import postprocess
 
         def boom(field):
-            raise RuntimeError("synthetic failure")
+            raise cli.fem.AssemblyError("synthetic failure")
 
         monkeypatch.setattr(cli.postprocess, "conductor_norm", boom)
         assert cli.main(["--config", path]) == cli.EXIT_SOLVE
         assert not (out / "norms.csv").exists()
         leftovers = [f for f in os.listdir(out)] if out.exists() else []
         assert not any(f.startswith("field_") for f in leftovers)
+
+
+TWO_SIGMAS = BASE.replace("sigma = 5", "sigma = 5, 20")
+
+
+def _fail_second_solve(monkeypatch, exc):
+    """Let the first fem.solve through and raise exc from the second."""
+    solve = cli.fem.solve
+    calls = []
+
+    def flaky(system):
+        calls.append(1)
+        if len(calls) > 1:
+            raise exc
+        return solve(system)
+
+    monkeypatch.setattr(cli.fem, "solve", flaky)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (fem.AssemblyError("singular interior block in element 3"), cli.EXIT_SOLVE),
+            (linsolve.SingularMatrixError("singular matrix", index=4), cli.EXIT_SOLVE),
+            (mesh.MeshGenerationError("facet shared by 3 elements"), cli.EXIT_SOLVE),
+            (cli.PostprocessError("no conductor samples"), cli.EXIT_POST),
+        ],
+        ids=["assembly", "singular", "mesh", "postprocess"],
+    )
+    def test_library_error_exit_code(self, tmp_path, monkeypatch, capsys, exc, code):
+        out = tmp_path / "out"
+        _fail_second_solve(monkeypatch, exc)
+        assert cli.main(["--config", write_ini(tmp_path, TWO_SIGMAS.format(out=out))]) == code
+        assert str(exc) in capsys.readouterr().err
+        assert os.listdir(out) == []  # the first sigma's field file is removed
+
+    def test_postprocess_value_error_exit_4(self, tmp_path, monkeypatch):
+        def bad(field):
+            raise ValueError("zero magnitude sample")
+
+        monkeypatch.setattr(cli.postprocess, "conductor_norm", bad)
+        path = write_ini(tmp_path, BASE.format(out=tmp_path / "out"))
+        assert cli.main(["--config", path]) == cli.EXIT_POST
+
+    def test_bug_propagates_without_partial_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        _fail_second_solve(monkeypatch, TypeError("unsupported operand"))
+        with pytest.raises(TypeError, match="unsupported operand"):
+            cli.main(["--config", write_ini(tmp_path, TWO_SIGMAS.format(out=out))])
+        assert os.listdir(out) == []
+
+    def test_unwritable_output_exit_2_names_path(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "norms.csv").mkdir(parents=True)  # a directory where the CSV goes
+        assert cli.main(["--config", write_ini(tmp_path, BASE.format(out=out))]) == cli.EXIT_CONFIG
+        assert str(out / "norms.csv") in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["norms.csv"]
+
+    def test_os_error_elsewhere_propagates(self, tmp_path, monkeypatch):
+        elsewhere = str(tmp_path / "elsewhere" / "x.bin")
+        _fail_second_solve(monkeypatch, FileNotFoundError(2, "No such file", elsewhere))
+        path = write_ini(tmp_path, TWO_SIGMAS.format(out=tmp_path / "out"))
+        with pytest.raises(FileNotFoundError):
+            cli.main(["--config", path])
+        assert os.listdir(tmp_path / "out") == []
+
+
+class TestSigmaReuse:
+    def test_one_assembly_for_a_sigma_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        kernel = cli.fem.kernels.element_matrix
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(cli.fem.kernels, "element_matrix", counted)
+        out = tmp_path / "out"
+        body = (
+            "[experiment]\nstudy = sigma-scaling\nconfig = A\n"
+            f"sigma = 5, 10, 20\np = 2\nmesh = M1\nout = {out}\n"
+        )
+        assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_OK
+        assert len(calls) == mesh.mesh_for("A", "M1", sigma_max=20.0).n_elements
+
+    @staticmethod
+    def _fresh_norm(config, spec, p, sigma, sigma_max):
+        """Conductor norm from its own assembly, with no reuse."""
+        space = fem.FeSpace(mesh.mesh_for(config, spec, sigma_max=sigma_max), p)
+        params = physics.PhysicalParams(sigma=sigma)
+        system = fem.assemble(space, params, fem.SourceSpec.dirichlet_radius())
+        return postprocess.conductor_norm(fem.solve(system))
+
+    def _check_outputs(self, tmp_path, out, body, expected):
+        """Artifacts equal `expected` byte for byte, and so does the manifest."""
+        cfg = cli.load_config(write_ini(tmp_path, body))
+        assert cli.run(cfg) == cli.EXIT_OK
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        lines = [f"input {cfg.key()}"]
+        for name in sorted(expected):
+            postprocess._write_csv(str(ref / name), *expected[name])
+            data = (ref / name).read_bytes()
+            assert (out / name).read_bytes() == data, name
+            lines.append(f"{name} {hashlib.sha256(data).hexdigest()}")
+        assert (out / "manifest.txt").read_text() == "\n".join(lines) + "\n"
+
+    def test_h_stability_matches_per_sigma_loop(self, tmp_path):
+        out = tmp_path / "out"
+        body = (
+            "[experiment]\nstudy = h-stability\nconfig = A\n"
+            f"sigma = 5, 20\np = 3\nmesh = M1+M2\nout = {out}\n"
+        )
+        expected = {}
+        for sigma in (5.0, 20.0):  # sigma outermost, one assembly per solve
+            norms = [self._fresh_norm("A", spec, 3, sigma, 20.0) for spec in ("M1", "M2")]
+            expected[f"hstab_s{sigma:g}_p3.csv"] = (
+                "mesh,A", (np.array([1.0, 2.0]), np.array(norms))
+            )
+        self._check_outputs(tmp_path, out, body, expected)
+
+    def test_p_convergence_matches_per_sigma_loop(self, tmp_path):
+        out = tmp_path / "out"
+        body = (
+            "[experiment]\nstudy = p-convergence\nconfig = A\n"
+            f"sigma = 5, 20\np = 2, 3\nmesh = M1\nout = {out}\n"
+        )
+        expected = {}
+        for sigma in (5.0, 20.0):
+            ref = self._fresh_norm("A", "M3", 16, sigma, 20.0)
+            diffs = [abs(self._fresh_norm("A", "M1", p, sigma, 20.0) - ref) for p in (2, 3)]
+            expected[f"pconv_s{sigma:g}.csv"] = (
+                "p,absdiff", (np.array([2.0, 3.0]), np.array(diffs))
+            )
+        self._check_outputs(tmp_path, out, body, expected)

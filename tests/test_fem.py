@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from skinfem import fem, mesh, physics
 from skinfem.fem import (
-    AssembledSystem,
     AssemblyError,
     FeSpace,
     PointLocationError,
@@ -137,9 +136,10 @@ class TestAssembly:
         f = solve(sys_)
         A = fem.global_matrix(sys_)
         free = sp.free
+        rhs = sys_.lifted_rhs()
         # rhs already contains -A g; full residual on free rows:
-        r = (A @ f.coeffs)[free] - (sys_.rhs + A @ sys_.gvec)[free]
-        scale = np.max(np.abs(sys_.rhs[free])) or 1.0
+        r = (A @ f.coeffs)[free] - (rhs + A @ sys_.gvec)[free]
+        scale = np.max(np.abs(rhs[free])) or 1.0
         assert np.max(np.abs(r)) / scale < 1e-9
 
 
@@ -160,19 +160,19 @@ class TestCondensation:
         n2 = dofs.shape[1]
         rows = np.repeat(dofs, n2, axis=1).ravel()
         cols = np.tile(dofs, (1, n2)).ravel()
-        A = sparse.csr_matrix(
-            (sys_.element_matrices.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2
-        )
+        Ae = sys_.coef[:, None, None] * sys_.stiffness - sys_.kappa2 * sys_.mass
+        A = sparse.csr_matrix((Ae.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2)
         free = space.free
         ref = sys_.gvec.copy()
-        ref[free] = spla.spsolve(A[free][:, free].tocsc(), sys_.rhs[free])
+        ref[free] = spla.spsolve(A[free][:, free].tocsc(), sys_.lifted_rhs()[free])
         got = solve(sys_).coeffs
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_singular_interior_block_names_element(self, mesh_a2, params5):
         sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
         il = fem._interior_locals(3)
-        sys_.element_matrices[5][np.ix_(il, il)] = 0.0
+        sys_.stiffness[5][np.ix_(il, il)] = 0.0
+        sys_.mass[5][np.ix_(il, il)] = 0.0
         with pytest.raises(AssemblyError, match=r"element 5\b"):
             solve(sys_)
 
@@ -184,6 +184,32 @@ class TestCondensation:
         )
         with pytest.raises(AssemblyError, match="residual"):
             solve(sys_)
+
+
+class TestSigmaReuse:
+    """One assembly re-targeted by .at() against a fresh assembly per sigma."""
+
+    @pytest.mark.parametrize("uniform_eps", [False, True], ids=["eps", "uniform"])
+    @pytest.mark.parametrize("config", ["A", "B1", "C1"])
+    @pytest.mark.parametrize("p", [2, 8])
+    def test_at_matches_fresh_assembly(self, config, p, uniform_eps):
+        space = FeSpace(mesh.mesh_for(config, "M1", sigma_max=80.0), p)
+        src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
+        pa = physics.PhysicalParams(sigma=5.0)
+        pb = physics.PhysicalParams(sigma=80.0)
+        sys_a = assemble(space, pa, src, uniform_eps=uniform_eps)
+        moved = sys_a.at(pb)
+        assert moved.stiffness is sys_a.stiffness and moved.mass is sys_a.mass
+        ref = solve(assemble(space, pb, src, uniform_eps=uniform_eps)).coeffs
+        got = solve(moved).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        if uniform_eps:
+            assert np.all(moved.coef == 1.0)
+
+    def test_at_other_omega_raises(self, mesh_a2, params5):
+        sys_ = assemble(FeSpace(mesh_a2, 2), params5, SourceSpec.dirichlet_radius())
+        with pytest.raises(ValueError, match="kappa"):
+            sys_.at(physics.PhysicalParams(sigma=5.0, omega=2.0 * params5.omega))
 
 
 class TestManufactured:

@@ -173,22 +173,64 @@ def test_mesh_for_rejects_bad_spec():
         mesh_for("B1", "fine")
 
 
+def _edit(lineno, edit):
+    """Replace the fields of 1-based line lineno of a QUADMESH file by edit(fields)."""
+
+    def cut(lines):
+        fields = edit(lines[lineno - 1].split())
+        return lines[: lineno - 1] + [" ".join(fields)] + lines[lineno:]
+
+    return cut
+
+
+# square_mesh_A(1) as written: 15 nodes on lines 3-17, 8 elements on lines
+# 19-26 ("e tag geomdeg count ids..."), 16 facets from line 28 ("e face tag").
 @pytest.mark.parametrize(
-    "cut",
+    "cut, message",
     [
-        lambda lines: [],  # empty file
-        lambda lines: lines[:1],  # header only
-        lambda lines: lines[:5],  # node list cut short
-        lambda lines: lines[:-1],  # facet list cut short
-        lambda lines: lines[:1] + ["many"] + lines[2:],  # malformed node count
-        lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],  # nodes out of order
+        pytest.param(lambda lines: [], "bad.txt", id="empty"),
+        pytest.param(lambda lines: lines[:1], "bad.txt", id="header"),
+        pytest.param(lambda lines: lines[:5], "bad.txt", id="nodes"),
+        pytest.param(lambda lines: lines[:-1], "bad.txt", id="facets"),
+        pytest.param(
+            lambda lines: lines[:1] + ["many"] + lines[2:], "bad.txt", id="node-count"
+        ),
+        pytest.param(
+            lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],
+            "bad.txt",
+            id="node-order",
+        ),
+        pytest.param(
+            _edit(19, lambda f: f[:4] + ["99999"] + f[5:]),
+            r"bad\.txt, line 19: node id",
+            id="elem-node-high",
+        ),
+        pytest.param(
+            _edit(20, lambda f: f[:5] + ["-1"] + f[6:]),
+            r"bad\.txt, line 20: node id",
+            id="elem-node-negative",
+        ),
+        pytest.param(
+            _edit(21, lambda f: f[:3] + ["3"] + f[4:-1]),
+            r"bad\.txt, line 21: expected 4 node ids",
+            id="elem-id-count",
+        ),
+        pytest.param(
+            _edit(28, lambda f: ["8"] + f[1:]),
+            r"bad\.txt, line 28: facet element",
+            id="facet-element",
+        ),
+        pytest.param(
+            _edit(29, lambda f: f[:1] + ["4"] + f[2:]),
+            r"bad\.txt, line 29: facet face",
+            id="facet-face",
+        ),
     ],
-    ids=["empty", "header", "nodes", "facets", "node-count", "node-order"],
 )
-def test_read_mesh_bad_file_names_file(tmp_path, cut):
+def test_read_mesh_bad_file_names_file(tmp_path, cut, message):
     path = tmp_path / "bad.txt"
     write_mesh(square_mesh_A(1), path)
     lines = path.read_text().splitlines()
     path.write_text("".join(line + "\n" for line in cut(lines)))
-    with pytest.raises(ValueError, match="bad.txt"):
+    with pytest.raises(ValueError, match=message):
         read_mesh(path)
