@@ -187,6 +187,16 @@ def _post(fn, *args, **kwargs):
         raise PostprocessError(str(exc)) from exc
 
 
+# Mesh and degree of the p-convergence reference norm, per configuration.
+_PCONV_REFERENCE = {
+    "A": ("M3", 16),
+    "B1": ("M6", 20),
+    "B2": ("M6", 20),
+    "C1": ("M6", 20),
+    "C2": ("M6", 20),
+}
+
+
 def _source_for(config: str) -> fem.SourceSpec:
     if config == "C1":
         return fem.SourceSpec.config_C1()
@@ -226,23 +236,6 @@ class _Runner:
         path = os.path.join(self.cfg.out, name)
         self.written.append(path)
         return path
-
-    def _ref_norm(self, spec: str, p: int, sigma: float) -> float:
-        """Reference conductor norm, cached on disk keyed by the input hash."""
-        raw = "|".join(
-            [self.cfg.config, spec, str(p), f"{sigma:.17g}", f"{self.cfg.omega:.17g}"]
-        )
-        h = hashlib.sha256(raw.encode()).hexdigest()
-        cache_dir = os.path.join(self.cfg.out, ".cache")
-        os.makedirs(cache_dir, exist_ok=True)
-        cache = os.path.join(cache_dir, f"ref_{h}.txt")
-        if os.path.exists(cache):
-            with open(cache) as f:
-                return float(f.read().strip())
-        A = self._norm(spec, p, sigma)
-        with open(cache, "w") as f:
-            f.write(f"{A:.17g}\n")
-        return A
 
     # -- studies ------------------------------------------------------------
 
@@ -297,12 +290,9 @@ class _Runner:
             f.write("\n".join(lines) + "\n")
 
     def study_p_convergence(self):
-        if self.cfg.config == "A":
-            ref_spec, ref_p = "M3", 16
-        else:
-            ref_spec, ref_p = "M6", 20
+        ref_spec, ref_p = _PCONV_REFERENCE[self.cfg.config]
         # Degree outermost: the solves of one (mesh, p) share an assembly.
-        refs = [self._ref_norm(ref_spec, ref_p, sigma) for sigma in self.cfg.sigmas]
+        refs = [self._norm(ref_spec, ref_p, sigma) for sigma in self.cfg.sigmas]
         norms = [
             [self._norm(self.cfg.mesh_spec, p, sigma) for sigma in self.cfg.sigmas]
             for p in self.cfg.ps

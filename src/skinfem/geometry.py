@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "CornerPointError",
@@ -105,10 +104,12 @@ class InterfaceCurve:
 class ParametricArcCurve(InterfaceCurve):
     """Arc-length reparametrization of an analytic parametric curve.
 
-    The cumulative arc length is tabulated by composite Gauss quadrature on a
-    dense parameter grid and inverted with a cubic spline; tangents and
-    curvature are evaluated analytically at the recovered parameter, so the
-    unit-speed property holds to rounding.
+    The cumulative arc length s(t) is tabulated by composite Gauss quadrature
+    on a dense parameter grid and inverted with the piecewise cubic Hermite
+    interpolant of t(s) whose knot slopes are the exact dt/ds = 1/|gamma'(t)|
+    (de Boor, A Practical Guide to Splines, ch. IV), accurate to O(h^4);
+    tangents and curvature are evaluated analytically at the recovered
+    parameter, so the unit-speed property holds to rounding.
     """
 
     def __init__(
@@ -135,12 +136,23 @@ class ParametricArcCurve(InterfaceCurve):
         cell_len = half * (speed * gw[None, :]).sum(axis=1)
         s_edges = np.concatenate([[0.0], np.cumsum(cell_len)])
         self.length = float(s_edges[-1])
-        self._t_of_s = CubicSpline(s_edges, t_edges)
+        self._s_knots, self._t_knots = s_edges, t_edges
+        self._dtds = 1.0 / np.hypot(self._fdx(t_edges), self._fdy(t_edges))
         self.corners = ()
 
     def _t(self, xi: float) -> float:
+        """Parameter t at arc length xi (clamped to [0, length])."""
         xi = min(max(xi, 0.0), self.length)
-        return float(self._t_of_s(xi))
+        s, t, m = self._s_knots, self._t_knots, self._dtds
+        k = min(int(np.searchsorted(s, xi, side="right")) - 1, len(s) - 2)
+        h = s[k + 1] - s[k]
+        u = (xi - s[k]) / h
+        # Cubic Hermite basis on [s_k, s_k+1] in the local coordinate u.
+        h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+        h01 = u * u * (3.0 - 2.0 * u)
+        h10 = u * (1.0 - u) ** 2
+        h11 = u * u * (u - 1.0)
+        return float(h00 * t[k] + h01 * t[k + 1] + h * (h10 * m[k] + h11 * m[k + 1]))
 
     def point(self, xi: float) -> tuple[float, float]:
         t = self._t(xi)

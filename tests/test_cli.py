@@ -343,3 +343,33 @@ class TestSigmaReuse:
                 "p,absdiff", (np.array([2.0, 3.0]), np.array(diffs))
             )
         self._check_outputs(tmp_path, out, body, expected)
+
+
+class TestPConvergenceReference:
+    def test_rerun_with_other_sigmas_uses_its_own_mesh(self, tmp_path, monkeypatch):
+        # B/C meshes depend on max(sigma), so a rerun into the same `out`
+        # with another sigma list has another mesh and another reference.
+        # A reference on the run's own mesh and degree gives absdiff 0 exactly.
+        monkeypatch.setitem(cli._PCONV_REFERENCE, "B1", ("M1", 2))
+        out = tmp_path / "out"
+        for sigmas in ([5.0], [5.0, 80.0]):
+            cfg = cli.ExperimentConfig(
+                study="p-convergence", config="B1", sigmas=sigmas, ps=[2],
+                mesh_spec="M1", out=str(out),
+            )
+            assert cli.run(cfg) == cli.EXIT_OK
+            for sigma in sigmas:
+                rows = (out / f"pconv_s{sigma:g}.csv").read_text().splitlines()
+                assert rows == ["p,absdiff", "2,0"], (sigmas, sigma)
+        assert not (out / ".cache").exists()
+        norms = [
+            cli._Runner(cli.ExperimentConfig(
+                study="p-convergence", config="B1", sigmas=sigmas, ps=[2],
+                mesh_spec="M1", out=str(out),
+            ))._norm("M1", 2, 5.0)
+            for sigmas in ([5.0], [5.0, 80.0])
+        ]
+        assert norms == [
+            pytest.approx(1.3906224381934023, rel=1e-12),
+            pytest.approx(1.3827380251038235, rel=1e-12),
+        ]

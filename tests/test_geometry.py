@@ -121,6 +121,33 @@ class TestCircle:
         assert curve.length == pytest.approx(3.0 * np.pi, rel=1e-10)
 
 
+class TestArcLengthInversion:
+    @pytest.mark.parametrize(
+        "a, c, inside",
+        [(2.0, 1.0, True), (4.0, 1.0, True), (2.0, 1.0, False), (1.5, 1.5, True)],
+        ids=["B1", "B2", "C1", "circle"],
+    )
+    def test_matches_cubic_spline(self, a, c, inside):
+        # Reference: the not-a-knot cubic spline through the same (s, t) knots.
+        from scipy.interpolate import CubicSpline
+
+        curve = ellipse_arclength(a, c, conductor_inside=inside)
+        spline = CubicSpline(curve._s_knots, curve._t_knots)
+        xis = np.concatenate(
+            [np.linspace(0.0, curve.length, 10_001), curve._s_knots, [0.0, curve.length]]
+        )
+        ours = np.array([curve._t(float(x)) for x in xis])
+        assert np.max(np.abs(ours - spline(xis))) <= 1e-10
+
+    def test_knots_interpolated(self, b1_curve):
+        ts = [b1_curve._t(float(s)) for s in b1_curve._s_knots]
+        assert np.allclose(ts, b1_curve._t_knots, rtol=0.0, atol=1e-14)
+
+    def test_clamped_outside_curve(self, b1_curve):
+        assert b1_curve._t(-1.0) == b1_curve._t(0.0) == 0.0
+        assert b1_curve._t(b1_curve.length + 1.0) == pytest.approx(np.pi, abs=1e-14)
+
+
 class TestPolyline:
     def test_config_a_lateral_mean_curvature(self):
         dom = meridian_domain("A")

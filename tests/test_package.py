@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +19,24 @@ def test_all_names_resolve(modname):
     mod = importlib.import_module(modname)
     missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
     assert not missing, f"{modname}.__all__ names missing attributes: {missing}"
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    """`scipy.interpolate` (and the optimize/fft/special modules it pulls in)
+    would add about 0.3 s to every command-line start."""
+    env = dict(os.environ)
+    pkg_parent = str(Path(skinfem.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = pkg_parent + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = (
+        "import sys, skinfem, skinfem.cli\n"
+        "print(skinfem.__file__)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    msg = f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
+    assert proc.returncode == 0, msg
+    child_file, loaded = proc.stdout.splitlines()
+    assert Path(child_file).resolve() == Path(skinfem.__file__).resolve(), msg
+    assert loaded == "[]", msg

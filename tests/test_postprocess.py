@@ -82,6 +82,44 @@ class TestConductorNorm:
         )
 
 
+def _conductor_norm_per_element(field):
+    """The element-by-element conductor norm: the reference for the batched one."""
+    from skinfem.basis import tensor_lagrange_grid
+    from skinfem.fem import _geometry_eval, _quad_points
+
+    space = field.space
+    m, p = space.mesh, space.p
+    xq, w2 = _quad_points(p + 3)
+    phi = tensor_lagrange_grid(p, xq)[0]
+    total = 0.0
+    for e in range(m.n_elements):
+        if m.elem_tag[e] != mesh.TAG_CONDUCTOR:
+            continue
+        g = int(m.elem_geomdeg[e])
+        X = m.nodes[m.elem_nodes[e]]
+        rq, _, _, _, _, _, det = _geometry_eval(X, *tensor_lagrange_grid(g, xq))
+        hq = phi @ field.coeffs[space.elem_dofs[e]]
+        total += np.sum(w2 * det * rq * np.abs(hq) ** 2)
+    return float(np.sqrt(total))
+
+
+@pytest.mark.parametrize(
+    "config, spec, p, source",
+    [
+        ("A", "M2", 6, fem.SourceSpec.dirichlet_radius()),
+        ("B1", "M1", 8, fem.SourceSpec.dirichlet_radius()),
+        ("C1", "M1", 5, fem.SourceSpec.config_C1()),
+    ],
+)
+def test_conductor_norm_matches_per_element_loop(config, spec, p, source):
+    params = PhysicalParams(sigma=20.0)
+    space = fem.FeSpace(mesh.mesh_for(config, spec, sigma_max=20.0), p)
+    field = fem.solve(fem.assemble(space, params, source))
+    assert np.iscomplexobj(field.coeffs) and np.any(field.coeffs.imag != 0)
+    ref = _conductor_norm_per_element(field)
+    assert postprocess.conductor_norm(field) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
 class TestExtraction:
     def test_manufactured_trace(self, solved_a):
         y3, vals = postprocess.extract_radial(solved_a, 1.0)
