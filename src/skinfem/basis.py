@@ -63,16 +63,14 @@ def lagrange_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w = _bary_weights(nodes)
     diff = x[:, None] - nodes[None, :]
-    out = np.empty((len(x), len(nodes)))
     exact_i, exact_j = np.nonzero(np.abs(diff) < 1e-14)
     diff[exact_i, exact_j] = 1.0  # placeholder, rows overwritten below
     terms = w[None, :] / diff
     with np.errstate(divide="ignore", invalid="ignore"):
         # Rows with an exact node hit may misbehave here; overwritten below.
         out = terms / terms.sum(axis=1)[:, None]
-    for i, j in zip(exact_i, exact_j):
-        out[i, :] = 0.0
-        out[i, j] = 1.0
+    out[exact_i] = 0.0
+    out[exact_i, exact_j] = 1.0
     return out
 
 

@@ -47,6 +47,8 @@ STUDIES = (
     "field-map",
 )
 
+_ONE_DEGREE_STUDIES = ("h-stability", "sigma-scaling", "corner-study", "field-map")
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVE = 3
@@ -98,8 +100,10 @@ class ExperimentConfig:
             raise ConfigError(f"field 'p': degrees must lie in 1..{fem.MAX_DEGREE}")
         if self.study in ("solve", "slope-study") and len(self.ps) not in (1, len(self.sigmas)):
             raise ConfigError("field 'p': give one degree or one per sigma")
-        if self.study in ("sigma-scaling", "corner-study", "field-map", "h-stability", "p-convergence") and len(self.ps) < 1:
-            raise ConfigError("field 'p': at least one degree required")
+        if self.study in _ONE_DEGREE_STUDIES and len(self.ps) != 1:
+            raise ConfigError(f"field 'p': {self.study} takes exactly one degree")
+        if self.study == "field-map" and len(self.sigmas) != 1:
+            raise ConfigError("field 'sigma': field-map takes exactly one conductivity")
         specs = self.mesh_spec.split("+") if self.study == "h-stability" else [self.mesh_spec]
         if not all(_MESH_SPEC.fullmatch(s.strip()) for s in specs):
             raise ConfigError(
@@ -309,7 +313,7 @@ class _Runner:
 
     def study_h_stability(self):
         specs = [s.strip() for s in self.cfg.mesh_spec.split("+")]
-        p = self.cfg.ps[0]
+        (p,) = self.cfg.ps
         # Mesh outermost: the solves on one mesh share an assembly.
         norms = [[self._norm(spec, p, sigma) for sigma in self.cfg.sigmas] for spec in specs]
         ks = np.array([float(spec[1:]) for spec in specs])
@@ -321,7 +325,7 @@ class _Runner:
             )
 
     def study_sigma_scaling(self):
-        p = self.cfg.ps[0]
+        (p,) = self.cfg.ps
         norms = [self._norm(self.cfg.mesh_spec, p, s) for s in self.cfg.sigmas]
         postprocess.write_scaling_csv(self._path("scaling.csv"), self.cfg.sigmas, norms)
         t = _post(postprocess.scaling_exponent, self.cfg.sigmas, norms)
@@ -329,7 +333,7 @@ class _Runner:
             f.write(f"{t:.17g}\n")
 
     def study_corner_study(self):
-        p = self.cfg.ps[0]
+        (p,) = self.cfg.ps
         for sigma in self.cfg.sigmas:
             params = physics.PhysicalParams(sigma=sigma, omega=self.cfg.omega)
             f = self._solve(self.cfg.mesh_spec, p, sigma)
@@ -347,8 +351,8 @@ class _Runner:
             )
 
     def study_field_map(self):
-        p = self.cfg.ps[0]
-        sigma = self.cfg.sigmas[0]
+        (p,) = self.cfg.ps
+        (sigma,) = self.cfg.sigmas
         f = self._solve(self.cfg.mesh_spec, p, sigma)
         if self.cfg.config == "A":
             rmax = self.dom.params["r1"]

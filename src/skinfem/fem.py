@@ -36,10 +36,11 @@ __all__ = [
     "AssembledSystem",
     "AssemblyError",
     "PointLocationError",
-    "shape_basis",
     "assemble",
     "global_matrix",
     "solve",
+    "locate",
+    "inverse_map",
     "evaluate",
     "write_field",
     "read_field",
@@ -57,22 +58,7 @@ class PointLocationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Reference bases
-
-def shape_basis(p: int):
-    """Tensorized Lagrange basis on Gauss-Lobatto grids of [0,1]^2.
-
-    Returns a callable basis(u, v) -> values of the (p+1)^2 basis functions,
-    ordered with the u index fast.
-    """
-    if not 1 <= p <= MAX_DEGREE:
-        raise ValueError(f"degree p={p} outside supported range 1..{MAX_DEGREE}")
-
-    def basis(u, v):
-        return tensor_lagrange(p, u, v)[0]
-
-    return basis
-
+# Quadrature and geometry
 
 def _quad_points(nq1: int, nsub: int = 1):
     """nq1-point Gauss rule on each of nsub equal subintervals of [0, 1]:
@@ -333,6 +319,7 @@ def assemble(
     S = np.empty((nel, n2, n2))
     M = np.empty((nel, n2, n2))
     be = np.zeros((nel, n2))
+    sub = None  # tables of the 4x4-subdivided rule, per degree
 
     for e in range(nel):
         g = int(mesh.elem_geomdeg[e])
@@ -352,13 +339,14 @@ def assemble(
                 source.support, X[[0, (g + 1) - 1, -1, -(g + 1)], :]
             )
             if cut:
-                sxq, sw2 = _quad_points(nq1, 4)
-                sphi = tensor_lagrange_grid(p, sxq)[0]
-                srq, szq, _, _, _, _, sdet = _geometry_eval(
-                    X, *tensor_lagrange_grid(g, sxq)
-                )
+                if sub is None:  # per call, not cached: large and used once
+                    sxq, sw2 = _quad_points(nq1, 4)
+                    su, sv = (t.ravel() for t in np.meshgrid(sxq, sxq))
+                    degs = {p, *(int(d) for d in mesh.elem_geomdeg)}
+                    sub = {d: tensor_lagrange(d, su, sv) for d in degs}
+                srq, szq, _, _, _, _, sdet = _geometry_eval(X, *sub[g])
                 fq = np.asarray(source.interior_f(srq, szq), dtype=float)
-                be[e] = kernels.element_load(sphi, srq, sw2 * sdet, fq)
+                be[e] = kernels.element_load(sub[p][0], srq, sw2 * sdet, fq)
             else:
                 fq = np.asarray(source.interior_f(rq, zq), dtype=float)
                 be[e] = kernels.element_load(phi, rq, wq, fq)
@@ -512,97 +500,103 @@ def solve(system: AssembledSystem) -> DiscreteField:
 # ---------------------------------------------------------------------------
 # Point evaluation
 
-class _Locator:
-    def __init__(self, mesh: QuadMesh):
-        boxes = np.empty((mesh.n_elements, 4))
-        for e in range(mesh.n_elements):
-            X = mesh.nodes[mesh.elem_nodes[e]]
-            lo = X.min(axis=0)
-            hi = X.max(axis=0)
-            pad = 0.1 * max(hi[0] - lo[0], hi[1] - lo[1]) + 1e-12
-            boxes[e] = (lo[0] - pad, hi[0] + pad, lo[1] - pad, hi[1] + pad)
-        self.boxes = boxes
+def inverse_map(mesh: QuadMesh, elems, points):
+    """Reference coordinates of points[k] in element elems[k], all elements
+    of one geometry degree: damped Newton from (0.5, 0.5), batched over k.
 
-    def candidates(self, r, z):
-        b = self.boxes
-        mask = (b[:, 0] <= r) & (r <= b[:, 1]) & (b[:, 2] <= z) & (z <= b[:, 3])
-        return np.nonzero(mask)[0]
-
-
-def _locator(mesh: QuadMesh) -> _Locator:
-    """The mesh's locator, built on first use and freed with the mesh."""
-    if mesh._locator is None:
-        mesh._locator = _Locator(mesh)
-    return mesh._locator
-
-
-def inverse_map(mesh: QuadMesh, e: int, r: float, z: float, tol: float = 1e-12):
-    """Damped Newton for the reference coordinates of (r, z) in element e.
-
-    Returns (u, v) or None if the iteration leaves the element or stalls.
+    Returns an (n, 2) array of (u, v), with NaN rows where the iteration
+    leaves [-0.5, 1.5]^2, meets a singular Jacobian or stalls.
     """
-    g = int(mesh.elem_geomdeg[e])
-    X = mesh.nodes[mesh.elem_nodes[e]]
-    u, v = 0.5, 0.5
-    target = np.array([r, z])
+    elems = np.asarray(elems, dtype=np.int64)
+    target = np.asarray(points, dtype=float).reshape(-1, 2)
+    uv = np.full((len(elems), 2), 0.5)
+    ids, pair_of = np.unique(elems, return_inverse=True)
+    degs = np.unique(np.asarray(mesh.elem_geomdeg)[ids])
+    if len(degs) > 1:
+        raise ValueError(f"elements of geometry degrees {degs.tolist()} in one call")
+    if not len(elems):
+        return uv
+    X = mesh.nodes[np.array([mesh.elem_nodes[e] for e in ids])][pair_of]
+    act = np.arange(len(elems))
     for _ in range(60):
-        GV, GDu, GDv = tensor_lagrange(g, u, v)
-        pos = X.T @ GV[0]
-        resid = pos - target
-        if np.max(np.abs(resid)) < 1e-14 * (1.0 + np.max(np.abs(target))):
-            return u, v
-        J = np.column_stack([X.T @ GDu[0], X.T @ GDv[0]])
-        try:
-            step = np.linalg.solve(J, resid)
-        except np.linalg.LinAlgError:
-            return None
-        if np.max(np.abs(step)) > 0.5:
-            step *= 0.5 / np.max(np.abs(step))
-        u, v = u - step[0], v - step[1]
-        if not (-0.5 <= u <= 1.5 and -0.5 <= v <= 1.5):
-            return None
-        if np.max(np.abs(step)) < tol:
-            return u, v
-    return None
+        GV, GDu, GDv = tensor_lagrange(int(degs[0]), uv[act, 0], uv[act, 1])
+        Xa, ta = X[act], target[act]
+        resid = np.einsum("kj,kjd->kd", GV, Xa) - ta
+        conv = np.max(np.abs(resid), axis=1) < 1e-14 * (1.0 + np.max(np.abs(ta), axis=1))
+        xu, yu = np.einsum("kj,kjd->dk", GDu, Xa)
+        xv, yv = np.einsum("kj,kjd->dk", GDv, Xa)
+        det = xu * yv - xv * yu
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.column_stack(
+                [yv * resid[:, 0] - xv * resid[:, 1], xu * resid[:, 1] - yu * resid[:, 0]]
+            ) / det[:, None]
+            size = np.max(np.abs(step), axis=1)
+            step *= np.minimum(1.0, 0.5 / size)[:, None]  # max-norm clamp at 0.5
+        new = uv[act] - step
+        ok = ~conv & (det != 0.0) & np.all((-0.5 <= new) & (new <= 1.5), axis=1)
+        uv[act[ok]] = new[ok]
+        uv[act[~conv & ~ok]] = np.nan
+        act = act[ok & (size >= 1e-12)]
+        if not len(act):
+            return uv
+    uv[act] = np.nan  # stalled
+    return uv
 
 
-def forward_map(mesh: QuadMesh, e: int, u: float, v: float):
-    g = int(mesh.elem_geomdeg[e])
-    GV = tensor_lagrange(g, u, v)[0][0]
-    X = mesh.nodes[mesh.elem_nodes[e]]
-    return tuple(X.T @ GV)
+def locate(mesh: QuadMesh, points):
+    """Element and reference coordinates (elem, u, v) of each point (n, 2).
+
+    Candidates are the elements whose bounding box, padded by 10%, holds
+    the point. The lowest-numbered candidate whose inverse map lies within
+    1e-9 of [0, 1]^2 wins; failing that, the one with the smallest miss if
+    it is at most 1e-6. elem is -1 where no candidate qualifies; (u, v) is
+    clamped to [0, 1]^2.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    lo = np.array([mesh.nodes[ids].min(axis=0) for ids in mesh.elem_nodes])
+    hi = np.array([mesh.nodes[ids].max(axis=0) for ids in mesh.elem_nodes])
+    pad = (0.1 * np.max(hi - lo, axis=1) + 1e-12)[:, None]
+    inbox = np.all((lo - pad <= pts[:, None]) & (pts[:, None] <= hi + pad), axis=2)
+    k, e = np.nonzero(inbox)  # candidate pairs
+
+    uv = np.empty((len(k), 2))
+    geomdeg = np.asarray(mesh.elem_geomdeg)[e]
+    for g in np.unique(geomdeg):
+        sel = geomdeg == g
+        uv[sel] = inverse_map(mesh, e[sel], pts[k[sel]])
+    miss = np.max(np.maximum(-uv, uv - 1.0), axis=1).clip(min=0.0)
+    miss[np.isnan(miss)] = np.inf
+    # Per point: the first within tolerance by element, else the smallest miss.
+    within = miss <= 1e-9
+    order = np.lexsort((e, np.where(within, 0.0, miss), ~within, k))
+    first = order[np.unique(k[order], return_index=True)[1]]
+    first = first[miss[first] <= 1e-6]
+
+    elem = np.full(len(pts), -1, dtype=np.int64)
+    elem[k[first]] = e[first]
+    at = np.zeros((len(pts), 2))
+    at[k[first]] = np.clip(uv[first], 0.0, 1.0)
+    return elem, at[:, 0], at[:, 1]
 
 
-def locate(mesh: QuadMesh, r: float, z: float, tol: float = 1e-9):
-    """Find (element, u, v) containing the point; PointLocationError if none."""
-    loc = _locator(mesh)
-    best = None
-    for e in loc.candidates(r, z):
-        res = inverse_map(mesh, int(e), r, z)
-        if res is None:
-            continue
-        u, v = res
-        slack = max(-u, u - 1.0, -v, v - 1.0, 0.0)
-        if slack <= tol:
-            return int(e), min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
-        if best is None or slack < best[0]:
-            best = (slack, int(e), u, v)
-    if best is not None and best[0] <= 1e-6:
-        _, e, u, v = best
-        return e, min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
-    raise PointLocationError(f"point ({r}, {z}) not found in mesh")
+def _values_at(field: DiscreteField, elem, u, v) -> np.ndarray:
+    """Field values at located points (elem >= 0)."""
+    space = field.space
+    phi = tensor_lagrange(space.p, u, v)[0]
+    return np.einsum("kj,kj->k", phi, field.coeffs[space.elem_dofs[elem]])
 
 
 def evaluate(field: DiscreteField, points) -> np.ndarray:
-    """Evaluate the discrete field at physical points (n, 2) -> complex (n,)."""
+    """Evaluate the discrete field at physical points (n, 2) -> complex (n,).
+
+    Raises PointLocationError naming the first point outside the mesh.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    space = field.space
-    basis = shape_basis(space.p)
-    out = np.empty(len(pts), dtype=np.complex128)
-    for k, (r, z) in enumerate(pts):
-        e, u, v = locate(space.mesh, float(r), float(z))
-        vals = basis(u, v)[0]
-        out[k] = vals @ field.coeffs[space.elem_dofs[e]]
+    elem, u, v = locate(field.space.mesh, pts)
+    if np.any(elem < 0):
+        r, z = pts[np.argmax(elem < 0)]
+        raise PointLocationError(f"point ({r}, {z}) not found in mesh")
+    out = _values_at(field, elem, u, v)
     if np.ndim(points) == 1:
         return out[0]
     return out

@@ -77,9 +77,6 @@ class QuadMesh:
     elem_tag: list
     facets: list = field(default_factory=list)  # (elem, face, tag)
     name: str = ""
-    # Point locator, built by fem on first use; held here so it is freed
-    # with the mesh.
-    _locator: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_elements(self) -> int:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import tensor_lagrange_grid
-from .fem import DiscreteField, PointLocationError, _geometry_eval, _quad_points
+from . import fem
+from .fem import DiscreteField, _geometry_eval, _quad_points
 from .mesh import TAG_CONDUCTOR
 from .physics import PhysicalParams, curv_ratio, theoretical_slope
 
@@ -193,14 +194,12 @@ def imag_field_map(field: DiscreteField, r_range, z_range, nr: int, nz: int):
     """
     r_axis = np.linspace(r_range[0], r_range[1], nr)
     z_axis = np.linspace(z_range[0], z_range[1], nz)
-    out = np.full((nz, nr), np.nan)
-    for j, z in enumerate(z_axis):
-        for i, r in enumerate(r_axis):
-            try:
-                out[j, i] = field.evaluate(np.array([r, z])).imag
-            except PointLocationError:
-                pass
-    return r_axis, z_axis, out
+    R, Z = np.meshgrid(r_axis, z_axis)
+    elem, u, v = fem.locate(field.space.mesh, np.column_stack([R.ravel(), Z.ravel()]))
+    inside = elem >= 0
+    out = np.full(nz * nr, np.nan)
+    out[inside] = fem._values_at(field, elem[inside], u[inside], v[inside]).imag
+    return r_axis, z_axis, out.reshape(nz, nr)
 
 
 # ---------------------------------------------------------------------------

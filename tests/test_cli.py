@@ -91,6 +91,27 @@ class TestValidation:
         assert f"field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "study, sigma, p, field",
+        [
+            ("h-stability", "5", "2, 3", "p"),
+            ("sigma-scaling", "5, 10, 20", "2, 3", "p"),
+            ("corner-study", "5", "2, 3", "p"),
+            ("field-map", "5", "2, 3", "p"),
+            ("field-map", "5, 20", "2", "sigma"),
+        ],
+    )
+    def test_unused_values_rejected(self, tmp_path, capsys, study, sigma, p, field):
+        body = (
+            BASE.format(out=tmp_path / "out")
+            .replace("study = solve", f"study = {study}")
+            .replace("sigma = 5", f"sigma = {sigma}")
+            .replace("p = 2", f"p = {p}")
+        )
+        assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_CONFIG
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -373,3 +394,44 @@ class TestPConvergenceReference:
             pytest.approx(1.3906224381934023, rel=1e-12),
             pytest.approx(1.3827380251038235, rel=1e-12),
         ]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenRuns:
+    """field-map and corner-study CLI runs against CSVs committed under
+    tests/golden, which were written by the per-point evaluation path."""
+
+    CASES = {
+        "field-map": "config = B1\nsigma = 20\np = 2\nmesh = M1\n",
+        "corner-study": "config = A\nsigma = 5, 20\np = 2\nmesh = M1\n",
+    }
+
+    @pytest.mark.parametrize("study", sorted(CASES))
+    def test_matches_golden(self, tmp_path, study):
+        out = tmp_path / "out"
+        body = f"[experiment]\nstudy = {study}\n{self.CASES[study]}out = {out}\n"
+        cfg = cli.load_config(write_ini(tmp_path, body))
+        assert cli.run(cfg) == cli.EXIT_OK
+        golden = sorted(p.name for p in (GOLDEN / study).iterdir())
+        assert sorted(os.listdir(out)) == sorted(golden + ["manifest.txt"])
+        for name in golden:
+            want = np.genfromtxt(GOLDEN / study / name, delimiter=",", names=True)
+            got = np.genfromtxt(out / name, delimiter=",", names=True)
+            assert got.dtype.names == want.dtype.names
+            for col in want.dtype.names:
+                w, g = want[col], got[col]
+                assert np.array_equal(np.isnan(g), np.isnan(w)), (name, col)
+                ok = ~np.isnan(w)
+                assert np.max(np.abs(g[ok] - w[ok])) <= 1e-10 * np.max(np.abs(w[ok])), (name, col)
+        manifest = [f"input {cfg.key()}"] + [
+            f"{name} {hashlib.sha256((out / name).read_bytes()).hexdigest()}"
+            for name in golden
+        ]
+        assert (out / "manifest.txt").read_text() == "\n".join(manifest) + "\n"
+        again = tmp_path / "again"
+        rerun = write_ini(tmp_path, body.replace(str(out), str(again)), "again.ini")
+        assert cli.main(["--config", rerun]) == cli.EXIT_OK
+        for name in golden + ["manifest.txt"]:
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -7,7 +8,8 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from skinfem import fem, mesh, physics
+from skinfem import fem, mesh, physics, postprocess
+from skinfem.basis import gll_points, tensor_lagrange
 from skinfem.fem import (
     AssemblyError,
     FeSpace,
@@ -15,10 +17,9 @@ from skinfem.fem import (
     SourceSpec,
     assemble,
     evaluate,
-    forward_map,
     inverse_map,
+    locate,
     read_field,
-    shape_basis,
     solve,
     write_field,
 )
@@ -43,27 +44,24 @@ class TestShapeBasis:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_partition_of_unity(self, p, u, v):
-        vals = shape_basis(p)(u, v)[0]
+        vals = tensor_lagrange(p, u, v)[0][0]
         assert np.sum(vals) == pytest.approx(1.0, abs=1e-12)
 
     def test_nodal_property(self):
         p = 4
-        from skinfem.basis import gll_points
-
         nodes = gll_points(p)
-        basis = shape_basis(p)
         for j, vn in enumerate(nodes):
             for i, un in enumerate(nodes):
-                vals = basis(un, vn)[0]
+                vals = tensor_lagrange(p, un, vn)[0][0]
                 expect = np.zeros((p + 1) ** 2)
                 expect[j * (p + 1) + i] = 1.0
                 assert np.allclose(vals, expect, atol=1e-12)
 
-    def test_degree_bounds(self):
+    def test_degree_bounds(self, mesh_a2):
         with pytest.raises(ValueError):
-            shape_basis(0)
+            FeSpace(mesh_a2, 0)
         with pytest.raises(ValueError):
-            shape_basis(21)
+            FeSpace(mesh_a2, 21)
 
 
 class TestSpace:
@@ -236,18 +234,26 @@ class TestManufactured:
 class TestEvaluation:
     def test_inverse_forward_roundtrip(self, mesh_b1):
         rng = np.random.default_rng(3)
-        for e in rng.integers(0, mesh_b1.n_elements, 10):
-            u0, v0 = rng.random(2)
-            r, z = forward_map(mesh_b1, int(e), u0, v0)
-            res = inverse_map(mesh_b1, int(e), r, z)
-            assert res is not None
-            assert res[0] == pytest.approx(u0, abs=1e-10)
-            assert res[1] == pytest.approx(v0, abs=1e-10)
+        elems = rng.integers(0, mesh_b1.n_elements, 10)
+        uv0 = rng.random((10, 2))
+        for g in np.unique(mesh_b1.elem_geomdeg[elems]):
+            sel = mesh_b1.elem_geomdeg[elems] == g
+            pts = np.array([
+                tensor_lagrange(int(g), u0, v0)[0][0] @ mesh_b1.nodes[mesh_b1.elem_nodes[e]]
+                for e, (u0, v0) in zip(elems[sel], uv0[sel])
+            ])
+            uv = inverse_map(mesh_b1, elems[sel], pts)
+            assert np.allclose(uv, uv0[sel], rtol=0, atol=1e-10)
+
+    def test_inverse_map_rejects_mixed_degrees(self, mesh_b1):
+        g = np.asarray(mesh_b1.elem_geomdeg)
+        elems = [int(np.argmin(g)), int(np.argmax(g))]
+        with pytest.raises(ValueError, match="geometry degrees"):
+            inverse_map(mesh_b1, elems, mesh_b1.nodes[[0, 0]])
 
     def test_continuity_across_facets(self, mesh_b1, params5):
         sp = FeSpace(mesh_b1, 4)
         f = solve(assemble(sp, params5, SourceSpec.dirichlet_radius()))
-        basis = shape_basis(4)
         adj = mesh_b1.facet_adjacency()
         checked = 0
         for owners in adj.values():
@@ -258,9 +264,9 @@ class TestEvaluation:
             mid = pts[len(pts) // 2]
             vals = []
             for e in (e0, e1):
-                res = inverse_map(mesh_b1, e, mid[0], mid[1])
-                assert res is not None
-                vals.append(basis(*res)[0] @ f.coeffs[sp.elem_dofs[e]])
+                (u, v), = inverse_map(mesh_b1, [e], mid)
+                assert np.isfinite(u) and np.isfinite(v)
+                vals.append(tensor_lagrange(4, u, v)[0][0] @ f.coeffs[sp.elem_dofs[e]])
             assert abs(vals[0] - vals[1]) < 1e-10
             checked += 1
         assert checked > 0
@@ -281,6 +287,126 @@ class TestEvaluation:
             f.evaluate(np.array([3.5, 0.0]))
 
 
+# Reference for TestBatchedLocation: the per-point location path that the
+# batched locate/inverse_map replaced, kept verbatim apart from names and
+# from _ref_locate returning None where the old locate raised.
+
+def _ref_boxes(m):
+    boxes = np.empty((m.n_elements, 4))
+    for e in range(m.n_elements):
+        X = m.nodes[m.elem_nodes[e]]
+        lo = X.min(axis=0)
+        hi = X.max(axis=0)
+        pad = 0.1 * max(hi[0] - lo[0], hi[1] - lo[1]) + 1e-12
+        boxes[e] = (lo[0] - pad, hi[0] + pad, lo[1] - pad, hi[1] + pad)
+    return boxes
+
+
+def _ref_inverse_map(m, e, r, z, tol=1e-12):
+    g = int(m.elem_geomdeg[e])
+    X = m.nodes[m.elem_nodes[e]]
+    u, v = 0.5, 0.5
+    target = np.array([r, z])
+    for _ in range(60):
+        GV, GDu, GDv = tensor_lagrange(g, u, v)
+        pos = X.T @ GV[0]
+        resid = pos - target
+        if np.max(np.abs(resid)) < 1e-14 * (1.0 + np.max(np.abs(target))):
+            return u, v
+        J = np.column_stack([X.T @ GDu[0], X.T @ GDv[0]])
+        try:
+            step = np.linalg.solve(J, resid)
+        except np.linalg.LinAlgError:
+            return None
+        if np.max(np.abs(step)) > 0.5:
+            step *= 0.5 / np.max(np.abs(step))
+        u, v = u - step[0], v - step[1]
+        if not (-0.5 <= u <= 1.5 and -0.5 <= v <= 1.5):
+            return None
+        if np.max(np.abs(step)) < tol:
+            return u, v
+    return None
+
+
+def _ref_locate(m, boxes, r, z, tol=1e-9):
+    """(element, u, v), or None where the point is outside."""
+    b = boxes
+    mask = (b[:, 0] <= r) & (r <= b[:, 1]) & (b[:, 2] <= z) & (z <= b[:, 3])
+    best = None
+    for e in np.nonzero(mask)[0]:
+        res = _ref_inverse_map(m, int(e), r, z)
+        if res is None:
+            continue
+        u, v = res
+        slack = max(-u, u - 1.0, -v, v - 1.0, 0.0)
+        if slack <= tol:
+            return int(e), min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
+        if best is None or slack < best[0]:
+            best = (slack, int(e), u, v)
+    if best is not None and best[0] <= 1e-6:
+        _, e, u, v = best
+        return e, min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
+    return None
+
+
+class TestBatchedLocation:
+    """Batched locate/evaluate against the per-point reference above, on
+    81x81 grids over each mesh's box (5% margin) plus every mesh node."""
+
+    @pytest.fixture(scope="class", params=[("A", "M2"), ("B1", "M2"), ("C1", "M1")], ids=str)
+    def case(self, request):
+        config, spec = request.param
+        m = mesh.mesh_for(config, spec, sigma_max=80.0)
+        src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
+        f = solve(assemble(FeSpace(m, 4), physics.PhysicalParams(sigma=20.0), src))
+        lo, hi = m.nodes.min(axis=0), m.nodes.max(axis=0)
+        lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+        R, Z = np.meshgrid(np.linspace(lo[0], hi[0], 81), np.linspace(lo[1], hi[1], 81))
+        pts = np.vstack([np.column_stack([R.ravel(), Z.ravel()]), m.nodes])
+        boxes = _ref_boxes(m)
+        ref = [_ref_locate(m, boxes, r, z) for r, z in pts]
+        sp = f.space
+        want = np.array([
+            np.nan if x is None
+            else tensor_lagrange(sp.p, x[1], x[2])[0][0] @ f.coeffs[sp.elem_dofs[x[0]]]
+            for x in ref
+        ])
+        return f, pts, ref, want
+
+    def test_same_elements_and_coordinates(self, case):
+        f, pts, ref, _ = case
+        elem, u, v = locate(f.space.mesh, pts)
+        assert np.array_equal(elem, [-1 if x is None else x[0] for x in ref])
+        inside = elem >= 0
+        uv_ref = np.array([x[1:] for x in ref if x is not None])
+        assert np.max(np.abs(np.column_stack([u, v])[inside] - uv_ref)) <= 1e-12
+
+    def test_same_values(self, case):
+        f, pts, _, want = case
+        inside = ~np.isnan(want)
+        got = evaluate(f, pts[inside])
+        assert np.max(np.abs(got - want[inside])) <= 1e-12 * np.max(np.abs(want[inside]))
+
+    def test_field_map_matches(self, case):
+        f, pts, _, want = case
+        grid, want = pts[: 81 * 81], want[: 81 * 81]
+        lo, hi = grid.min(axis=0), grid.max(axis=0)
+        _, _, vals = postprocess.imag_field_map(f, (lo[0], hi[0]), (lo[1], hi[1]), 81, 81)
+        vals = vals.ravel()
+        inside = ~np.isnan(want)
+        assert np.array_equal(np.isnan(vals), ~inside)
+        err = np.abs(vals[inside] - want[inside].imag)
+        assert np.max(err) <= 1e-12 * np.max(np.abs(want[inside].imag))
+
+    def test_evaluate_names_first_outside_point(self, case):
+        f, pts, ref, _ = case
+        outside = [k for k, x in enumerate(ref) if x is None]
+        assert outside
+        r, z = pts[outside[0]]
+        with pytest.raises(PointLocationError, match=re.escape(f"({r}, {z})")):
+            evaluate(f, pts)
+
+
 class TestSources:
     def test_interior_source_cut_elements(self, params5):
         # discontinuous indicator: assembly must not fail, solution nonzero
@@ -290,6 +416,19 @@ class TestSources:
         assert np.max(np.abs(f.coeffs)) > 0
         # outer boundary is homogeneous
         assert np.max(np.abs(f.coeffs[sp.outer_dofs])) == 0.0
+
+    def test_cut_element_tables_not_cached(self, params5):
+        # The subdivided-rule tables serve one assembly; the shared cache
+        # holds only what every assembly on the space uses.
+        from skinfem import basis
+
+        sp = FeSpace(mesh.mesh_for("C1", "M1", sigma_max=80.0), 3)
+        counts = []
+        for src in (SourceSpec.dirichlet_radius(), SourceSpec.config_C1()):
+            basis._tensor_grid_cached.cache_clear()
+            assemble(sp, params5, src)
+            counts.append(basis._tensor_grid_cached.cache_info().currsize)
+        assert counts[1] <= counts[0]
 
 
 class TestFieldIO:
