@@ -115,8 +115,9 @@ def tensor_lagrange(deg: int, u, v):
     nodes = gll_points(deg)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    Vu, Du = lagrange_matrix(nodes, u), lagrange_deriv_matrix(nodes, u)
-    Vv, Dv = lagrange_matrix(nodes, v), lagrange_deriv_matrix(nodes, v)
+    D = _diff_matrix_cached(nodes.tobytes(), len(nodes))
+    Vu, Vv = lagrange_matrix(nodes, u), lagrange_matrix(nodes, v)
+    Du, Dv = Vu @ D, Vv @ D  # as in lagrange_deriv_matrix, without re-evaluating V
 
     def outer(a, b):
         return (b[:, :, None] * a[:, None, :]).reshape(len(u), -1)

@@ -24,6 +24,7 @@ from .mesh import (
     FACET_OUTER,
     TAG_CONDUCTOR,
     QuadMesh,
+    _corner_locals,
     _face_locals,
     _parse_text,
 )
@@ -70,13 +71,14 @@ def _quad_points(nq1: int, nsub: int = 1):
 
 
 def _geometry_eval(coords, GV, GDu, GDv):
-    """Physical coordinates, Jacobian entries and determinant at points."""
-    x = GV @ coords[:, 0]
-    y = GV @ coords[:, 1]
-    xu = GDu @ coords[:, 0]
-    yu = GDu @ coords[:, 1]
-    xv = GDv @ coords[:, 0]
-    yv = GDv @ coords[:, 1]
+    """Physical coordinates, Jacobian entries and determinant at points.
+
+    coords holds geometry nodes, (n, 2) for one element or (k, n, 2) for k;
+    each result has shape (n_points,) or (k, n_points).
+    """
+    x, y = np.moveaxis(GV @ coords, -1, 0)
+    xu, yu = np.moveaxis(GDu @ coords, -1, 0)
+    xv, yv = np.moveaxis(GDv @ coords, -1, 0)
     det = xu * yv - xv * yu
     return x, y, xu, xv, yu, yv, det
 
@@ -89,8 +91,9 @@ class FeSpace:
 
     DOFs are identified topologically: one DOF per mesh vertex, p-1 per mesh
     edge (oriented from the lower to the higher vertex id), (p-1)^2 per
-    element interior. The vertex and edge (skeleton) DOFs are numbered first,
-    `n_skeleton` of them; the interior DOFs follow, element by element.
+    element interior. The vertex, then the edge (skeleton) DOFs are numbered
+    first, each in order of first appearance over the elements, `n_skeleton`
+    of them; the interior DOFs follow, element by element.
     `elem_dofs` is an (n_elements, (p+1)^2) array in local tensor order.
     Outer-boundary and axis DOFs are flagged for essential conditions; every
     axis DOF is constrained to zero.
@@ -109,70 +112,34 @@ class FeSpace:
 
     def _build_numbering(self):
         mesh, p = self.mesh, self.p
-        n1 = p + 1
-        vertex_dof: dict[int, int] = {}
-        edge_dof: dict[tuple[int, int], int] = {}
-        next_dof = 0
-        elem_dofs = []
-        for e in range(mesh.n_elements):
-            c = mesh.corner_ids(e)
-            for cid in c:
-                if cid not in vertex_dof:
-                    vertex_dof[cid] = next_dof
-                    next_dof += 1
+        nel = mesh.n_elements
+        dofs = np.empty((nel, (p + 1) ** 2), dtype=np.int64)
+        vertex, n_skeleton = _first_appearance(mesh.corners)
+        dofs[:, list(_corner_locals(p))] = vertex
         if p > 1:
-            for e in range(mesh.n_elements):
-                c = mesh.corner_ids(e)
-                for pair in ((c[0], c[1]), (c[1], c[2]), (c[3], c[2]), (c[0], c[3])):
-                    key = (min(pair), max(pair))
-                    if key not in edge_dof:
-                        edge_dof[key] = next_dof
-                        next_dof += p - 1
-        self.n_skeleton = next_dof
-        for e in range(mesh.n_elements):
-            c = mesh.corner_ids(e)
-            dofs = np.empty(n1 * n1, dtype=np.int64)
-            dofs[0] = vertex_dof[c[0]]
-            dofs[p] = vertex_dof[c[1]]
-            dofs[p * n1 + p] = vertex_dof[c[2]]
-            dofs[p * n1] = vertex_dof[c[3]]
-            if p > 1:
-                inner = np.arange(1, p)
-                for face, pair in zip(
-                    range(4), ((c[0], c[1]), (c[1], c[2]), (c[3], c[2]), (c[0], c[3]))
-                ):
-                    key = (min(pair), max(pair))
-                    start = edge_dof[key]
-                    seq = start + inner - 1
-                    if pair[0] > pair[1]:
-                        seq = seq[::-1]
-                    if face == 0:
-                        dofs[inner] = seq
-                    elif face == 1:
-                        dofs[inner * n1 + p] = seq
-                    elif face == 2:
-                        dofs[p * n1 + inner] = seq
-                    else:
-                        dofs[inner * n1] = seq
-                for j in range(1, p):
-                    for i in range(1, p):
-                        dofs[j * n1 + i] = next_dof
-                        next_dof += 1
-            elem_dofs.append(dofs)
-        self.n_dofs = next_dof
-        self.elem_dofs = np.array(elem_dofs, dtype=np.int64).reshape(-1, n1 * n1)
+            # p-1 dofs per edge, run from its lower to its higher vertex id.
+            fc = mesh.face_corners
+            lo, hi = np.sort(fc, axis=2).transpose(2, 0, 1)
+            edge, n_edges = _first_appearance(lo * len(mesh.nodes) + hi)
+            k = np.arange(p - 1)
+            step = np.where((fc[:, :, 0] > fc[:, :, 1])[..., None], p - 2 - k, k)
+            seq = n_skeleton + (p - 1) * edge[..., None] + step
+            for face in range(4):
+                dofs[:, _face_locals(p, face)[1:-1]] = seq[:, face]
+            n_skeleton += (p - 1) * n_edges
+            interior = np.arange(nel * (p - 1) ** 2).reshape(nel, -1)
+            dofs[:, _interior_locals(p)] = n_skeleton + interior
+        self.n_skeleton = n_skeleton
+        self.n_dofs = n_skeleton + nel * (p - 1) ** 2
+        self.elem_dofs = dofs
 
     # -- dof coordinates ----------------------------------------------------
 
     def _compute_dof_coords(self):
-        mesh, p = self.mesh, self.p
+        mesh = self.mesh
+        GV = tensor_lagrange_grid(mesh.geomdeg, gll_points(self.p))[0]
         coords = np.empty((self.n_dofs, 2))
-        for e in range(mesh.n_elements):
-            g = int(mesh.elem_geomdeg[e])
-            GV = tensor_lagrange_grid(g, gll_points(p))[0]
-            X = mesh.nodes[mesh.elem_nodes[e]]
-            pts = GV @ X
-            coords[self.elem_dofs[e]] = pts
+        coords[self.elem_dofs] = GV @ mesh.nodes[mesh.elem_nodes]
         self.dof_coords = coords
 
     # -- boundary dofs ------------------------------------------------------
@@ -193,6 +160,15 @@ class FeSpace:
         constrained[self.outer_dofs] = True
         self.constrained = constrained
         self.free = np.nonzero(~constrained)[0]
+
+
+def _first_appearance(keys):
+    """Class index of each key, classes numbered in order of first appearance
+    in keys.ravel(); returns (indices shaped like keys, number of classes)."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse].reshape(np.shape(keys)), len(first)
 
 
 @dataclass(frozen=True)
@@ -319,37 +295,37 @@ def assemble(
     S = np.empty((nel, n2, n2))
     M = np.empty((nel, n2, n2))
     be = np.zeros((nel, n2))
-    sub = None  # tables of the 4x4-subdivided rule, per degree
+    sub = None  # tables of the 4x4-subdivided rule
+
+    X = mesh.nodes[mesh.elem_nodes]
+    rq, zq, xu, xv, yu, yv, det = _geometry_eval(X, *tensor_lagrange_grid(mesh.geomdeg, xq))
+    bad_det, bad_r = np.any(det <= 0.0, axis=1), np.any(rq <= 0.0, axis=1)
+    if np.any(bad_det | bad_r):
+        e = int(np.argmax(bad_det | bad_r))
+        what = "nonpositive Jacobian" if bad_det[e] else "quadrature point with r <= 0"
+        raise AssemblyError(f"{what} in element {e}")
+    wq = w2 * det
 
     for e in range(nel):
-        g = int(mesh.elem_geomdeg[e])
-        X = mesh.nodes[mesh.elem_nodes[e]]
-        rq, zq, xu, xv, yu, yv, det = _geometry_eval(X, *tensor_lagrange_grid(g, xq))
-        if np.any(det <= 0.0):
-            raise AssemblyError(f"nonpositive Jacobian in element {e}")
-        if np.any(rq <= 0.0):
-            raise AssemblyError(f"quadrature point with r <= 0 in element {e}")
-        dphir = (dxi * yv[:, None] - deta * yu[:, None]) / det[:, None]
-        dphiz = (-dxi * xv[:, None] + deta * xu[:, None]) / det[:, None]
-        wq = w2 * det
-        S[e], M[e] = kernels.element_matrix(phi, dphir, dphiz, rq, wq)
+        dphir = (dxi * yv[e, :, None] - deta * yu[e, :, None]) / det[e, :, None]
+        dphiz = (-dxi * xv[e, :, None] + deta * xu[e, :, None]) / det[e, :, None]
+        S[e], M[e] = kernels.element_matrix(phi, dphir, dphiz, rq[e], wq[e])
 
         if source.interior_f is not None:
             cut = source.support is not None and _element_is_cut(
-                source.support, X[[0, (g + 1) - 1, -1, -(g + 1)], :]
+                source.support, mesh.nodes[mesh.corners[e]]
             )
             if cut:
                 if sub is None:  # per call, not cached: large and used once
                     sxq, sw2 = _quad_points(nq1, 4)
                     su, sv = (t.ravel() for t in np.meshgrid(sxq, sxq))
-                    degs = {p, *(int(d) for d in mesh.elem_geomdeg)}
-                    sub = {d: tensor_lagrange(d, su, sv) for d in degs}
-                srq, szq, _, _, _, _, sdet = _geometry_eval(X, *sub[g])
+                    sub = tensor_lagrange(mesh.geomdeg, su, sv), tensor_lagrange(p, su, sv)[0]
+                srq, szq, _, _, _, _, sdet = _geometry_eval(X[e], *sub[0])
                 fq = np.asarray(source.interior_f(srq, szq), dtype=float)
-                be[e] = kernels.element_load(sub[p][0], srq, sw2 * sdet, fq)
+                be[e] = kernels.element_load(sub[1], srq, sw2 * sdet, fq)
             else:
-                fq = np.asarray(source.interior_f(rq, zq), dtype=float)
-                be[e] = kernels.element_load(phi, rq, wq, fq)
+                fq = np.asarray(source.interior_f(rq[e], zq[e]), dtype=float)
+                be[e] = kernels.element_load(phi, rq[e], wq[e], fq)
 
     gvec = np.zeros(space.n_dofs, dtype=np.complex128)
     if source.boundary_g is not None and len(space.outer_dofs):
@@ -501,8 +477,8 @@ def solve(system: AssembledSystem) -> DiscreteField:
 # Point evaluation
 
 def inverse_map(mesh: QuadMesh, elems, points):
-    """Reference coordinates of points[k] in element elems[k], all elements
-    of one geometry degree: damped Newton from (0.5, 0.5), batched over k.
+    """Reference coordinates of points[k] in element elems[k]: damped Newton
+    from (0.5, 0.5), batched over k.
 
     Returns an (n, 2) array of (u, v), with NaN rows where the iteration
     leaves [-0.5, 1.5]^2, meets a singular Jacobian or stalls.
@@ -510,16 +486,12 @@ def inverse_map(mesh: QuadMesh, elems, points):
     elems = np.asarray(elems, dtype=np.int64)
     target = np.asarray(points, dtype=float).reshape(-1, 2)
     uv = np.full((len(elems), 2), 0.5)
-    ids, pair_of = np.unique(elems, return_inverse=True)
-    degs = np.unique(np.asarray(mesh.elem_geomdeg)[ids])
-    if len(degs) > 1:
-        raise ValueError(f"elements of geometry degrees {degs.tolist()} in one call")
     if not len(elems):
         return uv
-    X = mesh.nodes[np.array([mesh.elem_nodes[e] for e in ids])][pair_of]
+    X = mesh.nodes[mesh.elem_nodes[elems]]
     act = np.arange(len(elems))
     for _ in range(60):
-        GV, GDu, GDv = tensor_lagrange(int(degs[0]), uv[act, 0], uv[act, 1])
+        GV, GDu, GDv = tensor_lagrange(mesh.geomdeg, uv[act, 0], uv[act, 1])
         Xa, ta = X[act], target[act]
         resid = np.einsum("kj,kjd->kd", GV, Xa) - ta
         conv = np.max(np.abs(resid), axis=1) < 1e-14 * (1.0 + np.max(np.abs(ta), axis=1))
@@ -553,17 +525,13 @@ def locate(mesh: QuadMesh, points):
     clamped to [0, 1]^2.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    lo = np.array([mesh.nodes[ids].min(axis=0) for ids in mesh.elem_nodes])
-    hi = np.array([mesh.nodes[ids].max(axis=0) for ids in mesh.elem_nodes])
+    X = mesh.nodes[mesh.elem_nodes]
+    lo, hi = X.min(axis=1), X.max(axis=1)
     pad = (0.1 * np.max(hi - lo, axis=1) + 1e-12)[:, None]
     inbox = np.all((lo - pad <= pts[:, None]) & (pts[:, None] <= hi + pad), axis=2)
     k, e = np.nonzero(inbox)  # candidate pairs
 
-    uv = np.empty((len(k), 2))
-    geomdeg = np.asarray(mesh.elem_geomdeg)[e]
-    for g in np.unique(geomdeg):
-        sel = geomdeg == g
-        uv[sel] = inverse_map(mesh, e[sel], pts[k[sel]])
+    uv = inverse_map(mesh, e, pts[k])
     miss = np.max(np.maximum(-uv, uv - 1.0), axis=1).clip(min=0.0)
     miss[np.isnan(miss)] = np.inf
     # Per point: the first within tolerance by element, else the smallest miss.

@@ -4,8 +4,10 @@ Config A gets uniform square meshes M_k (h = 1/k). Configs B/C get
 structured meshes built from four blocks: a graded boundary-layer band on
 the conductor side of the interface, a geometric transition shell, a core
 (axis rectangle plus an O-grid patch), and the elliptic annulus between the
-two ellipses. Curved elements carry tensor geometry nodes of degree 4
-interpolating the exact offset/blend maps; straight elements are bilinear.
+two ellipses. Every element of a mesh carries tensor geometry nodes of one
+degree: 1 for config A's squares, 4 for configs B/C, whose curved elements
+interpolate the exact offset/blend maps and whose axis rectangles are
+bilinear maps written at degree 4, which represents them exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ FACET_OUTER = "outer"
 FACET_AXIS = "axis"
 FACET_INTERFACE = "interface"
 
+_ELEMENT_TAGS = (TAG_DIELECTRIC, TAG_CONDUCTOR)
+_FACET_TAGS = (FACET_OUTER, FACET_AXIS, FACET_INTERFACE)
+
 _AXIS_TOL = 1e-12
 
 
@@ -63,17 +68,22 @@ def _face_locals(g: int, face: int) -> np.ndarray:
     raise ValueError(face)
 
 
+# The corners (first, last) of faces 0..3, in the direction of _face_locals.
+_FACE_CORNERS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
+
+
 @dataclass
 class QuadMesh:
     """Conforming curved quad mesh with subdomain and boundary labels.
 
-    Element geometry nodes are stored in tensor order (index j*(g+1)+i for
-    local coordinates (u_i, v_j)); the four corners are the tensor corners.
+    Every element has geometry degree `geomdeg`. Its geometry nodes are the
+    row of `elem_nodes` in tensor order (index j*(g+1)+i for local
+    coordinates (u_i, v_j)); the four corners are the tensor corners.
     """
 
-    nodes: np.ndarray
-    elem_nodes: list
-    elem_geomdeg: np.ndarray
+    nodes: np.ndarray  # (n_nodes, 2)
+    elem_nodes: np.ndarray  # (n_elements, (geomdeg+1)^2) int64
+    geomdeg: int
     elem_tag: list
     facets: list = field(default_factory=list)  # (elem, face, tag)
     name: str = ""
@@ -82,36 +92,36 @@ class QuadMesh:
     def n_elements(self) -> int:
         return len(self.elem_nodes)
 
-    def corner_ids(self, e: int) -> tuple[int, int, int, int]:
-        g = int(self.elem_geomdeg[e])
-        c = _corner_locals(g)
-        ids = self.elem_nodes[e]
-        return tuple(int(ids[k]) for k in c)
+    @property
+    def corners(self) -> np.ndarray:
+        """(n_elements, 4) corner node ids, counterclockwise from (u, v) = (0, 0)."""
+        return self.elem_nodes[:, list(_corner_locals(self.geomdeg))]
+
+    @property
+    def face_corners(self) -> np.ndarray:
+        """(n_elements, 4, 2) node ids of the first and last corner of each face."""
+        return self.corners[:, _FACE_CORNERS]
 
     def face_node_ids(self, e: int, face: int) -> np.ndarray:
-        g = int(self.elem_geomdeg[e])
-        return self.elem_nodes[e][_face_locals(g, face)]
-
-    def face_corner_key(self, e: int, face: int) -> tuple[int, int]:
-        c = self.corner_ids(e)
-        pairs = [(c[0], c[1]), (c[1], c[2]), (c[3], c[2]), (c[0], c[3])]
-        a, b = pairs[face]
-        return (a, b) if a < b else (b, a)
+        return self.elem_nodes[e, _face_locals(self.geomdeg, face)]
 
     def facet_adjacency(self) -> dict:
-        """Map facet key -> list of (elem, face)."""
+        """Map facet key (sorted corner ids) -> list of (elem, face)."""
+        keys = np.sort(self.face_corners, axis=2).tolist()
         adj: dict[tuple[int, int], list] = {}
-        for e in range(self.n_elements):
-            for face in range(4):
-                adj.setdefault(self.face_corner_key(e, face), []).append((e, face))
+        for e, faces in enumerate(keys):
+            for face, key in enumerate(faces):
+                adj.setdefault(tuple(key), []).append((e, face))
         return adj
 
 
 class _NodeRegistry:
     """Deduplicates geometry nodes by exact coordinate values.
 
-    Shared points across blocks are generated by the same expressions, so
-    they collide bitwise; mesh conformity is asserted after generation.
+    Element corners shared across blocks are generated by the same
+    expressions, so they collide bitwise. Nodes inside a facet that the two
+    sides parametrize in opposite directions can differ in the last bit and
+    are then kept twice; mesh conformity is asserted after generation.
     """
 
     def __init__(self):
@@ -134,32 +144,25 @@ class _NodeRegistry:
 
 
 class _MeshBuilder:
-    def __init__(self, name: str = ""):
+    def __init__(self, geomdeg: int, name: str = ""):
         self.reg = _NodeRegistry()
-        self.elem_nodes: list[np.ndarray] = []
-        self.geomdeg: list[int] = []
+        self.geomdeg = geomdeg
+        self.elem_nodes: list[list[int]] = []
         self.tags: list[str] = []
         self.name = name
 
-    def add_element(self, gen, geomdeg: int, tag: str):
+    def add_element(self, gen, tag: str):
         """gen(u, v) -> (r, z) on [0,1]^2, counterclockwise orientation."""
-        pts = gll_points(geomdeg)
-        ids = np.empty((geomdeg + 1) ** 2, dtype=np.int64)
-        k = 0
-        for v in pts:
-            for u in pts:
-                r, z = gen(float(u), float(v))
-                ids[k] = self.reg.add(r, z)
-                k += 1
-        self.elem_nodes.append(ids)
-        self.geomdeg.append(geomdeg)
+        pts = gll_points(self.geomdeg).tolist()
+        self.elem_nodes.append([self.reg.add(*gen(u, v)) for v in pts for u in pts])
         self.tags.append(tag)
 
     def finish(self) -> QuadMesh:
+        n_geom = (self.geomdeg + 1) ** 2
         mesh = QuadMesh(
             nodes=self.reg.array(),
-            elem_nodes=self.elem_nodes,
-            elem_geomdeg=np.asarray(self.geomdeg, dtype=np.int64),
+            elem_nodes=np.array(self.elem_nodes, dtype=np.int64).reshape(-1, n_geom),
+            geomdeg=self.geomdeg,
             elem_tag=list(self.tags),
             name=self.name,
         )
@@ -195,7 +198,7 @@ def square_mesh_A(k: int) -> QuadMesh:
     """Uniform squares of side 1/k on [0,2]x[-2,2]; conductor [0,1]x[-1,1]."""
     if k < 1:
         raise ValueError("refinement index k must be >= 1")
-    b = _MeshBuilder(name=f"A:M{k}")
+    b = _MeshBuilder(1, name=f"A:M{k}")
     nr, nz = 2 * k, 4 * k
     node_id = np.empty((nr + 1, nz + 1), dtype=np.int64)
     for j in range(nz + 1):
@@ -203,13 +206,10 @@ def square_mesh_A(k: int) -> QuadMesh:
             node_id[i, j] = b.reg.add(i / k, j / k - 2.0)
     for j in range(nz):
         for i in range(nr):
-            ids = np.array(
-                [node_id[i, j], node_id[i + 1, j], node_id[i, j + 1], node_id[i + 1, j + 1]],
-                dtype=np.int64,
-            )
             tag = TAG_CONDUCTOR if (i < k and k <= j < 3 * k) else TAG_DIELECTRIC
-            b.elem_nodes.append(ids)
-            b.geomdeg.append(1)
+            b.elem_nodes.append(
+                [node_id[i, j], node_id[i + 1, j], node_id[i, j + 1], node_id[i + 1, j + 1]]
+            )
             b.tags.append(tag)
     return b.finish()
 
@@ -285,8 +285,8 @@ def layered_mesh_B(
 
     The conductor side of the interface carries `n_layers` quadrilateral
     layers inside a band of total thickness 3*ell(sigma_max), geometrically
-    graded toward the interface with ratio 0.5. Elliptic facets carry
-    geometry degree 4.
+    graded toward the interface with ratio 0.5. Every element has geometry
+    degree GEOM_DEG_CURVED.
     """
     if config not in ("B1", "B2", "C1", "C2"):
         raise ValueError(f"layered_mesh_B does not handle config {config!r}")
@@ -372,7 +372,7 @@ def layered_mesh_B(
     inner_tag = TAG_DIELECTRIC if shell_conductor else TAG_CONDUCTOR
     annulus_tag = TAG_CONDUCTOR if shell_conductor else TAG_DIELECTRIC
 
-    b = _MeshBuilder(name=f"{config}:M{n_layers}:smax{sigma_max:g}")
+    b = _MeshBuilder(GEOM_DEG_CURVED, name=f"{config}:M{n_layers}:smax{sigma_max:g}")
 
     # Band + transition rows inside the inner ellipse.
     for j in range(len(inner_h) - 1):
@@ -383,7 +383,7 @@ def layered_mesh_B(
             def gen(u, v, p0=p0, p1=p1, h_lo=h_lo, h_hi=h_hi):
                 return offset(_lin(p0, p1, u), _lin(h_hi, h_lo, v))
 
-            b.add_element(gen, GEOM_DEG_CURVED, inner_tag)
+            b.add_element(gen, inner_tag)
 
     # Annulus between the ellipses.
     for j in range(len(tlev) - 1):
@@ -394,9 +394,9 @@ def layered_mesh_B(
             def gen(u, v, p0=p0, p1=p1, t_lo=t_lo, t_hi=t_hi):
                 return blend(_lin(p0, p1, u), _lin(t_lo, t_hi, v))
 
-            b.add_element(gen, GEOM_DEG_CURVED, annulus_tag)
+            b.add_element(gen, annulus_tag)
 
-    # Axis rectangle.
+    # Axis rectangle: bilinear maps, exact at geometry degree GEOM_DEG_CURVED.
     rect_r = np.asarray(rlev)
     rect_z = np.asarray(zlev_desc[::-1])
     for j in range(nz):
@@ -407,7 +407,7 @@ def layered_mesh_B(
             def gen(u, v, r0=r0, r1=r1, z0=z0, z1=z1):
                 return (_lin(r0, r1, u), _lin(z0, z1, v))
 
-            b.add_element(gen, 1, inner_tag)
+            b.add_element(gen, inner_tag)
 
     # O-grid patch between the rectangle path and the core offset curve.
     for j in range(ns):
@@ -422,7 +422,7 @@ def layered_mesh_B(
                 cr, cz = offset(_lin(p0, p1, u), t_core)
                 return (_lin(pr, cr, s), _lin(pz, cz, s))
 
-            b.add_element(gen, GEOM_DEG_CURVED, inner_tag)
+            b.add_element(gen, inner_tag)
 
     return b.finish()
 
@@ -447,12 +447,8 @@ def write_mesh(mesh: QuadMesh, path):
         # repr of a Python float round-trips exactly
         lines.append(f"{i} {float(r)!r} {float(z)!r}")
     lines.append(str(mesh.n_elements))
-    for e in range(mesh.n_elements):
-        ids = " ".join(str(int(i)) for i in mesh.elem_nodes[e])
-        lines.append(
-            f"{e} {mesh.elem_tag[e]} {int(mesh.elem_geomdeg[e])} "
-            f"{len(mesh.elem_nodes[e])} {ids}"
-        )
+    for e, (ids, tag) in enumerate(zip(mesh.elem_nodes.tolist(), mesh.elem_tag)):
+        lines.append(f"{e} {tag} {mesh.geomdeg} {len(ids)} {' '.join(map(str, ids))}")
     lines.append(str(len(mesh.facets)))
     for e, face, tag in mesh.facets:
         lines.append(f"{e} {face} {tag}")
@@ -487,6 +483,9 @@ def _parse_text(path, magic: str, parse):
 
 
 def read_mesh(path) -> QuadMesh:
+    """Read a QUADMESH v1 file. Every element must have the same geometry
+    degree, and element and facet tags must be ones the solver knows."""
+
     def parse(line):
         n_nodes = int(line())
         nodes = np.empty((n_nodes, 2))
@@ -496,20 +495,27 @@ def read_mesh(path) -> QuadMesh:
                 raise ValueError(f"node {i} where node {k} was expected")
             nodes[k] = (float(r), float(z))
         n_el = int(line())
-        elem_nodes, geomdeg, tags = [], [], []
+        elem_nodes, tags, geomdeg = [], [], None
         for _ in range(n_el):
             parts = line().split()
-            tags.append(parts[1])
-            geomdeg.append(int(parts[2]))
-            ids = np.asarray([int(x) for x in parts[4:]], dtype=np.int64)
-            if not len(ids) == int(parts[3]) == (geomdeg[-1] + 1) ** 2:
+            if parts[1] not in _ELEMENT_TAGS:
+                raise ValueError(f"unknown element tag {parts[1]!r}")
+            g = int(parts[2])
+            if g < 1:
+                raise ValueError(f"geometry degree {g} < 1")
+            if geomdeg is not None and g != geomdeg:
+                raise ValueError(f"geometry degree {g} differs from the first element's {geomdeg}")
+            geomdeg = g
+            ids = [int(x) for x in parts[4:]]
+            if not len(ids) == int(parts[3]) == (g + 1) ** 2:
                 raise ValueError(
-                    f"expected {(geomdeg[-1] + 1) ** 2} node ids for geometry degree "
-                    f"{geomdeg[-1]}, got {len(ids)} (count field {parts[3]})"
+                    f"expected {(g + 1) ** 2} node ids for geometry degree "
+                    f"{g}, got {len(ids)} (count field {parts[3]})"
                 )
-            if np.any((ids < 0) | (ids >= n_nodes)):
+            if not 0 <= min(ids) <= max(ids) < n_nodes:
                 raise ValueError(f"node id outside 0..{n_nodes - 1}")
             elem_nodes.append(ids)
+            tags.append(parts[1])
         facets = []
         for _ in range(int(line())):
             e, face, tag = line().split()
@@ -517,11 +523,14 @@ def read_mesh(path) -> QuadMesh:
                 raise ValueError(f"facet element {e} outside 0..{n_el - 1}")
             if not 0 <= int(face) <= 3:
                 raise ValueError(f"facet face {face} outside 0..3")
+            if tag not in _FACET_TAGS:
+                raise ValueError(f"unknown facet tag {tag!r}")
             facets.append((int(e), int(face), tag))
+        geomdeg = geomdeg or 1
         return QuadMesh(
             nodes=nodes,
-            elem_nodes=elem_nodes,
-            elem_geomdeg=np.asarray(geomdeg, dtype=np.int64),
+            elem_nodes=np.array(elem_nodes, dtype=np.int64).reshape(n_el, (geomdeg + 1) ** 2),
+            geomdeg=geomdeg,
             elem_tag=tags,
             facets=facets,
         )

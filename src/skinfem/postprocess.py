@@ -46,12 +46,9 @@ def conductor_norm(field: DiscreteField) -> float:
     coef = np.ascontiguousarray(field.coeffs[space.elem_dofs[cond]].T, dtype=np.complex128)
     hq = phi @ coef.view(np.float64)
     abs2 = (hq * hq).reshape(len(w2), len(cond), 2).sum(axis=2)
-    wdr = np.empty((len(w2), len(cond)))
-    for i, e in enumerate(cond):
-        g = int(mesh.elem_geomdeg[e])
-        X = mesh.nodes[mesh.elem_nodes[e]]
-        rq, _, _, _, _, _, det = _geometry_eval(X, *tensor_lagrange_grid(g, xq))
-        wdr[:, i] = w2 * det * rq
+    X = mesh.nodes[mesh.elem_nodes[cond]]
+    rq, _, _, _, _, _, det = _geometry_eval(X, *tensor_lagrange_grid(mesh.geomdeg, xq))
+    wdr = (w2 * det * rq).T
     return float(np.sqrt(np.sum(wdr * abs2)))
 
 

@@ -399,13 +399,31 @@ class TestPConvergenceReference:
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def _golden_columns(path):
+    """Named numeric columns of a study output: the columns of a CSV, the
+    coefficients of a FIELD v1 file, or the one number of another text file."""
+    if path.suffix == ".csv":
+        data = np.genfromtxt(path, delimiter=",", names=True)
+        return {col: np.atleast_1d(data[col]) for col in data.dtype.names}
+    if path.read_text().startswith("FIELD v1"):
+        coeffs, meta = fem.read_field(path)
+        return {"coeffs": coeffs, **{f"meta {k}": v for k, v in meta.items()}}
+    return {"value": np.atleast_1d(np.loadtxt(path))}
+
+
 class TestGoldenRuns:
-    """field-map and corner-study CLI runs against CSVs committed under
-    tests/golden, which were written by the per-point evaluation path."""
+    """CLI runs of every study against outputs committed under tests/golden.
+    field-map and corner-study were written by the per-point evaluation
+    path, the other five by the mixed-geometry-degree meshes."""
 
     CASES = {
         "field-map": "config = B1\nsigma = 20\np = 2\nmesh = M1\n",
         "corner-study": "config = A\nsigma = 5, 20\np = 2\nmesh = M1\n",
+        "p-convergence": "config = A\nsigma = 20\np = 2, 3\nmesh = M1\n",
+        "slope-study": "config = B1\nsigma = 5, 20\np = 8\nmesh = M2\n",
+        "sigma-scaling": "config = B1\nsigma = 5, 20, 80\np = 2\nmesh = M1\n",
+        "h-stability": "config = A\nsigma = 5, 20\np = 2\nmesh = M1+M2\n",
+        "solve": "config = C1\nsigma = 20\np = 2\nmesh = M1\n",
     }
 
     @pytest.mark.parametrize("study", sorted(CASES))
@@ -417,11 +435,14 @@ class TestGoldenRuns:
         golden = sorted(p.name for p in (GOLDEN / study).iterdir())
         assert sorted(os.listdir(out)) == sorted(golden + ["manifest.txt"])
         for name in golden:
-            want = np.genfromtxt(GOLDEN / study / name, delimiter=",", names=True)
-            got = np.genfromtxt(out / name, delimiter=",", names=True)
-            assert got.dtype.names == want.dtype.names
-            for col in want.dtype.names:
+            want = _golden_columns(GOLDEN / study / name)
+            got = _golden_columns(out / name)
+            assert got.keys() == want.keys(), name
+            for col in want:
                 w, g = want[col], got[col]
+                if isinstance(w, str):
+                    assert g == w, (name, col)
+                    continue
                 assert np.array_equal(np.isnan(g), np.isnan(w)), (name, col)
                 ok = ~np.isnan(w)
                 assert np.max(np.abs(g[ok] - w[ok])) <= 1e-10 * np.max(np.abs(w[ok])), (name, col)

@@ -68,7 +68,7 @@ class TestSpace:
     def test_dof_count(self, mesh_a2):
         p = 3
         sp = FeSpace(mesh_a2, p)
-        nv = len({int(i) for e in range(mesh_a2.n_elements) for i in mesh_a2.corner_ids(e)})
+        nv = len(np.unique(mesh_a2.corners))
         ne_edges = sp.n_dofs - nv - mesh_a2.n_elements * (p - 1) ** 2
         assert ne_edges % (p - 1) == 0
         # Euler check on a structured 4x8 grid: 40 edges
@@ -81,8 +81,7 @@ class TestSpace:
         from skinfem.basis import gll_points, tensor_lagrange_grid
 
         for e in range(mesh_b1.n_elements):
-            g = int(mesh_b1.elem_geomdeg[e])
-            GV = tensor_lagrange_grid(g, gll_points(5))[0]
+            GV = tensor_lagrange_grid(mesh_b1.geomdeg, gll_points(5))[0]
             pts = GV @ mesh_b1.nodes[mesh_b1.elem_nodes[e]]
             assert np.max(np.abs(pts - sp.dof_coords[sp.elem_dofs[e]])) < 1e-12
 
@@ -92,6 +91,110 @@ class TestSpace:
         assert len(sp.axis_dofs) > 0
         assert len(sp.outer_dofs) > 0
         assert not set(sp.axis_dofs) & set(sp.outer_dofs)
+
+
+# Reference for TestNumbering: the element-by-element numbering that the
+# array one in FeSpace._build_numbering replaced, kept verbatim apart from
+# reading the corners from mesh.corners and returning what it built.
+
+def _ref_numbering(mesh, p):
+    n1 = p + 1
+    vertex_dof: dict[int, int] = {}
+    edge_dof: dict[tuple[int, int], int] = {}
+    next_dof = 0
+    elem_dofs = []
+    for e in range(mesh.n_elements):
+        c = mesh.corners[e].tolist()
+        for cid in c:
+            if cid not in vertex_dof:
+                vertex_dof[cid] = next_dof
+                next_dof += 1
+    if p > 1:
+        for e in range(mesh.n_elements):
+            c = mesh.corners[e].tolist()
+            for pair in ((c[0], c[1]), (c[1], c[2]), (c[3], c[2]), (c[0], c[3])):
+                key = (min(pair), max(pair))
+                if key not in edge_dof:
+                    edge_dof[key] = next_dof
+                    next_dof += p - 1
+    n_skeleton = next_dof
+    for e in range(mesh.n_elements):
+        c = mesh.corners[e].tolist()
+        dofs = np.empty(n1 * n1, dtype=np.int64)
+        dofs[0] = vertex_dof[c[0]]
+        dofs[p] = vertex_dof[c[1]]
+        dofs[p * n1 + p] = vertex_dof[c[2]]
+        dofs[p * n1] = vertex_dof[c[3]]
+        if p > 1:
+            inner = np.arange(1, p)
+            for face, pair in zip(
+                range(4), ((c[0], c[1]), (c[1], c[2]), (c[3], c[2]), (c[0], c[3]))
+            ):
+                key = (min(pair), max(pair))
+                start = edge_dof[key]
+                seq = start + inner - 1
+                if pair[0] > pair[1]:
+                    seq = seq[::-1]
+                if face == 0:
+                    dofs[inner] = seq
+                elif face == 1:
+                    dofs[inner * n1 + p] = seq
+                elif face == 2:
+                    dofs[p * n1 + inner] = seq
+                else:
+                    dofs[inner * n1] = seq
+            for j in range(1, p):
+                for i in range(1, p):
+                    dofs[j * n1 + i] = next_dof
+                    next_dof += 1
+        elem_dofs.append(dofs)
+    return np.array(elem_dofs, dtype=np.int64).reshape(-1, n1 * n1), n_skeleton, next_dof
+
+
+def _ref_boundary_dofs(mesh, p, elem_dofs):
+    """(axis_dofs, outer_dofs) from the facets, the axis winning at corners."""
+    from skinfem.mesh import FACET_AXIS, FACET_OUTER, _face_locals
+
+    outer, axis = set(), set()
+    for e, face, tag in mesh.facets:
+        if tag in (FACET_OUTER, FACET_AXIS):
+            ids = elem_dofs[e][_face_locals(p, face)]
+            (axis if tag == FACET_AXIS else outer).update(int(i) for i in ids)
+    return sorted(axis), sorted(outer - axis)
+
+
+class TestNumbering:
+    @pytest.mark.parametrize(
+        "config, spec",
+        [("A", "M1"), ("A", "M3"), ("B1", "M1"), ("B1", "M3"), ("C1", "M1"), ("B2", "M2")],
+    )
+    @pytest.mark.parametrize("p", [1, 2, 5, 16])
+    def test_matches_elementwise_numbering(self, config, spec, p):
+        m = mesh.mesh_for(config, spec, sigma_max=80.0)
+        space = FeSpace(m, p)
+        elem_dofs, n_skeleton, n_dofs = _ref_numbering(m, p)
+        assert np.array_equal(space.elem_dofs, elem_dofs)
+        assert (space.n_skeleton, space.n_dofs) == (n_skeleton, n_dofs)
+        axis, outer = _ref_boundary_dofs(m, p, elem_dofs)
+        assert space.axis_dofs.tolist() == axis and space.outer_dofs.tolist() == outer
+
+    @pytest.mark.parametrize("config, spec", [("B1", "M1"), ("C1", "M1"), ("B2", "M2")])
+    def test_axis_rectangles_are_bilinear(self, config, spec):
+        # The axis rectangle's elements have axis-parallel corner boxes; at
+        # geometry degree 4 they must still map (u, v) bilinearly.
+        m = mesh.mesh_for(config, spec, sigma_max=80.0)
+        C = m.nodes[m.corners]  # (n_elements, 4, 2), counterclockwise
+        rect = np.flatnonzero(
+            (C[:, 0, 0] == C[:, 3, 0]) & (C[:, 1, 0] == C[:, 2, 0])
+            & (C[:, 0, 1] == C[:, 1, 1]) & (C[:, 3, 1] == C[:, 2, 1])
+        )
+        assert len(rect) == mesh._NR_CORE * mesh._NZ_CORE
+        u, v = np.random.default_rng(7).random((2, 200))
+        GV = tensor_lagrange(m.geomdeg, u, v)[0]
+        got = np.einsum("kj,ejd->ekd", GV, m.nodes[m.elem_nodes[rect]])
+        w = np.column_stack([(1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v])
+        want = np.einsum("kc,ecd->ekd", w, C[rect])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(C))
 
 
 class TestAssembly:
@@ -118,8 +221,7 @@ class TestAssembly:
         m = mesh.square_mesh_A(1)
         rev = dataclasses.replace(
             m,
-            elem_nodes=list(reversed(m.elem_nodes)),
-            elem_geomdeg=np.asarray(list(reversed(list(m.elem_geomdeg)))),
+            elem_nodes=m.elem_nodes[::-1],
             elem_tag=list(reversed(m.elem_tag)),
             facets=sorted((m.n_elements - 1 - e, f, t) for e, f, t in m.facets),
         )
@@ -127,6 +229,22 @@ class TestAssembly:
         f2 = solve(assemble(FeSpace(rev, 4), params5, SourceSpec.dirichlet_radius()))
         pts = np.array([[0.5, 0.25], [1.5, -1.2], [0.9, 1.7]])
         assert np.max(np.abs(f1.evaluate(pts) - f2.evaluate(pts))) < 1e-10
+
+    def test_nonpositive_jacobian_names_element(self, params5):
+        m = mesh.square_mesh_A(1)
+        m.elem_nodes[3] = m.elem_nodes[3][[1, 0, 3, 2]]  # mirrored in u
+        with pytest.raises(AssemblyError, match=r"nonpositive Jacobian in element 3\b"):
+            assemble(FeSpace(m, 2), params5, SourceSpec.dirichlet_radius())
+
+    def test_quadrature_point_off_axis_names_element(self, params5):
+        # Element 5 gets its own corner nodes, moved from r in [1, 2] to
+        # [-1.5, -0.5]; its Jacobian stays positive.
+        m = mesh.square_mesh_A(1)
+        moved = m.nodes[m.elem_nodes[5]] - [2.5, 0.0]
+        m.elem_nodes[5] = len(m.nodes) + np.arange(4)
+        m.nodes = np.vstack([m.nodes, moved])
+        with pytest.raises(AssemblyError, match=r"r <= 0 in element 5\b"):
+            assemble(FeSpace(m, 2), params5, SourceSpec.dirichlet_radius())
 
     def test_galerkin_residual(self, mesh_b1, params5):
         sp = FeSpace(mesh_b1, 4)
@@ -236,20 +354,12 @@ class TestEvaluation:
         rng = np.random.default_rng(3)
         elems = rng.integers(0, mesh_b1.n_elements, 10)
         uv0 = rng.random((10, 2))
-        for g in np.unique(mesh_b1.elem_geomdeg[elems]):
-            sel = mesh_b1.elem_geomdeg[elems] == g
-            pts = np.array([
-                tensor_lagrange(int(g), u0, v0)[0][0] @ mesh_b1.nodes[mesh_b1.elem_nodes[e]]
-                for e, (u0, v0) in zip(elems[sel], uv0[sel])
-            ])
-            uv = inverse_map(mesh_b1, elems[sel], pts)
-            assert np.allclose(uv, uv0[sel], rtol=0, atol=1e-10)
-
-    def test_inverse_map_rejects_mixed_degrees(self, mesh_b1):
-        g = np.asarray(mesh_b1.elem_geomdeg)
-        elems = [int(np.argmin(g)), int(np.argmax(g))]
-        with pytest.raises(ValueError, match="geometry degrees"):
-            inverse_map(mesh_b1, elems, mesh_b1.nodes[[0, 0]])
+        pts = np.array([
+            tensor_lagrange(mesh_b1.geomdeg, u0, v0)[0][0] @ mesh_b1.nodes[mesh_b1.elem_nodes[e]]
+            for e, (u0, v0) in zip(elems, uv0)
+        ])
+        uv = inverse_map(mesh_b1, elems, pts)
+        assert np.allclose(uv, uv0, rtol=0, atol=1e-10)
 
     def test_continuity_across_facets(self, mesh_b1, params5):
         sp = FeSpace(mesh_b1, 4)
@@ -303,7 +413,7 @@ def _ref_boxes(m):
 
 
 def _ref_inverse_map(m, e, r, z, tol=1e-12):
-    g = int(m.elem_geomdeg[e])
+    g = m.geomdeg
     X = m.nodes[m.elem_nodes[e]]
     u, v = 0.5, 0.5
     target = np.array([r, z])

@@ -25,8 +25,7 @@ def element_areas(m):
     x, w = gauss_rule(5)
     w2 = np.outer(w, w).reshape(-1)
     for e in range(m.n_elements):
-        g = int(m.elem_geomdeg[e])
-        GV, GDu, GDv = tensor_lagrange_grid(g, x)
+        GV, GDu, GDv = tensor_lagrange_grid(m.geomdeg, x)
         X = m.nodes[m.elem_nodes[e]]
         _, _, _, _, _, _, det = _geometry_eval(X, GV, GDu, GDv)
         areas[e] = np.sum(w2 * det)
@@ -69,19 +68,19 @@ def _face_curve(m, e, face, t):
     """Geometry map of element e restricted to a face, at parameters t."""
     from skinfem.basis import gll_points, lagrange_matrix
 
-    g = int(m.elem_geomdeg[e])
     pts = m.nodes[m.face_node_ids(e, face)]
-    return lagrange_matrix(gll_points(g), t) @ pts
+    return lagrange_matrix(gll_points(m.geomdeg), t) @ pts
 
 
 def _check_conforming(m):
     t = np.linspace(0.0, 1.0, 9)
     adj = m.facet_adjacency()
+    fc = m.face_corners
     for key, owners in adj.items():
         assert len(owners) <= 2
         if len(owners) == 2:
             (e0, f0), (e1, f1) = owners
-            assert set(m.face_corner_key(e0, f0)) == set(m.face_corner_key(e1, f1))
+            assert set(fc[e0, f0]) == set(fc[e1, f1]) == set(key)
             ends0 = m.nodes[m.face_node_ids(e0, f0)][[0, -1]]
             ends1 = m.nodes[m.face_node_ids(e1, f1)][[0, -1]]
             same = np.allclose(ends0, ends1, atol=0.0)
@@ -160,11 +159,10 @@ def test_mesh_io_roundtrip(tmp_path):
     write_mesh(m, path)
     m2 = read_mesh(path)
     assert np.array_equal(m.nodes, m2.nodes)
-    assert len(m.elem_nodes) == len(m2.elem_nodes)
-    for a, b in zip(m.elem_nodes, m2.elem_nodes):
-        assert np.array_equal(a, b)
+    assert np.array_equal(m.elem_nodes, m2.elem_nodes)
+    assert m2.elem_nodes.dtype == np.int64
     assert list(m.elem_tag) == list(m2.elem_tag)
-    assert list(m.elem_geomdeg) == list(m2.elem_geomdeg)
+    assert m.geomdeg == m2.geomdeg
     assert m.facets == m2.facets
 
 
@@ -224,6 +222,26 @@ def _edit(lineno, edit):
             _edit(29, lambda f: f[:1] + ["4"] + f[2:]),
             r"bad\.txt, line 29: facet face",
             id="facet-face",
+        ),
+        pytest.param(
+            _edit(19, lambda f: f[:1] + ["conductr"] + f[2:]),
+            r"bad\.txt, line 19: unknown element tag 'conductr'",
+            id="elem-tag",
+        ),
+        pytest.param(
+            _edit(30, lambda f: f[:2] + ["outr"]),
+            r"bad\.txt, line 30: unknown facet tag 'outr'",
+            id="facet-tag",
+        ),
+        pytest.param(
+            _edit(19, lambda f: f[:2] + ["0", "1"] + f[4:5]),
+            r"bad\.txt, line 19: geometry degree 0 < 1",
+            id="elem-degree-0",
+        ),
+        pytest.param(
+            _edit(22, lambda f: f[:2] + ["2", "9"] + f[4:] + f[4:] + f[4:5]),
+            r"bad\.txt, line 22: geometry degree 2 differs from the first element's 1",
+            id="mixed-degrees",
         ),
     ],
 )

@@ -95,9 +95,8 @@ def _conductor_norm_per_element(field):
     for e in range(m.n_elements):
         if m.elem_tag[e] != mesh.TAG_CONDUCTOR:
             continue
-        g = int(m.elem_geomdeg[e])
         X = m.nodes[m.elem_nodes[e]]
-        rq, _, _, _, _, _, det = _geometry_eval(X, *tensor_lagrange_grid(g, xq))
+        rq, _, _, _, _, _, det = _geometry_eval(X, *tensor_lagrange_grid(m.geomdeg, xq))
         hq = phi @ field.coeffs[space.elem_dofs[e]]
         total += np.sum(w2 * det * rq * np.abs(hq) ** 2)
     return float(np.sqrt(total))
