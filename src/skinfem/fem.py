@@ -6,6 +6,10 @@ Gauss-Legendre with p+3 points per direction; Gauss points are interior so
 the 1/r factors stay finite. Essential conditions (outer boundary data and
 the homogeneous axis condition) are imposed by interpolation at boundary
 DOF nodes plus right-hand-side lifting.
+
+The form's weights depend on r alone, so elements that differ only by a
+shift in z have the same stiffness and mass. `assemble` computes them once
+per such shape class, and `solve` condenses once per class and coefficient.
 """
 
 from __future__ import annotations
@@ -114,19 +118,20 @@ class FeSpace:
         mesh, p = self.mesh, self.p
         nel = mesh.n_elements
         dofs = np.empty((nel, (p + 1) ** 2), dtype=np.int64)
-        vertex, n_skeleton = _first_appearance(mesh.corners)
+        vertex, first = _first_appearance(mesh.corners)
+        n_skeleton = len(first)
         dofs[:, list(_corner_locals(p))] = vertex
         if p > 1:
             # p-1 dofs per edge, run from its lower to its higher vertex id.
             fc = mesh.face_corners
             lo, hi = np.sort(fc, axis=2).transpose(2, 0, 1)
-            edge, n_edges = _first_appearance(lo * len(mesh.nodes) + hi)
+            edge, first = _first_appearance(lo * len(mesh.nodes) + hi)
             k = np.arange(p - 1)
             step = np.where((fc[:, :, 0] > fc[:, :, 1])[..., None], p - 2 - k, k)
             seq = n_skeleton + (p - 1) * edge[..., None] + step
             for face in range(4):
                 dofs[:, _face_locals(p, face)[1:-1]] = seq[:, face]
-            n_skeleton += (p - 1) * n_edges
+            n_skeleton += (p - 1) * len(first)
             interior = np.arange(nel * (p - 1) ** 2).reshape(nel, -1)
             dofs[:, _interior_locals(p)] = n_skeleton + interior
         self.n_skeleton = n_skeleton
@@ -162,13 +167,25 @@ class FeSpace:
         self.free = np.nonzero(~constrained)[0]
 
 
-def _first_appearance(keys):
-    """Class index of each key, classes numbered in order of first appearance
-    in keys.ravel(); returns (indices shaped like keys, number of classes)."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+def _first_appearance(keys, axis=None):
+    """Class index of each key, classes numbered in order of first
+    appearance; returns (indices, position of each class's first key).
+
+    With axis=None a key is an entry of keys (positions index keys.ravel())
+    and the indices are shaped like keys; with axis=0 a key is a row, and
+    the indices are one per row.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True, axis=axis)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse].reshape(np.shape(keys)), len(first)
+    shape = np.shape(keys) if axis is None else len(keys)
+    return rank[inverse.reshape(-1)].reshape(shape), np.sort(first)
+
+
+def _quantized(x, scale: float) -> np.ndarray:
+    """x in units of the step 1e-13 * scale, rounded. Values that round
+    alike differ by less than a step; closer values may still round apart."""
+    return np.round(np.asarray(x) / (1e-13 * scale))
 
 
 @dataclass(frozen=True)
@@ -224,17 +241,22 @@ class DiscreteField:
 class AssembledSystem:
     """Sigma-independent element pieces plus one coefficient per element.
 
-    The matrix of element e is coef[e] * stiffness[e] - kappa2 * mass[e],
-    where coef is 1/eps_conductor in the conductor and 1 in the dielectric
-    (or everywhere under `uniform_eps`). Sigma enters only through coef, so
-    `at` re-targets the system to another conductivity without recomputing
-    an element matrix. No global matrix is formed: `solve` condenses element
-    by element, and `global_matrix` builds the assembled CSR on request.
+    Elements that are translates of each other in z share S and M, since
+    the form's weights depend on r alone: element e has shape class
+    k = elem_shape[e], and its matrix is
+    coef[e] * stiffness[k] - kappa2 * mass[k], where coef is
+    1/eps_conductor in the conductor and 1 in the dielectric (or everywhere
+    under `uniform_eps`). Sigma enters only through coef, so `at`
+    re-targets the system to another conductivity without recomputing an
+    element matrix. No global matrix is formed: `solve` condenses once per
+    (shape, coef) group, and `global_matrix` builds the assembled CSR on
+    request.
     """
 
     space: FeSpace
-    stiffness: np.ndarray  # (n_elements, (p+1)^2, (p+1)^2) real
-    mass: np.ndarray  # (n_elements, (p+1)^2, (p+1)^2) real
+    stiffness: np.ndarray  # (n_shapes, (p+1)^2, (p+1)^2) real
+    mass: np.ndarray  # (n_shapes, (p+1)^2, (p+1)^2) real
+    elem_shape: np.ndarray  # (n_elements,) int64 shape class of each element
     loads: np.ndarray  # (n_elements, (p+1)^2) real element loads
     gvec: np.ndarray  # prescribed values at constrained dofs, 0 elsewhere
     kappa2: float
@@ -277,25 +299,42 @@ def _coefficients(mesh: QuadMesh, params: PhysicalParams, uniform_eps: bool):
     return coef
 
 
+def _shape_classes(mesh: QuadMesh):
+    """Shape class of each element, numbered in order of first appearance,
+    and the lowest-numbered element of each class.
+
+    Two elements share a class when their geometry nodes, shifted so that
+    the first node has z = 0, agree on the `_quantized` grid of
+    1e-13 * max|nodes|.
+    """
+    X = mesh.nodes[mesh.elem_nodes]
+    rel = X.copy()
+    rel[..., 1] -= X[:, :1, 1]
+    keys = _quantized(rel, np.max(np.abs(mesh.nodes))).reshape(len(X), -1)
+    return _first_appearance(keys, axis=0)
+
+
+def _members(labels) -> list:
+    """Element indices of each label 0, 1, ..., ascending within a label."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
 def assemble(
     space: FeSpace,
     params: PhysicalParams,
     source: SourceSpec,
     uniform_eps: bool = False,
 ) -> AssembledSystem:
-    """Element stiffness, mass and load arrays, with params' coefficients."""
+    """Stiffness and mass per shape class and loads per element, with
+    params' coefficients. The matrices of a class are those of its
+    lowest-numbered element."""
     mesh, p = space.mesh, space.p
     nq1 = p + 3
 
     n2 = (p + 1) ** 2
     xq, w2 = _quad_points(nq1)
     phi, dxi, deta = tensor_lagrange_grid(p, xq)
-
-    nel = mesh.n_elements
-    S = np.empty((nel, n2, n2))
-    M = np.empty((nel, n2, n2))
-    be = np.zeros((nel, n2))
-    sub = None  # tables of the 4x4-subdivided rule
 
     X = mesh.nodes[mesh.elem_nodes]
     rq, zq, xu, xv, yu, yv, det = _geometry_eval(X, *tensor_lagrange_grid(mesh.geomdeg, xq))
@@ -306,26 +345,29 @@ def assemble(
         raise AssemblyError(f"{what} in element {e}")
     wq = w2 * det
 
-    for e in range(nel):
+    elem_shape, first = _shape_classes(mesh)
+    S = np.empty((len(first), n2, n2))
+    M = np.empty((len(first), n2, n2))
+    for k, e in enumerate(first):
         dphir = (dxi * yv[e, :, None] - deta * yu[e, :, None]) / det[e, :, None]
         dphiz = (-dxi * xv[e, :, None] + deta * xu[e, :, None]) / det[e, :, None]
-        S[e], M[e] = kernels.element_matrix(phi, dphir, dphiz, rq[e], wq[e])
+        S[k], M[k] = kernels.element_matrix(phi, dphir, dphiz, rq[e], wq[e])
 
-        if source.interior_f is not None:
-            cut = source.support is not None and _element_is_cut(
-                source.support, mesh.nodes[mesh.corners[e]]
-            )
-            if cut:
-                if sub is None:  # per call, not cached: large and used once
-                    sxq, sw2 = _quad_points(nq1, 4)
-                    su, sv = (t.ravel() for t in np.meshgrid(sxq, sxq))
-                    sub = tensor_lagrange(mesh.geomdeg, su, sv), tensor_lagrange(p, su, sv)[0]
-                srq, szq, _, _, _, _, sdet = _geometry_eval(X[e], *sub[0])
-                fq = np.asarray(source.interior_f(srq, szq), dtype=float)
-                be[e] = kernels.element_load(sub[1], srq, sw2 * sdet, fq)
-            else:
-                fq = np.asarray(source.interior_f(rq[e], zq[e]), dtype=float)
-                be[e] = kernels.element_load(phi, rq[e], wq[e], fq)
+    be = np.zeros((mesh.n_elements, n2))
+    if source.interior_f is not None:
+        be = kernels.element_load(phi, rq, wq, np.asarray(source.interior_f(rq, zq), dtype=float))
+        cut = [
+            e
+            for e, corners in enumerate(mesh.nodes[mesh.corners])
+            if source.support is not None and _element_is_cut(source.support, corners)
+        ]
+        if cut:  # tables per call, not cached: large and used once
+            sxq, sw2 = _quad_points(nq1, 4)
+            su, sv = (t.ravel() for t in np.meshgrid(sxq, sxq))
+            sub_geom, sub_phi = tensor_lagrange(mesh.geomdeg, su, sv), tensor_lagrange(p, su, sv)[0]
+            srq, szq, _, _, _, _, sdet = _geometry_eval(X[cut], *sub_geom)
+            fq = np.asarray(source.interior_f(srq, szq), dtype=float)
+            be[cut] = kernels.element_load(sub_phi, srq, sw2 * sdet, fq)
 
     gvec = np.zeros(space.n_dofs, dtype=np.complex128)
     if source.boundary_g is not None and len(space.outer_dofs):
@@ -338,6 +380,7 @@ def assemble(
         space=space,
         stiffness=S,
         mass=M,
+        elem_shape=elem_shape,
         loads=be,
         gvec=gvec,
         kappa2=params.kappa**2,
@@ -346,23 +389,23 @@ def assemble(
     )
 
 
-def _matvec(mats, vecs):
-    """Batched matrix-vector product: (k, m, n) x (k, n) -> (k, m)."""
-    return (mats @ vecs[..., None])[..., 0]
-
-
 def _element_products(system: AssembledSystem, v) -> np.ndarray:
     """A_e v_e for every element, (n_elements, (p+1)^2) complex.
 
-    The real element arrays multiply the (re, im) pairs of the complex
-    vector v as two real columns; no complex element matrix is formed.
+    One real product per shape class: its S and M multiply the real and
+    the imaginary parts of all its members' vectors at once (S and M are
+    symmetric, so v_e S = S v_e). No complex element matrix is formed.
     """
-    dofs = system.space.elem_dofs
-    pairs = np.ascontiguousarray(v[dofs], dtype=np.complex128).view(np.float64)
-    pairs = pairs.reshape(*dofs.shape, 2)
-    Sv = (system.stiffness @ pairs).view(np.complex128)[..., 0]
-    Mv = (system.mass @ pairs).view(np.complex128)[..., 0]
-    return system.coef[:, None] * Sv - system.kappa2 * Mv
+    ve = np.asarray(v, dtype=np.complex128)[system.space.elem_dofs]
+    out = np.empty_like(ve)
+    for k, idx in enumerate(_members(system.elem_shape)):
+        parts = np.concatenate([ve[idx].real, ve[idx].imag])
+        Sv, Mv = parts @ system.stiffness[k], parts @ system.mass[k]
+        m = len(idx)
+        out[idx] = system.coef[idx, None] * (Sv[:m] + 1j * Sv[m:]) - system.kappa2 * (
+            Mv[:m] + 1j * Mv[m:]
+        )
+    return out
 
 
 def _scatter(dofs, vals, n) -> np.ndarray:
@@ -398,7 +441,8 @@ def global_matrix(system: AssembledSystem) -> sp.csr_matrix:
     `solve` never forms it; it is for checks on the full system.
     """
     rows, cols = _element_triplets(system.space.elem_dofs)
-    vals = system.coef[:, None, None] * system.stiffness - system.kappa2 * system.mass
+    k = system.elem_shape
+    vals = system.coef[:, None, None] * system.stiffness[k] - system.kappa2 * system.mass[k]
     return _accumulate_csr(rows, cols, vals.ravel(), system.space.n_dofs)
 
 
@@ -412,9 +456,13 @@ def solve(system: AssembledSystem) -> DiscreteField:
     """Direct solve by static condensation; full residual <= 1e-10 relative.
 
     The interior DOFs of each element are eliminated against its skeleton
-    (vertex and edge) DOFs. The element Schur complements are summed over
-    the skeleton, whose free block is factored by sparse LU; the interiors
-    are then recovered by element back-substitution.
+    (vertex and edge) DOFs, once per group of elements that share a shape
+    class and a coefficient, and so a matrix. The Schur complements are
+    summed over the skeleton, whose free block is factored by sparse LU;
+    the interiors are then recovered by back-substitution.
+
+    A singular interior block raises AssemblyError naming the
+    lowest-numbered element that has one.
     """
     space = system.space
     dofs = space.elem_dofs
@@ -426,26 +474,30 @@ def solve(system: AssembledSystem) -> DiscreteField:
     rhs = system.lifted_rhs()
     r_i = rhs[dofs[:, il]]
 
-    # One element matrix at a time: A_ii^-1 [A_ib | r_i] and the Schur
-    # complement on the element's skeleton. A real coefficient keeps the
-    # matrix real; its interior rhs is then solved as (re, im) columns.
-    X_b = np.empty((nel, ni, nb), dtype=np.complex128)
+    # One matrix per group: A_ii^-1 [A_ib | r_i of every member] and the
+    # Schur complement on the skeleton, shared by the members. A real
+    # coefficient keeps the matrix real; the members' interior right-hand
+    # sides are then solved as real and imaginary columns.
+    keys = np.column_stack([system.elem_shape, system.coef.real, system.coef.imag])
+    group = _first_appearance(keys, axis=0)[0]
+    groups = _members(group)
+    X_b, schur = [], np.empty((len(groups), nb, nb), dtype=np.complex128)
     x_r = np.empty((nel, ni), dtype=np.complex128)
-    schur = np.empty((nel, nb, nb), dtype=np.complex128)
     A_bi_x = np.empty((nel, nb), dtype=np.complex128)
-    for e in range(nel):
-        c = system.coef[e]
-        A = (c if c.imag else c.real) * system.stiffness[e] - system.kappa2 * system.mass[e]
-        r = r_i[e][:, None] if c.imag else np.column_stack([r_i[e].real, r_i[e].imag])
+    for g, idx in enumerate(groups):
+        e, m = idx[0], len(idx)
+        c, k = system.coef[e], system.elem_shape[e]
+        A = (c if c.imag else c.real) * system.stiffness[k] - system.kappa2 * system.mass[k]
+        r = r_i[idx].T if c.imag else np.hstack([r_i[idx].real.T, r_i[idx].imag.T])
         try:
             X = np.linalg.solve(A[il[:, None], il], np.hstack([A[il[:, None], bl], r]))
         except np.linalg.LinAlgError:
             raise AssemblyError(f"singular interior block in element {e}") from None
-        X_b[e] = X[:, :nb]
-        x_r[e] = X[:, nb] if c.imag else X[:, nb] + 1j * X[:, nb + 1]
+        X_b.append(X[:, :nb])
+        x_r[idx] = X[:, nb:].T if c.imag else (X[:, nb : nb + m] + 1j * X[:, nb + m :]).T
         A_bi = A[bl[:, None], il]
-        schur[e] = A[bl[:, None], bl] - A_bi @ X[:, :nb]
-        A_bi_x[e] = A_bi @ x_r[e]
+        schur[g] = A[bl[:, None], bl] - A_bi @ X[:, :nb]
+        A_bi_x[idx] = x_r[idx] @ A_bi.T
     rhs_s = rhs[:ns] - _scatter(skel, A_bi_x, ns)
 
     # Constrained skeleton rows and columns are dropped: rhs carries -A g.
@@ -454,13 +506,14 @@ def solve(system: AssembledSystem) -> DiscreteField:
     index[free_s] = np.arange(len(free_s))
     rows, cols = _element_triplets(index[skel])
     keep = (rows >= 0) & (cols >= 0)
-    S_ff = _accumulate_csr(rows[keep], cols[keep], schur.ravel()[keep], len(free_s))
+    S_ff = _accumulate_csr(rows[keep], cols[keep], schur[group].ravel()[keep], len(free_s))
     del schur
     fact = linsolve.factor(S_ff)
 
     y = np.zeros(space.n_dofs, dtype=np.complex128)  # coefficients minus gvec
     y[free_s] = linsolve.backsolve(fact, rhs_s[free_s])
-    y[dofs[:, il]] = x_r - _matvec(X_b, y[skel])
+    for idx, X in zip(groups, X_b):
+        y[dofs[idx[:, None], il]] = x_r[idx] - y[skel[idx]] @ X.T
 
     free = space.free
     b_f = rhs[free]

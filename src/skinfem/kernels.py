@@ -24,5 +24,6 @@ def element_matrix(phi, dphir, dphiz, rq, wq):
 
 
 def element_load(phi, rq, wq, fq):
-    """Load vector sum_q w_q r_q f_q phi_i."""
-    return phi.T @ (wq * rq * fq)
+    """Load vector sum_q w_q r_q f_q phi_i; rq, wq and fq may carry a
+    leading element axis, (n_elements, n_points), for one vector each."""
+    return (wq * rq * fq) @ phi

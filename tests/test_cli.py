@@ -312,7 +312,10 @@ class TestSigmaReuse:
             f"sigma = 5, 10, 20\np = 2\nmesh = M1\nout = {out}\n"
         )
         assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_OK
-        assert len(calls) == mesh.mesh_for("A", "M1", sigma_max=20.0).n_elements
+        swept = len(calls)
+        space = fem.FeSpace(mesh.mesh_for("A", "M1", sigma_max=20.0), 2)
+        fem.assemble(space, physics.PhysicalParams(sigma=5.0), fem.SourceSpec.dirichlet_radius())
+        assert swept == len(calls) - swept == 2  # one kernel call per shape class
 
     @staticmethod
     def _fresh_norm(config, spec, p, sigma, sigma_max):

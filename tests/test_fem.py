@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import re
 import weakref
@@ -8,7 +9,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from skinfem import fem, mesh, physics, postprocess
+from skinfem import fem, kernels, mesh, physics, postprocess
 from skinfem.basis import gll_points, tensor_lagrange
 from skinfem.fem import (
     AssemblyError,
@@ -276,7 +277,8 @@ class TestCondensation:
         n2 = dofs.shape[1]
         rows = np.repeat(dofs, n2, axis=1).ravel()
         cols = np.tile(dofs, (1, n2)).ravel()
-        Ae = sys_.coef[:, None, None] * sys_.stiffness - sys_.kappa2 * sys_.mass
+        k = sys_.elem_shape
+        Ae = sys_.coef[:, None, None] * sys_.stiffness[k] - sys_.kappa2 * sys_.mass[k]
         A = sparse.csr_matrix((Ae.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2)
         free = space.free
         ref = sys_.gvec.copy()
@@ -285,11 +287,16 @@ class TestCondensation:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_singular_interior_block_names_element(self, mesh_a2, params5):
+        # Element 5's block is its shape class's, so every member of the
+        # class has a singular block; the lowest-numbered one is named.
         sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
         il = fem._interior_locals(3)
-        sys_.stiffness[5][np.ix_(il, il)] = 0.0
-        sys_.mass[5][np.ix_(il, il)] = 0.0
-        with pytest.raises(AssemblyError, match=r"element 5\b"):
+        k = sys_.elem_shape[5]
+        sys_.stiffness[k][np.ix_(il, il)] = 0.0
+        sys_.mass[k][np.ix_(il, il)] = 0.0
+        lowest = np.flatnonzero(sys_.elem_shape == k)[0]
+        assert lowest < 5
+        with pytest.raises(AssemblyError, match=rf"element {lowest}\b"):
             solve(sys_)
 
     def test_full_residual_checked(self, mesh_a2, params5, monkeypatch):
@@ -326,6 +333,154 @@ class TestSigmaReuse:
         sys_ = assemble(FeSpace(mesh_a2, 2), params5, SourceSpec.dirichlet_radius())
         with pytest.raises(ValueError, match="kappa"):
             sys_.at(physics.PhysicalParams(sigma=5.0, omega=2.0 * params5.omega))
+
+
+def _per_element_arrays(space, source):
+    """S, M and loads of every element from the per-element kernel loop that
+    `assemble` ran before elements were grouped by shape."""
+    m, p = space.mesh, space.p
+    nq1 = p + 3
+    n2 = (p + 1) ** 2
+    xq, w2 = fem._quad_points(nq1)
+    phi, dxi, deta = fem.tensor_lagrange_grid(p, xq)
+    nel = m.n_elements
+    S, M, be = np.empty((nel, n2, n2)), np.empty((nel, n2, n2)), np.zeros((nel, n2))
+    X = m.nodes[m.elem_nodes]
+    rq, zq, xu, xv, yu, yv, det = fem._geometry_eval(X, *fem.tensor_lagrange_grid(m.geomdeg, xq))
+    wq = w2 * det
+    for e in range(nel):
+        dphir = (dxi * yv[e, :, None] - deta * yu[e, :, None]) / det[e, :, None]
+        dphiz = (-dxi * xv[e, :, None] + deta * xu[e, :, None]) / det[e, :, None]
+        S[e], M[e] = kernels.element_matrix(phi, dphir, dphiz, rq[e], wq[e])
+        if source.interior_f is None:
+            continue
+        if source.support is not None and fem._element_is_cut(
+            source.support, m.nodes[m.corners[e]]
+        ):
+            sxq, sw2 = fem._quad_points(nq1, 4)
+            su, sv = (t.ravel() for t in np.meshgrid(sxq, sxq))
+            srq, szq, _, _, _, _, sdet = fem._geometry_eval(
+                X[e], *tensor_lagrange(m.geomdeg, su, sv)
+            )
+            fq = source.interior_f(srq, szq)
+            be[e] = tensor_lagrange(p, su, sv)[0].T @ (sw2 * sdet * srq * fq)
+        else:
+            be[e] = phi.T @ (wq[e] * rq[e] * source.interior_f(rq[e], zq[e]))
+    return S, M, be
+
+
+def _condensed_per_element(system, S, M):
+    """Coefficients from a static condensation that eliminates every
+    element's interior on its own, from per-element S and M."""
+    space = system.space
+    dofs, n, ns = space.elem_dofs, space.n_dofs, space.n_skeleton
+    il = fem._interior_locals(space.p)
+    bl = np.setdiff1d(np.arange(dofs.shape[1]), il)
+    A = system.coef[:, None, None] * S - system.kappa2 * M
+    rhs = fem._scatter(dofs, system.loads - np.einsum("eij,ej->ei", A, system.gvec[dofs]), n)
+    schur, rhs_s, X_b, x_r = [], rhs[:ns].copy(), [], []
+    for e in range(len(dofs)):
+        Aii, Aib, Abi = A[e][np.ix_(il, il)], A[e][np.ix_(il, bl)], A[e][np.ix_(bl, il)]
+        X_b.append(np.linalg.solve(Aii, Aib))
+        x_r.append(np.linalg.solve(Aii, rhs[dofs[e, il]]))
+        schur.append(A[e][np.ix_(bl, bl)] - Abi @ X_b[e])
+        np.subtract.at(rhs_s, dofs[e, bl], Abi @ x_r[e])
+    skel = dofs[:, bl]
+    rows, cols = fem._element_triplets(skel)
+    K = sparse.csr_matrix((np.ravel(schur), (rows, cols)), shape=(ns, ns))
+    free_s = space.free[space.free < ns]
+    y = np.zeros(n, dtype=np.complex128)
+    y[free_s] = spla.spsolve(K[free_s][:, free_s].tocsc(), rhs_s[free_s])
+    for e in range(len(dofs)):
+        y[dofs[e, il]] = x_r[e] - X_b[e] @ y[skel[e]]
+    return system.gvec + y
+
+
+class TestShapeClasses:
+    """Per-class element arrays against the per-element kernel loop."""
+
+    CASES = [("A", "M1"), ("A", "M2"), ("A", "M3"), ("B1", "M1"), ("C1", "M1"), ("B2", "M2")]
+
+    @pytest.fixture(scope="class", params=[(c, s, p) for c, s in CASES for p in (2, 8)], ids=str)
+    def case(self, request):
+        config, spec, p = request.param
+        space = FeSpace(mesh.mesh_for(config, spec, sigma_max=80.0), p)
+        src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
+        system = assemble(space, physics.PhysicalParams(sigma=5.0), src)
+        return system, _per_element_arrays(space, src)
+
+    def test_element_matrices_and_loads(self, case):
+        system, (S, M, be) = case
+        k = system.elem_shape
+        assert k.shape == (system.space.mesh.n_elements,) and k.dtype == np.int64
+        assert len(system.stiffness) == len(system.mass) == k.max() + 1
+        for got, want in ((system.stiffness[k], S), (system.mass[k], M)):
+            err = np.max(np.abs(got - want), axis=(1, 2))
+            assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=(1, 2)))
+        assert np.max(np.abs(system.loads - be)) <= 1e-13 * max(np.max(np.abs(be)), 1e-300)
+
+    def test_solve_matches_per_element_condensation(self, case):
+        system, (S, M, _) = case
+        want = _condensed_per_element(system, S, M)
+        got = solve(system).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec, n_shapes", [("M1", 2), ("M2", 4), ("M3", 6)])
+    def test_class_counts_on_A(self, spec, n_shapes):
+        # One class per column of squares: z-translates share a class.
+        m = mesh.mesh_for("A", spec)
+        k, first = fem._shape_classes(m)
+        assert len(first) == n_shapes
+        column = np.unique(m.nodes[m.corners[:, 0], 0], return_inverse=True)[1]
+        assert np.array_equal(k, column)
+        assert np.array_equal(first, np.arange(n_shapes))
+
+    # Shifts of the order of the mesh size: a much larger shift rounds the
+    # nodes of the thin boundary-layer elements by more than 1e-13 of their
+    # size, whatever the classes. A shift may move a rounded key across a
+    # grid step and so regroup the elements; only their matrices are kept.
+    @pytest.mark.parametrize("dz", [-3.7, 1e-3 / 3, 0.1, np.pi, 25.0 / 7])
+    def test_z_shift_keeps_element_matrices(self, dz):
+        m = mesh.mesh_for("B1", "M1", sigma_max=80.0)
+        moved = dataclasses.replace(m, nodes=m.nodes + [0.0, dz])
+        src = SourceSpec.dirichlet_radius()
+        a, b = (assemble(FeSpace(x, 4), physics.PhysicalParams(sigma=5.0), src) for x in (m, moved))
+        for x, y in ((a.stiffness, b.stiffness), (a.mass, b.mass)):
+            err = np.max(np.abs(x[a.elem_shape] - y[b.elem_shape]))
+            assert err <= 1e-13 * np.max(np.abs(x))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-10.0, 10.0))
+    def test_z_shift_never_merges(self, dz):
+        # The classes of A M3 (one per column of squares) differ by far more
+        # than a grid step, so a shift can split a class, by moving a rounded
+        # key across a step for some members, but never merge two; every
+        # element keeps its matrices.
+        m = mesh.mesh_for("A", "M3")
+        moved = dataclasses.replace(m, nodes=m.nodes + [0.0, dz])
+        src = SourceSpec.dirichlet_radius()
+        a, b = (assemble(FeSpace(x, 2), physics.PhysicalParams(sigma=5.0), src) for x in (m, moved))
+        pairs = np.unique(np.column_stack([a.elem_shape, b.elem_shape]), axis=0)
+        assert len(np.unique(pairs[:, 1])) == len(pairs)  # refines a's classes
+        for x, y in ((a.stiffness, b.stiffness), (a.mass, b.mass)):
+            err = np.max(np.abs(x[a.elem_shape] - y[b.elem_shape]))
+            assert err <= 1e-13 * np.max(np.abs(x))
+
+    def test_moved_node_splits_its_element_off(self):
+        # Element 13 of A M2 gets its own copy of its corners, and its corner
+        # at (u, v) = (1, 1), an interior mesh node, moves by 1e-9 in r.
+        m = mesh.square_mesh_A(2)
+        before = fem._shape_classes(m)[0]
+        nodes = m.nodes[m.elem_nodes[13]]
+        nodes[3, 0] += 1e-9
+        m.elem_nodes[13] = len(m.nodes) + np.arange(4)
+        m.nodes = np.vstack([m.nodes, nodes])
+        after = fem._shape_classes(m)[0]
+        assert after.max() + 1 == before.max() + 2
+        assert np.sum(after == after[13]) == 1
+        others = np.arange(m.n_elements) != 13
+        pairs = np.unique(np.column_stack([before[others], after[others]]), axis=0)
+        assert len(pairs) == before.max() + 1  # the others keep their classes
 
 
 class TestManufactured:
