@@ -9,7 +9,8 @@ DOF nodes plus right-hand-side lifting.
 
 The form's weights depend on r alone, so elements that differ only by a
 shift in z have the same stiffness and mass. `assemble` computes them once
-per such shape class, and `solve` condenses once per class and coefficient.
+per such shape class, with the sum-factorized `kernels.element_matrix` on
+1D Lagrange tables, and `solve` condenses once per class and coefficient.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels, linsolve
-from .basis import gauss_rule, gll_points, tensor_lagrange, tensor_lagrange_grid
+from .basis import (
+    gauss_rule,
+    gll_points,
+    lagrange_deriv_matrix,
+    lagrange_matrix,
+    tensor_lagrange,
+    tensor_lagrange_grid,
+)
 from .mesh import (
     FACET_AXIS,
     FACET_OUTER,
@@ -249,8 +257,8 @@ class AssembledSystem:
     under `uniform_eps`). Sigma enters only through coef, so `at`
     re-targets the system to another conductivity without recomputing an
     element matrix. No global matrix is formed: `solve` condenses once per
-    (shape, coef) group, and `global_matrix` builds the assembled CSR on
-    request.
+    (shape, coef) group, and `global_matrix` builds the assembled matrix,
+    in CSC, on request.
     """
 
     space: FeSpace
@@ -334,7 +342,7 @@ def assemble(
 
     n2 = (p + 1) ** 2
     xq, w2 = _quad_points(nq1)
-    phi, dxi, deta = tensor_lagrange_grid(p, xq)
+    phi = tensor_lagrange_grid(p, xq)[0]
 
     X = mesh.nodes[mesh.elem_nodes]
     rq, zq, xu, xv, yu, yv, det = _geometry_eval(X, *tensor_lagrange_grid(mesh.geomdeg, xq))
@@ -346,12 +354,11 @@ def assemble(
     wq = w2 * det
 
     elem_shape, first = _shape_classes(mesh)
-    S = np.empty((len(first), n2, n2))
-    M = np.empty((len(first), n2, n2))
-    for k, e in enumerate(first):
-        dphir = (dxi * yv[e, :, None] - deta * yu[e, :, None]) / det[e, :, None]
-        dphiz = (-dxi * xv[e, :, None] + deta * xu[e, :, None]) / det[e, :, None]
-        S[k], M[k] = kernels.element_matrix(phi, dphir, dphiz, rq[e], wq[e])
+    S, M = kernels.element_matrix(
+        lagrange_matrix(gll_points(p), xq),
+        lagrange_deriv_matrix(gll_points(p), xq),
+        *(a[first] for a in (rq, wq, xu, xv, yu, yv, det)),
+    )
 
     be = np.zeros((mesh.n_elements, n2))
     if source.interior_f is not None:
@@ -415,18 +422,16 @@ def _scatter(dofs, vals, n) -> np.ndarray:
     return np.bincount(idx, vals.real, n) + 1j * np.bincount(idx, vals.imag, n)
 
 
-def _accumulate_csr(rows, cols, vals, n) -> sp.csr_matrix:
-    """Deterministic duplicate summation (stable order), preserving the exact
-    complex symmetry of the element matrices."""
-    keys = rows * np.int64(n) + cols
+def _accumulate_csc(rows, cols, vals, n) -> sp.csc_matrix:
+    """n x n CSC matrix of the triplets, duplicates summed in their input
+    order, so the exact complex symmetry of the element matrices is kept."""
+    keys = cols * np.int64(n) + rows
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
-    vs = vals[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(ks))[0] + 1])
-    sums = np.add.reduceat(vs, starts)
-    urows = (ks[starts] // n).astype(np.int64)
-    ucols = (ks[starts] % n).astype(np.int64)
-    return sp.csr_matrix((sums, (urows, ucols)), shape=(n, n))
+    starts = np.flatnonzero(np.diff(ks, prepend=-1))  # keys are >= 0
+    data = np.add.reduceat(vals[order], starts)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ks[starts] // n, minlength=n))])
+    return sp.csc_matrix((data, ks[starts] % n, indptr), shape=(n, n))
 
 
 def _element_triplets(dofs):
@@ -435,15 +440,15 @@ def _element_triplets(dofs):
     return np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
 
 
-def global_matrix(system: AssembledSystem) -> sp.csr_matrix:
-    """The assembled n_dofs x n_dofs matrix, constrained rows included.
+def global_matrix(system: AssembledSystem) -> sp.csc_matrix:
+    """The assembled n_dofs x n_dofs matrix in CSC, constrained rows included.
 
     `solve` never forms it; it is for checks on the full system.
     """
     rows, cols = _element_triplets(system.space.elem_dofs)
     k = system.elem_shape
     vals = system.coef[:, None, None] * system.stiffness[k] - system.kappa2 * system.mass[k]
-    return _accumulate_csr(rows, cols, vals.ravel(), system.space.n_dofs)
+    return _accumulate_csc(rows, cols, vals.ravel(), system.space.n_dofs)
 
 
 def _interior_locals(p: int) -> np.ndarray:
@@ -506,7 +511,7 @@ def solve(system: AssembledSystem) -> DiscreteField:
     index[free_s] = np.arange(len(free_s))
     rows, cols = _element_triplets(index[skel])
     keep = (rows >= 0) & (cols >= 0)
-    S_ff = _accumulate_csr(rows[keep], cols[keep], schur[group].ravel()[keep], len(free_s))
+    S_ff = _accumulate_csc(rows[keep], cols[keep], schur[group].ravel()[keep], len(free_s))
     del schur
     fact = linsolve.factor(S_ff)
 

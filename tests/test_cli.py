@@ -302,8 +302,9 @@ class TestSigmaReuse:
         kernel = cli.fem.kernels.element_matrix
 
         def counted(*args):
-            calls.append(1)
-            return kernel(*args)
+            result = kernel(*args)
+            calls.append(len(result[0]))
+            return result
 
         monkeypatch.setattr(cli.fem.kernels, "element_matrix", counted)
         out = tmp_path / "out"
@@ -312,10 +313,10 @@ class TestSigmaReuse:
             f"sigma = 5, 10, 20\np = 2\nmesh = M1\nout = {out}\n"
         )
         assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_OK
-        swept = len(calls)
+        swept = sum(calls)
         space = fem.FeSpace(mesh.mesh_for("A", "M1", sigma_max=20.0), 2)
         fem.assemble(space, physics.PhysicalParams(sigma=5.0), fem.SourceSpec.dirichlet_radius())
-        assert swept == len(calls) - swept == 2  # one kernel call per shape class
+        assert swept == sum(calls) - swept == 2  # one element matrix per shape class
 
     @staticmethod
     def _fresh_norm(config, spec, p, sigma, sigma_max):

@@ -9,7 +9,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from skinfem import fem, kernels, mesh, physics, postprocess
+from skinfem import fem, mesh, physics, postprocess
 from skinfem.basis import gll_points, tensor_lagrange
 from skinfem.fem import (
     AssemblyError,
@@ -24,6 +24,7 @@ from skinfem.fem import (
     solve,
     write_field,
 )
+from test_kernels import dense_element_matrix
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +261,34 @@ class TestAssembly:
         assert np.max(np.abs(r)) / scale < 1e-9
 
 
+def _accumulate_csr_then_csc(rows, cols, vals, n):
+    """The skeleton build before the direct CSC one: duplicates summed in a
+    row-major stable sort, a CSR matrix, then `tocsc`."""
+    keys = rows * np.int64(n) + cols
+    order = np.argsort(keys, kind="stable")
+    ks = keys[order]
+    starts = np.concatenate([[0], np.nonzero(np.diff(ks))[0] + 1])
+    sums = np.add.reduceat(vals[order], starts)
+    return sparse.csr_matrix((sums, (ks[starts] // n, ks[starts] % n)), shape=(n, n)).tocsc()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_accumulate_csc_bitwise_equals_csr_then_tocsc(seed):
+    # Values over 16 decades, so that another summation order of the
+    # duplicates would show; odd columns and the last one stay empty.
+    rng = np.random.default_rng(seed)
+    n, m = 81, 3000
+    rows, cols = rng.integers(0, n, m), 2 * rng.integers(0, n // 2, m)
+    scale = 10.0 ** rng.uniform(-8, 8, m)
+    vals = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    got = fem._accumulate_csc(rows, cols, vals, n)
+    want = _accumulate_csr_then_csc(rows, cols, vals, n)
+    assert got.format == "csc" and got.shape == (n, n)
+    assert want.nnz < m  # duplicates were summed
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 class TestCondensation:
     """solve() against an uncondensed direct solve of the same system."""
 
@@ -299,6 +328,23 @@ class TestCondensation:
         with pytest.raises(AssemblyError, match=rf"element {lowest}\b"):
             solve(sys_)
 
+    def test_all_skeleton_dofs_prescribed(self, params5):
+        # One element with four outer facets: the free skeleton is empty and
+        # only the interior is solved for. H = r is exact in Q_3.
+        m = mesh.QuadMesh(
+            nodes=np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [2.0, 1.0]]),
+            elem_nodes=np.array([[0, 1, 2, 3]]),
+            geomdeg=1,
+            elem_tag=["conductor"],
+            facets=[(0, face, "outer") for face in range(4)],
+        )
+        space = FeSpace(m, 3)
+        assert np.all(space.constrained[: space.n_skeleton])
+        src = SourceSpec.manufactured(params5.kappa)
+        field = solve(assemble(space, params5, src, uniform_eps=True))
+        r = space.dof_coords[:, 0]
+        assert np.max(np.abs(field.coeffs - r)) <= 1e-12
+
     def test_full_residual_checked(self, mesh_a2, params5, monkeypatch):
         sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
         backsolve = fem.linsolve.backsolve
@@ -336,22 +382,20 @@ class TestSigmaReuse:
 
 
 def _per_element_arrays(space, source):
-    """S, M and loads of every element from the per-element kernel loop that
-    `assemble` ran before elements were grouped by shape."""
+    """S, M and loads of every element from a per-element loop, the matrices
+    from the dense kernel that `assemble` ran before sum factorization."""
     m, p = space.mesh, space.p
     nq1 = p + 3
     n2 = (p + 1) ** 2
     xq, w2 = fem._quad_points(nq1)
-    phi, dxi, deta = fem.tensor_lagrange_grid(p, xq)
+    phi = fem.tensor_lagrange_grid(p, xq)[0]
     nel = m.n_elements
     S, M, be = np.empty((nel, n2, n2)), np.empty((nel, n2, n2)), np.zeros((nel, n2))
     X = m.nodes[m.elem_nodes]
     rq, zq, xu, xv, yu, yv, det = fem._geometry_eval(X, *fem.tensor_lagrange_grid(m.geomdeg, xq))
     wq = w2 * det
     for e in range(nel):
-        dphir = (dxi * yv[e, :, None] - deta * yu[e, :, None]) / det[e, :, None]
-        dphiz = (-dxi * xv[e, :, None] + deta * xu[e, :, None]) / det[e, :, None]
-        S[e], M[e] = kernels.element_matrix(phi, dphir, dphiz, rq[e], wq[e])
+        S[e], M[e] = dense_element_matrix(p, *(a[e] for a in (rq, wq, xu, xv, yu, yv, det)))
         if source.interior_f is None:
             continue
         if source.support is not None and fem._element_is_cut(
@@ -397,7 +441,7 @@ def _condensed_per_element(system, S, M):
 
 
 class TestShapeClasses:
-    """Per-class element arrays against the per-element kernel loop."""
+    """Per-class element arrays against the per-element dense kernel loop."""
 
     CASES = [("A", "M1"), ("A", "M2"), ("A", "M3"), ("B1", "M1"), ("C1", "M1"), ("B2", "M2")]
 
