@@ -259,14 +259,13 @@ class _Runner:
             f = self._solve(self.cfg.mesh_spec, p, sigma)
             f.meta = {"config": self.cfg.config, "sigma": sigma, "mesh": self.cfg.mesh_spec}
             fem.write_field(f, self._path(f"field_s{sigma:g}_p{p}.txt"))
-            rows.append((sigma, float(p), _post(postprocess.conductor_norm, f)))
-        cols = tuple(np.array(c) for c in zip(*rows))
-        postprocess._write_csv(self._path("norms.csv"), "sigma,p,A", cols)
+            rows.append((sigma, p, _post(postprocess.conductor_norm, f)))
+        postprocess.write_csv(self._path("norms.csv"), "sigma,p,A", zip(*rows))
 
     def study_slope_study(self):
         H = self.dom.equator_mean_curvature()
         a = self.dom.equator_interface_radius
-        lines = ["sigma,ell,s,curv_ratio,p,n,s_fit,err"]
+        rows = []
         for sigma, p in self.cfg.paired():
             params = physics.PhysicalParams(sigma=sigma, omega=self.cfg.omega)
             f = self._solve(self.cfg.mesh_spec, p, sigma)
@@ -275,23 +274,13 @@ class _Runner:
             postprocess.write_profile_csv(
                 self._path(f"profile_s{sigma:g}_p{p}.csv"), y3, vals
             )
-            lines.append(
-                ",".join(
-                    f"{v:.17g}"
-                    for v in (
-                        sigma,
-                        rep.ell,
-                        rep.slope_theory,
-                        rep.curv_ratio,
-                        p,
-                        rep.n_samples,
-                        rep.slope_fit,
-                        rep.err,
-                    )
-                )
+            rows.append(
+                (sigma, rep.ell, rep.slope_theory, rep.curv_ratio, p, rep.n_samples,
+                 rep.slope_fit, rep.err)
             )
-        with open(self._path("slope_table.csv"), "w") as f:
-            f.write("\n".join(lines) + "\n")
+        postprocess.write_csv(
+            self._path("slope_table.csv"), "sigma,ell,s,curv_ratio,p,n,s_fit,err", zip(*rows)
+        )
 
     def study_p_convergence(self):
         ref_spec, ref_p = _PCONV_REFERENCE[self.cfg.config]
@@ -302,13 +291,10 @@ class _Runner:
             for p in self.cfg.ps
         ]
         for k, (sigma, ref) in enumerate(zip(self.cfg.sigmas, refs)):
-            postprocess._write_csv(
+            postprocess.write_csv(
                 self._path(f"pconv_s{sigma:g}.csv"),
                 "p,absdiff",
-                (
-                    np.array([float(p) for p in self.cfg.ps]),
-                    np.array([abs(row[k] - ref) for row in norms]),
-                ),
+                (self.cfg.ps, [abs(row[k] - ref) for row in norms]),
             )
 
     def study_h_stability(self):
@@ -316,18 +302,16 @@ class _Runner:
         (p,) = self.cfg.ps
         # Mesh outermost: the solves on one mesh share an assembly.
         norms = [[self._norm(spec, p, sigma) for sigma in self.cfg.sigmas] for spec in specs]
-        ks = np.array([float(spec[1:]) for spec in specs])
+        ks = [int(spec[1:]) for spec in specs]
         for k, sigma in enumerate(self.cfg.sigmas):
-            postprocess._write_csv(
-                self._path(f"hstab_s{sigma:g}_p{p}.csv"),
-                "mesh,A",
-                (ks, np.array([row[k] for row in norms])),
+            postprocess.write_csv(
+                self._path(f"hstab_s{sigma:g}_p{p}.csv"), "mesh,A", (ks, [row[k] for row in norms])
             )
 
     def study_sigma_scaling(self):
         (p,) = self.cfg.ps
         norms = [self._norm(self.cfg.mesh_spec, p, s) for s in self.cfg.sigmas]
-        postprocess.write_scaling_csv(self._path("scaling.csv"), self.cfg.sigmas, norms)
+        postprocess.write_csv(self._path("scaling.csv"), "sigma,A", (self.cfg.sigmas, norms))
         t = _post(postprocess.scaling_exponent, self.cfg.sigmas, norms)
         with open(self._path("scaling_exponent.txt"), "w") as f:
             f.write(f"{t:.17g}\n")
@@ -346,8 +330,8 @@ class _Runner:
                 params=params,
                 max_depth=10 * params.ell / 4,
             )
-            postprocess.write_slopes_csv(
-                self._path(f"corner_s{sigma:g}_p{p}.csv"), mid, slopes
+            postprocess.write_csv(
+                self._path(f"corner_s{sigma:g}_p{p}.csv"), "rho,slope", (mid, slopes)
             )
 
     def study_field_map(self):
@@ -363,13 +347,12 @@ class _Runner:
         r_axis, z_axis, vals = _post(
             postprocess.imag_field_map, f, (0.0, rmax), (-zmax, zmax), 81, 81
         )
-        lines = ["r,z,imH"]
-        for j, z in enumerate(z_axis):
-            for i, r in enumerate(r_axis):
-                v = vals[j, i]
-                lines.append(f"{r:.17g},{z:.17g},{'nan' if np.isnan(v) else format(v, '.17g')}")
-        with open(self._path(f"fieldmap_s{sigma:g}_p{p}.csv"), "w") as f_:
-            f_.write("\n".join(lines) + "\n")
+        R, Z = np.meshgrid(r_axis, z_axis)
+        postprocess.write_csv(
+            self._path(f"fieldmap_s{sigma:g}_p{p}.csv"),
+            "r,z,imH",
+            (R.ravel(), Z.ravel(), vals.ravel()),
+        )
 
     # -- manifest -----------------------------------------------------------
 

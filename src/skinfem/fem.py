@@ -159,15 +159,16 @@ class FeSpace:
 
     def _collect_boundary_dofs(self):
         mesh, p = self.mesh, self.p
-        outer, axis = set(), set()
-        for e, face, tag in mesh.facets:
-            if tag not in (FACET_OUTER, FACET_AXIS):
-                continue
-            ids = self.elem_dofs[e][_face_locals(p, face)]
-            (axis if tag == FACET_AXIS else outer).update(int(i) for i in ids)
+        faces = np.array([_face_locals(p, face) for face in range(4)])
+        e, face, on_axis = np.array(
+            [(e, face, tag == FACET_AXIS) for e, face, tag in mesh.facets
+             if tag in (FACET_OUTER, FACET_AXIS)],
+            dtype=np.int64,
+        ).reshape(-1, 3).T
+        ids = self.elem_dofs[e[:, None], faces[face]]
         # The axis condition is essential and wins at shared corners.
-        self.axis_dofs = np.asarray(sorted(axis), dtype=np.int64)
-        self.outer_dofs = np.asarray(sorted(outer - axis), dtype=np.int64)
+        self.axis_dofs = np.unique(ids[on_axis == 1])
+        self.outer_dofs = np.setdiff1d(ids[on_axis == 0], self.axis_dofs)
         constrained = np.zeros(self.n_dofs, dtype=bool)
         constrained[self.axis_dofs] = True
         constrained[self.outer_dofs] = True
@@ -200,13 +201,14 @@ def _quantized(x, scale: float) -> np.ndarray:
 class SourceSpec:
     """Problem data: either outer Dirichlet data g(r,z) or interior f(r,z).
 
-    `support` marks a discontinuous indicator inside f; elements cut by its
-    boundary are integrated on a subdivided quadrature rule.
+    `support` marks a discontinuous indicator inside f: it takes arrays
+    (r, z) and returns a bool array of the same shape. Elements whose
+    corners it splits are integrated on a subdivided quadrature rule.
     """
 
     boundary_g: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     interior_f: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    support: Optional[Callable[[float, float], bool]] = None
+    support: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     @staticmethod
     def dirichlet_radius() -> "SourceSpec":
@@ -294,11 +296,6 @@ class AssembledSystem:
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _element_is_cut(support, corners) -> bool:
-    vals = [bool(support(float(r), float(z))) for r, z in corners]
-    return any(vals) and not all(vals)
-
-
 def _coefficients(mesh: QuadMesh, params: PhysicalParams, uniform_eps: bool):
     """Stiffness coefficient per element: 1/eps_conductor in the conductor, else 1."""
     coef = np.ones(mesh.n_elements, dtype=np.complex128)
@@ -363,12 +360,12 @@ def assemble(
     be = np.zeros((mesh.n_elements, n2))
     if source.interior_f is not None:
         be = kernels.element_load(phi, rq, wq, np.asarray(source.interior_f(rq, zq), dtype=float))
-        cut = [
-            e
-            for e, corners in enumerate(mesh.nodes[mesh.corners])
-            if source.support is not None and _element_is_cut(source.support, corners)
-        ]
-        if cut:  # tables per call, not cached: large and used once
+        cut = []
+        if source.support is not None:
+            C = mesh.nodes[mesh.corners]
+            inside = np.asarray(source.support(C[..., 0], C[..., 1]), dtype=bool)
+            cut = np.flatnonzero(inside.any(axis=1) & ~inside.all(axis=1))
+        if len(cut):  # tables per call, not cached: large and used once
             sxq, sw2 = _quad_points(nq1, 4)
             su, sv = (t.ravel() for t in np.meshgrid(sxq, sxq))
             sub_geom, sub_phi = tensor_lagrange(mesh.geomdeg, su, sv), tensor_lagrange(p, su, sv)[0]

@@ -23,9 +23,6 @@ __all__ = [
     "PolylineCurve",
     "ellipse_arclength",
     "circle_arclength",
-    "curvature",
-    "mean_curvature",
-    "normal_coords",
     "MeridianDomain",
     "meridian_domain",
     "CONFIG_PARAMS",
@@ -248,19 +245,6 @@ def ellipse_arclength(a: float, c: float, conductor_inside: bool = True) -> Para
 def circle_arclength(radius: float, conductor_inside: bool = True) -> ParametricArcCurve:
     """Meridian semicircle of a sphere (both principal curvatures 1/R)."""
     return ellipse_arclength(radius, radius, conductor_inside=conductor_inside)
-
-
-def curvature(curve: InterfaceCurve, xi: float) -> float:
-    """Meridian curvature k = r'z'' - z'r'' at arc-length position xi."""
-    return curve.curvature(xi)
-
-
-def mean_curvature(curve: InterfaceCurve, xi: float) -> float:
-    return curve.mean_curvature(xi)
-
-
-def normal_coords(curve: InterfaceCurve, xi: float, h: float) -> tuple[float, float]:
-    return curve.normal_coords(xi, h)
 
 
 # Benchmark geometry parameters (meters).

@@ -170,25 +170,38 @@ class _MeshBuilder:
         return mesh
 
 
+def _facet_owners(mesh: QuadMesh):
+    """Faces grouped by their sorted corner ids, as flat indices 4*e + face:
+    (one, two) with one the faces that own a facet alone and two the
+    (n, 2) face pairs that share one, the lower index first."""
+    keys = np.sort(mesh.face_corners, axis=2).reshape(-1, 2)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))  # stable: faces ascend in a group
+    k = keys[order]
+    start = np.flatnonzero(np.r_[True, np.any(k[1:] != k[:-1], axis=1)])
+    count = np.diff(np.r_[start, len(k)])
+    if np.any(count > 2):
+        e, face = divmod(int(order[start[np.argmax(count > 2)]]), 4)
+        raise MeshGenerationError(
+            f"element {e} face {face}: facet shared by {count.max()} elements"
+        )
+    two = start[count == 2]
+    return order[start[count == 1]], np.column_stack([order[two], order[two + 1]])
+
+
 def _tag_facets(mesh: QuadMesh):
-    adj = mesh.facet_adjacency()
-    facets = []
-    for key, owners in adj.items():
-        if len(owners) == 1:
-            (e, face) = owners[0]
-            ids = mesh.face_node_ids(e, face)
-            rvals = mesh.nodes[ids, 0]
-            tag = FACET_AXIS if np.all(np.abs(rvals) < _AXIS_TOL) else FACET_OUTER
-            facets.append((e, face, tag))
-        elif len(owners) == 2:
-            (e1, f1), (e2, f2) = owners
-            if mesh.elem_tag[e1] != mesh.elem_tag[e2]:
-                cond = (e1, f1) if mesh.elem_tag[e1] == TAG_CONDUCTOR else (e2, f2)
-                facets.append((cond[0], cond[1], FACET_INTERFACE))
-        else:
-            raise MeshGenerationError(f"facet {key} shared by {len(owners)} elements")
-    facets.sort()
-    mesh.facets = facets
+    one, two = _facet_owners(mesh)
+    faces = np.array([_face_locals(mesh.geomdeg, face) for face in range(4)])
+    e, face = np.divmod(one, 4)
+    r = mesh.nodes[mesh.elem_nodes[e[:, None], faces[face]], 0]
+    tags = np.where(np.all(np.abs(r) < _AXIS_TOL, axis=1), FACET_AXIS, FACET_OUTER)
+    # A facet between the subdomains belongs to its conductor side.
+    cond = np.asarray(mesh.elem_tag) == TAG_CONDUCTOR
+    e1, e2 = two.T // 4
+    side = np.where(cond[e1], two[:, 0], two[:, 1])[cond[e1] != cond[e2]]
+    e = np.concatenate([e, side // 4])
+    face = np.concatenate([face, side % 4])
+    tags = tags.tolist() + [FACET_INTERFACE] * len(side)
+    mesh.facets = sorted(zip(e.tolist(), face.tolist(), tags))
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,8 @@ __all__ = [
     "slope_report",
     "corner_slopes",
     "imag_field_map",
+    "write_csv",
     "write_profile_csv",
-    "write_slopes_csv",
-    "write_scaling_csv",
 ]
 
 _Z_TOL = 1e-9
@@ -73,22 +72,16 @@ def extract_radial(field: DiscreteField, interface_radius: float):
     sample y3 = 0 is dropped (it anchors the boundary data, not the decay).
     """
     space = field.space
-    mesh = space.mesh
-    seen: dict[float, complex] = {}
-    for e in range(mesh.n_elements):
-        if mesh.elem_tag[e] != TAG_CONDUCTOR:
-            continue
-        dofs = space.elem_dofs[e]
-        pts = space.dof_coords[dofs]
-        on_eq = np.abs(pts[:, 1]) < _Z_TOL
-        for d, (r, _), hit in zip(dofs, pts, on_eq):
-            if hit:
-                seen[float(r)] = complex(field.coeffs[d])
-    if not seen:
+    cond = np.asarray(space.mesh.elem_tag) == TAG_CONDUCTOR
+    dofs = space.elem_dofs[cond].ravel()
+    pts = space.dof_coords[dofs]
+    on_eq = np.abs(pts[:, 1]) < _Z_TOL
+    if not np.any(on_eq):
         raise ValueError("no conductor samples found on z = 0")
-    rs = np.array(sorted(seen, reverse=True))
-    y3 = interface_radius - rs
-    vals = np.array([seen[r] for r in rs])
+    # One sample per distinct r, the last in element order, by decreasing r.
+    r, d = pts[on_eq, 0][::-1], dofs[on_eq][::-1]
+    rs, last = np.unique(r, return_index=True)
+    y3, vals = interface_radius - rs[::-1], field.coeffs[d[last]][::-1]
     keep = y3 > _Z_TOL
     return y3[keep], vals[keep]
 
@@ -118,11 +111,6 @@ class SlopeReport:
     slope_fit: float
     err: float
     curv_ratio: float
-
-    @property
-    def within_ratio(self) -> bool:
-        """Whether the relative error is below the curvature correction size."""
-        return self.err < self.curv_ratio
 
 
 def slope_report(
@@ -202,11 +190,13 @@ def imag_field_map(field: DiscreteField, r_range, z_range, nr: int, nz: int):
 # ---------------------------------------------------------------------------
 # CSV output (17 significant digits, deterministic)
 
-def _write_csv(path, header, columns):
-    rows = zip(*columns)
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+def write_csv(path, header: str, columns):
+    """Write equal-length columns under a header line, one row per line.
+
+    Every value is printed with format `.17g`, which round-trips a float,
+    prints an integer-valued number as an integer (16) and NaN as `nan`.
+    """
+    lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -214,14 +204,4 @@ def _write_csv(path, header, columns):
 def write_profile_csv(path, y3, values):
     mag = np.abs(np.asarray(values))
     keep = mag > 0  # the axis sample has H = 0 exactly; no finite log there
-    _write_csv(
-        path, "y3,log10H", (np.asarray(y3, dtype=float)[keep], np.log10(mag[keep]))
-    )
-
-
-def write_slopes_csv(path, rho, slopes):
-    _write_csv(path, "rho,slope", (np.asarray(rho, dtype=float), np.asarray(slopes, dtype=float)))
-
-
-def write_scaling_csv(path, sigmas, norms):
-    _write_csv(path, "sigma,A", (np.asarray(sigmas, dtype=float), np.asarray(norms, dtype=float)))
+    write_csv(path, "y3,log10H", (np.asarray(y3, dtype=float)[keep], np.log10(mag[keep])))

@@ -334,7 +334,7 @@ class TestSigmaReuse:
         ref.mkdir()
         lines = [f"input {cfg.key()}"]
         for name in sorted(expected):
-            postprocess._write_csv(str(ref / name), *expected[name])
+            postprocess.write_csv(str(ref / name), *expected[name])
             data = (ref / name).read_bytes()
             assert (out / name).read_bytes() == data, name
             lines.append(f"{name} {hashlib.sha256(data).hexdigest()}")

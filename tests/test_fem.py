@@ -398,9 +398,12 @@ def _per_element_arrays(space, source):
         S[e], M[e] = dense_element_matrix(p, *(a[e] for a in (rq, wq, xu, xv, yu, yv, det)))
         if source.interior_f is None:
             continue
-        if source.support is not None and fem._element_is_cut(
-            source.support, m.nodes[m.corners[e]]
-        ):
+        inside = (
+            [bool(source.support(float(r), float(z))) for r, z in m.nodes[m.corners[e]]]
+            if source.support is not None
+            else [False]
+        )
+        if any(inside) and not all(inside):
             sxq, sw2 = fem._quad_points(nq1, 4)
             su, sv = (t.ravel() for t in np.meshgrid(sxq, sxq))
             srq, szq, _, _, _, _, sdet = fem._geometry_eval(

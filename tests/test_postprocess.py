@@ -178,14 +178,17 @@ class TestCsv:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         rho = np.linspace(0.0, 1.0, 7)
         sl = np.pi * rho
-        postprocess.write_slopes_csv(a, rho, sl)
-        postprocess.write_slopes_csv(b, rho, sl)
+        postprocess.write_csv(a, "rho,slope", (rho, sl))
+        postprocess.write_csv(b, "rho,slope", (rho, sl))
         assert a.read_bytes() == b.read_bytes()
 
     def test_scaling_csv_header(self, tmp_path):
+        # ints print without a decimal point, NaN as nan, floats round-trip
         path = tmp_path / "s.csv"
-        postprocess.write_scaling_csv(path, [10.0], [0.5])
-        assert path.read_text().splitlines()[0] == "sigma,A"
+        postprocess.write_csv(path, "sigma,p,A", ([10.0], [16], [np.nan]))
+        postprocess.write_csv(tmp_path / "t.csv", "x", ([0.1 + 0.2],))
+        assert path.read_text() == "sigma,p,A\n10,16,nan\n"
+        assert float((tmp_path / "t.csv").read_text().split()[1]) == 0.1 + 0.2
 
 
 class TestFieldMap:
