@@ -137,8 +137,7 @@ class FeSpace:
             k = np.arange(p - 1)
             step = np.where((fc[:, :, 0] > fc[:, :, 1])[..., None], p - 2 - k, k)
             seq = n_skeleton + (p - 1) * edge[..., None] + step
-            for face in range(4):
-                dofs[:, _face_locals(p, face)[1:-1]] = seq[:, face]
+            dofs[:, _face_locals(p)[:, 1:-1]] = seq
             n_skeleton += (p - 1) * len(first)
             interior = np.arange(nel * (p - 1) ** 2).reshape(nel, -1)
             dofs[:, _interior_locals(p)] = n_skeleton + interior
@@ -158,14 +157,12 @@ class FeSpace:
     # -- boundary dofs ------------------------------------------------------
 
     def _collect_boundary_dofs(self):
-        mesh, p = self.mesh, self.p
-        faces = np.array([_face_locals(p, face) for face in range(4)])
         e, face, on_axis = np.array(
-            [(e, face, tag == FACET_AXIS) for e, face, tag in mesh.facets
+            [(e, face, tag == FACET_AXIS) for e, face, tag in self.mesh.facets
              if tag in (FACET_OUTER, FACET_AXIS)],
             dtype=np.int64,
         ).reshape(-1, 3).T
-        ids = self.elem_dofs[e[:, None], faces[face]]
+        ids = self.elem_dofs[e[:, None], _face_locals(self.p)[face]]
         # The axis condition is essential and wins at shared corners.
         self.axis_dofs = np.unique(ids[on_axis == 1])
         self.outer_dofs = np.setdiff1d(ids[on_axis == 0], self.axis_dofs)

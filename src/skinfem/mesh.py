@@ -53,19 +53,10 @@ def _corner_locals(g: int) -> tuple[int, int, int, int]:
     return 0, g, g * n1 + g, g * n1
 
 
-def _face_locals(g: int, face: int) -> np.ndarray:
-    """Local tensor indices along face 0..3 (j=0, i=g, j=g, i=0)."""
-    n1 = g + 1
-    i = np.arange(n1)
-    if face == 0:
-        return i
-    if face == 1:
-        return i * n1 + g
-    if face == 2:
-        return g * n1 + i
-    if face == 3:
-        return i * n1
-    raise ValueError(face)
+def _face_locals(g: int) -> np.ndarray:
+    """(4, g+1) local tensor indices along faces 0..3 (j=0, i=g, j=g, i=0)."""
+    i = np.arange(g + 1)
+    return np.array([i, i * (g + 1) + g, g * (g + 1) + i, i * (g + 1)])
 
 
 # The corners (first, last) of faces 0..3, in the direction of _face_locals.
@@ -103,7 +94,7 @@ class QuadMesh:
         return self.corners[:, _FACE_CORNERS]
 
     def face_node_ids(self, e: int, face: int) -> np.ndarray:
-        return self.elem_nodes[e, _face_locals(self.geomdeg, face)]
+        return self.elem_nodes[e, _face_locals(self.geomdeg)[face]]
 
     def facet_adjacency(self) -> dict:
         """Map facet key (sorted corner ids) -> list of (elem, face)."""
@@ -190,9 +181,8 @@ def _facet_owners(mesh: QuadMesh):
 
 def _tag_facets(mesh: QuadMesh):
     one, two = _facet_owners(mesh)
-    faces = np.array([_face_locals(mesh.geomdeg, face) for face in range(4)])
     e, face = np.divmod(one, 4)
-    r = mesh.nodes[mesh.elem_nodes[e[:, None], faces[face]], 0]
+    r = mesh.nodes[mesh.elem_nodes[e[:, None], _face_locals(mesh.geomdeg)[face]], 0]
     tags = np.where(np.all(np.abs(r) < _AXIS_TOL, axis=1), FACET_AXIS, FACET_OUTER)
     # A facet between the subdomains belongs to its conductor side.
     cond = np.asarray(mesh.elem_tag) == TAG_CONDUCTOR

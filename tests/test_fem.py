@@ -160,7 +160,7 @@ def _ref_boundary_dofs(mesh, p, elem_dofs):
     outer, axis = set(), set()
     for e, face, tag in mesh.facets:
         if tag in (FACET_OUTER, FACET_AXIS):
-            ids = elem_dofs[e][_face_locals(p, face)]
+            ids = elem_dofs[e][_face_locals(p)[face]]
             (axis if tag == FACET_AXIS else outer).update(int(i) for i in ids)
     return sorted(axis), sorted(outer - axis)
 
