@@ -42,6 +42,7 @@ _ELEMENT_TAGS = (TAG_DIELECTRIC, TAG_CONDUCTOR)
 _FACET_TAGS = (FACET_OUTER, FACET_AXIS, FACET_INTERFACE)
 
 _AXIS_TOL = 1e-12
+_NODE_TOL = 1e-12  # both copies of a facet-interior node, and the outer boundary
 
 
 class MeshGenerationError(RuntimeError):
@@ -112,7 +113,7 @@ class _NodeRegistry:
     Element corners shared across blocks are generated by the same
     expressions, so they collide bitwise. Nodes inside a facet that the two
     sides parametrize in opposite directions can differ in the last bit and
-    are then kept twice; mesh conformity is asserted after generation.
+    are then kept twice; `_MeshBuilder.finish` merges them.
     """
 
     def __init__(self):
@@ -135,9 +136,17 @@ class _NodeRegistry:
 
 
 class _MeshBuilder:
-    def __init__(self, geomdeg: int, name: str = ""):
+    """Collects elements; `finish` merges the copies of facet-interior nodes,
+    then checks and tags the facets.
+
+    on_outer(r, z) tells, for arrays of node coordinates, which nodes lie on
+    the domain's outer boundary.
+    """
+
+    def __init__(self, geomdeg: int, on_outer, name: str = ""):
         self.reg = _NodeRegistry()
         self.geomdeg = geomdeg
+        self.on_outer = on_outer
         self.elem_nodes: list[list[int]] = []
         self.tags: list[str] = []
         self.name = name
@@ -157,8 +166,15 @@ class _MeshBuilder:
             elem_tag=list(self.tags),
             name=self.name,
         )
-        _tag_facets(mesh)
+        one, two = _facet_owners(mesh)
+        _merge_facet_nodes(mesh, two)
+        _tag_facets(mesh, one, two, self.on_outer)
         return mesh
+
+
+def _facet_error(face, what: str) -> MeshGenerationError:
+    e, f = divmod(int(face), 4)
+    return MeshGenerationError(f"element {e} face {f}: {what}")
 
 
 def _facet_owners(mesh: QuadMesh):
@@ -171,27 +187,52 @@ def _facet_owners(mesh: QuadMesh):
     start = np.flatnonzero(np.r_[True, np.any(k[1:] != k[:-1], axis=1)])
     count = np.diff(np.r_[start, len(k)])
     if np.any(count > 2):
-        e, face = divmod(int(order[start[np.argmax(count > 2)]]), 4)
-        raise MeshGenerationError(
-            f"element {e} face {face}: facet shared by {count.max()} elements"
-        )
+        raise _facet_error(order[start[np.argmax(count > 2)]], "facet has more than two owners")
     two = start[count == 2]
     return order[start[count == 1]], np.column_stack([order[two], order[two + 1]])
 
 
-def _tag_facets(mesh: QuadMesh):
-    one, two = _facet_owners(mesh)
-    e, face = np.divmod(one, 4)
-    r = mesh.nodes[mesh.elem_nodes[e[:, None], _face_locals(mesh.geomdeg)[face]], 0]
-    tags = np.where(np.all(np.abs(r) < _AXIS_TOL, axis=1), FACET_AXIS, FACET_OUTER)
-    # A facet between the subdomains belongs to its conductor side.
+def _face_nodes(mesh: QuadMesh, faces) -> np.ndarray:
+    """(n, geomdeg + 1) node ids along the flat faces 4*e + face."""
+    return mesh.elem_nodes[faces[:, None] // 4, _face_locals(mesh.geomdeg)[faces % 4]]
+
+
+def _merge_facet_nodes(mesh: QuadMesh, two):
+    """Give the second owner of each shared facet the first owner's node ids
+    along it, and drop the copies. Surviving nodes keep their order.
+
+    Raises MeshGenerationError where the two owners' nodes are more than
+    _NODE_TOL apart.
+    """
+    a, b = _face_nodes(mesh, two[:, 0]), _face_nodes(mesh, two[:, 1])
+    flip = a[:, 0] != b[:, 0]  # the owners run along the facet in opposite directions
+    b[flip] = b[flip, ::-1]
+    gap = np.max(np.abs(mesh.nodes[a] - mesh.nodes[b]), axis=(1, 2), initial=0.0)
+    if np.any(gap > _NODE_TOL):
+        raise _facet_error(two[np.argmax(gap > _NODE_TOL), 1], "nodes differ from its neighbour's")
+    target = np.arange(len(mesh.nodes))
+    target[np.maximum(a, b)] = np.minimum(a, b)
+    keep = target == np.arange(len(target))
+    mesh.elem_nodes = (np.cumsum(keep) - 1)[target[mesh.elem_nodes]]
+    mesh.nodes = mesh.nodes[keep]
+
+
+def _tag_facets(mesh: QuadMesh, one, two, on_outer):
+    """Tag the facets `_facet_owners` found: a one-owner facet on the axis
+    or on the outer boundary (on_outer), and the conductor side of a facet
+    between the subdomains. Any other one-owner facet is a crack in the
+    mesh and raises MeshGenerationError."""
+    r, z = np.moveaxis(mesh.nodes[_face_nodes(mesh, one)], -1, 0)
+    axis = np.all(np.abs(r) < _AXIS_TOL, axis=1)
+    inside = ~axis & ~np.all(on_outer(r, z), axis=1)
+    if np.any(inside):
+        raise _facet_error(one[np.argmax(inside)], "facet has one owner but lies inside the domain")
     cond = np.asarray(mesh.elem_tag) == TAG_CONDUCTOR
     e1, e2 = two.T // 4
     side = np.where(cond[e1], two[:, 0], two[:, 1])[cond[e1] != cond[e2]]
-    e = np.concatenate([e, side // 4])
-    face = np.concatenate([face, side % 4])
-    tags = tags.tolist() + [FACET_INTERFACE] * len(side)
-    mesh.facets = sorted(zip(e.tolist(), face.tolist(), tags))
+    faces = np.concatenate([one, side])
+    tags = np.where(axis, FACET_AXIS, FACET_OUTER).tolist() + [FACET_INTERFACE] * len(side)
+    mesh.facets = sorted(zip((faces // 4).tolist(), (faces % 4).tolist(), tags))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +242,8 @@ def square_mesh_A(k: int) -> QuadMesh:
     """Uniform squares of side 1/k on [0,2]x[-2,2]; conductor [0,1]x[-1,1]."""
     if k < 1:
         raise ValueError("refinement index k must be >= 1")
-    b = _MeshBuilder(1, name=f"A:M{k}")
+    # The nodes i/k and j/k - 2 hit the sides r = 2 and z = +-2 exactly.
+    b = _MeshBuilder(1, lambda r, z: (r == 2.0) | (np.abs(z) == 2.0), name=f"A:M{k}")
     nr, nz = 2 * k, 4 * k
     node_id = np.empty((nr + 1, nz + 1), dtype=np.int64)
     for j in range(nz + 1):
@@ -236,6 +278,11 @@ def _lin(a, b, t):
     if t == 1.0:
         return b
     return a + t * (b - a)
+
+
+def _levels(a, b, n):
+    """n + 1 equispaced levels from a to b, both ends exact."""
+    return [_lin(a, b, i / n) for i in range(n + 1)]
 
 
 def _ellipse_point(a, c, phi):
@@ -351,8 +398,8 @@ def layered_mesh_B(
     # Inner path around the axis rectangle, matched node-for-node to phi_nodes.
     # Rectangle grid levels are shared with the path so coordinates coincide
     # bitwise where the blocks meet.
-    rlev = [w * i / nr for i in range(nr + 1)]
-    zlev_desc = [_lin(zq, -zq, j / nz) for j in range(nz + 1)]
+    rlev = _levels(0.0, w, nr)
+    zlev_desc = _levels(zq, -zq, nz)
     path = []
     for i in range(nr + 1):
         path.append((rlev[i], zq))
@@ -375,7 +422,11 @@ def layered_mesh_B(
     inner_tag = TAG_DIELECTRIC if shell_conductor else TAG_CONDUCTOR
     annulus_tag = TAG_CONDUCTOR if shell_conductor else TAG_DIELECTRIC
 
-    b = _MeshBuilder(GEOM_DEG_CURVED, name=f"{config}:M{n_layers}:smax{sigma_max:g}")
+    b = _MeshBuilder(
+        GEOM_DEG_CURVED,
+        lambda r, z: np.abs((r / bb) ** 2 + (z / d) ** 2 - 1.0) < _NODE_TOL,
+        name=f"{config}:M{n_layers}:smax{sigma_max:g}",
+    )
 
     # Band + transition rows inside the inner ellipse.
     for j in range(len(inner_h) - 1):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -599,84 +600,36 @@ class TestEvaluation:
             f.evaluate(np.array([3.5, 0.0]))
 
 
-# Reference for TestBatchedLocation: the per-point location path that the
-# batched locate/inverse_map replaced, kept verbatim apart from names and
-# from _ref_locate returning None where the old locate raised.
+# TestBatchedLocation checks the batched locator against the per-point
+# scalar one, whose (elem, u, v) at locate_points(mesh) are stored in
+# tests/golden/locate by tests/golden/generate.py.
 
-def _ref_boxes(m):
-    boxes = np.empty((m.n_elements, 4))
-    for e in range(m.n_elements):
-        X = m.nodes[m.elem_nodes[e]]
-        lo = X.min(axis=0)
-        hi = X.max(axis=0)
-        pad = 0.1 * max(hi[0] - lo[0], hi[1] - lo[1]) + 1e-12
-        boxes[e] = (lo[0] - pad, hi[0] + pad, lo[1] - pad, hi[1] + pad)
-    return boxes
+LOCATE_CASES = [("A", "M2"), ("B1", "M2"), ("C1", "M1")]
+GOLDEN_LOCATE = Path(__file__).resolve().parent / "golden" / "locate"
 
 
-def _ref_inverse_map(m, e, r, z, tol=1e-12):
-    g = m.geomdeg
-    X = m.nodes[m.elem_nodes[e]]
-    u, v = 0.5, 0.5
-    target = np.array([r, z])
-    for _ in range(60):
-        GV, GDu, GDv = tensor_lagrange(g, u, v)
-        pos = X.T @ GV[0]
-        resid = pos - target
-        if np.max(np.abs(resid)) < 1e-14 * (1.0 + np.max(np.abs(target))):
-            return u, v
-        J = np.column_stack([X.T @ GDu[0], X.T @ GDv[0]])
-        try:
-            step = np.linalg.solve(J, resid)
-        except np.linalg.LinAlgError:
-            return None
-        if np.max(np.abs(step)) > 0.5:
-            step *= 0.5 / np.max(np.abs(step))
-        u, v = u - step[0], v - step[1]
-        if not (-0.5 <= u <= 1.5 and -0.5 <= v <= 1.5):
-            return None
-        if np.max(np.abs(step)) < tol:
-            return u, v
-    return None
-
-
-def _ref_locate(m, boxes, r, z, tol=1e-9):
-    """(element, u, v), or None where the point is outside."""
-    b = boxes
-    mask = (b[:, 0] <= r) & (r <= b[:, 1]) & (b[:, 2] <= z) & (z <= b[:, 3])
-    best = None
-    for e in np.nonzero(mask)[0]:
-        res = _ref_inverse_map(m, int(e), r, z)
-        if res is None:
-            continue
-        u, v = res
-        slack = max(-u, u - 1.0, -v, v - 1.0, 0.0)
-        if slack <= tol:
-            return int(e), min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
-        if best is None or slack < best[0]:
-            best = (slack, int(e), u, v)
-    if best is not None and best[0] <= 1e-6:
-        _, e, u, v = best
-        return e, min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
-    return None
+def locate_points(m):
+    """An 81x81 grid over the mesh's box (5% margin), then every mesh node."""
+    lo, hi = m.nodes.min(axis=0), m.nodes.max(axis=0)
+    lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+    R, Z = np.meshgrid(np.linspace(lo[0], hi[0], 81), np.linspace(lo[1], hi[1], 81))
+    return np.vstack([np.column_stack([R.ravel(), Z.ravel()]), m.nodes])
 
 
 class TestBatchedLocation:
-    """Batched locate/evaluate against the per-point reference above, on
+    """Batched locate/evaluate against the stored per-point reference, on
     81x81 grids over each mesh's box (5% margin) plus every mesh node."""
 
-    @pytest.fixture(scope="class", params=[("A", "M2"), ("B1", "M2"), ("C1", "M1")], ids=str)
+    @pytest.fixture(scope="class", params=LOCATE_CASES, ids=str)
     def case(self, request):
         config, spec = request.param
         m = mesh.mesh_for(config, spec, sigma_max=80.0)
         src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
         f = solve(assemble(FeSpace(m, 4), physics.PhysicalParams(sigma=20.0), src))
-        lo, hi = m.nodes.min(axis=0), m.nodes.max(axis=0)
-        lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
-        R, Z = np.meshgrid(np.linspace(lo[0], hi[0], 81), np.linspace(lo[1], hi[1], 81))
-        pts = np.vstack([np.column_stack([R.ravel(), Z.ravel()]), m.nodes])
-        boxes = _ref_boxes(m)
-        ref = [_ref_locate(m, boxes, r, z) for r, z in pts]
+        pts = locate_points(m)
+        stored = np.loadtxt(GOLDEN_LOCATE / f"{config}_{spec}.csv", delimiter=",", skiprows=1)
+        assert len(stored) == len(pts)
+        ref = [None if e < 0 else (int(e), u, v) for e, u, v in stored]
         sp = f.space
         want = np.array([
             np.nan if x is None
@@ -717,6 +670,16 @@ class TestBatchedLocation:
         r, z = pts[outside[0]]
         with pytest.raises(PointLocationError, match=re.escape(f"({r}, {z})")):
             evaluate(f, pts)
+
+
+def test_field_decays_into_the_b1_core():
+    # (0.7, -0.2) lies 0.72 inside the interface (r/2)^2 + z^2 = 1, 28 skin
+    # depths (ell = 0.0258 at sigma = 80): |H| there is about e^-28 = 7e-13
+    # of its interface value, which is of order 1.
+    m = mesh.mesh_for("B1", "M2", sigma_max=400.0)
+    params = physics.PhysicalParams(sigma=80.0)
+    system = assemble(FeSpace(m, 8), params, SourceSpec.dirichlet_radius())
+    assert abs(solve(system).evaluate(np.array([0.7, -0.2]))) <= 1e-9
 
 
 class TestSources:

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
-from skinfem import mesh
+from skinfem import cli, mesh
 from skinfem.basis import gauss_rule, tensor_lagrange_grid
 from skinfem.fem import _geometry_eval
+from skinfem.geometry import CONFIG_PARAMS
 from skinfem.mesh import (
     FACET_AXIS,
     FACET_INTERFACE,
@@ -72,31 +75,82 @@ def _face_curve(m, e, face, t):
     return lagrange_matrix(gll_points(m.geomdeg), t) @ pts
 
 
+def _on_outer_boundary(m, pts):
+    """Whether each point lies on the outer boundary of m's configuration."""
+    params = CONFIG_PARAMS[m.name.split(":")[0]]
+    r, z = pts[:, 0], pts[:, 1]
+    if "r1" in params:
+        return np.isclose(r, params["r1"], rtol=0, atol=1e-12) | np.isclose(
+            np.abs(z), params["l1"] / 2, rtol=0, atol=1e-12
+        )
+    return np.abs((r / params["b"]) ** 2 + (z / params["d"]) ** 2 - 1.0) <= 1e-12
+
+
 def _check_conforming(m):
     t = np.linspace(0.0, 1.0, 9)
     adj = m.facet_adjacency()
     fc = m.face_corners
     for key, owners in adj.items():
         assert len(owners) <= 2
+        if len(owners) == 1:
+            # a facet with one owner is on the axis or the outer boundary
+            pts = m.nodes[m.face_node_ids(*owners[0])]
+            assert np.all(pts[:, 0] == 0.0) or np.all(_on_outer_boundary(m, pts)), owners
         if len(owners) == 2:
             (e0, f0), (e1, f1) = owners
             assert set(fc[e0, f0]) == set(fc[e1, f1]) == set(key)
-            ends0 = m.nodes[m.face_node_ids(e0, f0)][[0, -1]]
-            ends1 = m.nodes[m.face_node_ids(e1, f1)][[0, -1]]
-            same = np.allclose(ends0, ends1, atol=0.0)
+            # both owners reference the same nodes along it, in either direction
+            ids0, ids1 = m.face_node_ids(e0, f0), m.face_node_ids(e1, f1)
+            same = np.array_equal(ids0, ids1)
+            assert same or np.array_equal(ids0, ids1[::-1]), owners
             p0 = _face_curve(m, e0, f0, t)
             p1 = _face_curve(m, e1, f1, t if same else t[::-1])
             # the two parametrizations of the shared facet must coincide
             assert np.max(np.abs(p0 - p1)) < 1e-12
 
 
-@pytest.mark.parametrize("config,spec", [("B1", "M1"), ("B1", "M3"), ("B2", "M2"), ("C1", "M1"), ("C2", "M1")])
+@pytest.mark.parametrize(
+    "config,spec",
+    [("B1", "M1"), ("B1", "M3"), ("B2", "M2"), ("C1", "M1"), ("C2", "M1"), ("A", "M1"), ("A", "M2")],
+)
 def test_layered_mesh_valid(config, spec):
     m = mesh_for(config, spec, sigma_max=80.0)
     _check_conforming(m)
     areas, detmin = element_areas(m)
     assert np.all(detmin > 0.0)
     assert np.all(areas > 0.0)
+
+
+def test_sigma_sweep_mesh_conforming():
+    # the mesh of a B1 M3 sweep up to sigma = 400 has a thinner band
+    _check_conforming(mesh_for("B1", "M3", sigma_max=400.0))
+
+
+class TestCoreCrack:
+    """A core whose rectangle levels miss the O-grid's corners by the last
+    bit, as `w * i / nr` did, leaves one-owner facets inside the domain."""
+
+    @pytest.fixture
+    def cracked(self, monkeypatch):
+        levels = mesh._levels
+
+        def rounded(a, b, n):
+            return [b * i / n for i in range(n + 1)] if a == 0.0 else levels(a, b, n)
+
+        monkeypatch.setattr(mesh, "_levels", rounded)
+
+    def test_mesh_generation_error(self, cracked):
+        with pytest.raises(MeshGenerationError, match=r"element \d+ face \d: facet has one owner"):
+            mesh_for("B1", "M1")
+
+    def test_cli_exit_3_without_artifacts(self, cracked, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = cli.ExperimentConfig(
+            study="slope-study", config="B1", sigmas=[5.0], ps=[2], mesh_spec="M1", out=str(out)
+        )
+        assert cli.run(cfg) == cli.EXIT_SOLVE
+        assert "facet has one owner" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
 
 def test_b1_areas():
