@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, geometry, linsolve, mesh, physics, postprocess
+from . import fem, geometry, mesh, physics, postprocess
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main", "ConfigError"]
 
@@ -66,7 +66,7 @@ class PostprocessError(RuntimeError):
 
 
 # Failures of the numerical pipeline on valid input: exit 3.
-_SOLVE_ERRORS = (fem.AssemblyError, linsolve.SingularMatrixError, mesh.MeshGenerationError)
+_SOLVE_ERRORS = (fem.AssemblyError, mesh.MeshGenerationError)
 
 
 @dataclass
@@ -269,8 +269,8 @@ class _Runner:
         for sigma, p in self.cfg.paired():
             params = physics.PhysicalParams(sigma=sigma, omega=self.cfg.omega)
             f = self._solve(self.cfg.mesh_spec, p, sigma)
-            rep = _post(postprocess.slope_report, f, params, H, a)
             y3, vals = _post(postprocess.extract_radial, f, a)
+            rep = _post(postprocess.slope_report, y3, vals, params, H)
             postprocess.write_profile_csv(
                 self._path(f"profile_s{sigma:g}_p{p}.csv"), y3, vals
             )

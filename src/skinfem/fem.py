@@ -11,6 +11,10 @@ The form's weights depend on r alone, so elements that differ only by a
 shift in z have the same stiffness and mass. `assemble` computes them once
 per such shape class, with the sum-factorized `kernels.element_matrix` on
 1D Lagrange tables, and `solve` condenses once per class and coefficient.
+The skeleton system left by the condensation is solved by multifrontal
+elimination over a nested-dissection tree of the elements (George 1973;
+Duff & Reid 1983), which `FeSpace` builds once; numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import kernels, linsolve
+from . import kernels
 from .basis import (
     gauss_rule,
     gll_points,
@@ -38,6 +41,7 @@ from .mesh import (
     QuadMesh,
     _corner_locals,
     _face_locals,
+    _facet_owners,
     _parse_text,
 )
 from .physics import PhysicalParams
@@ -50,7 +54,6 @@ __all__ = [
     "AssemblyError",
     "PointLocationError",
     "assemble",
-    "global_matrix",
     "solve",
     "locate",
     "inverse_map",
@@ -108,7 +111,8 @@ class FeSpace:
     of them; the interior DOFs follow, element by element.
     `elem_dofs` is an (n_elements, (p+1)^2) array in local tensor order.
     Outer-boundary and axis DOFs are flagged for essential conditions; every
-    axis DOF is constrained to zero.
+    axis DOF is constrained to zero. `tree` is the elimination tree of the
+    free skeleton DOFs (`_build_tree`).
     """
 
     def __init__(self, mesh: QuadMesh, p: int):
@@ -119,6 +123,7 @@ class FeSpace:
         self._build_numbering()
         self._compute_dof_coords()
         self._collect_boundary_dofs()
+        self._build_tree()
 
     # -- numbering ----------------------------------------------------------
 
@@ -171,6 +176,52 @@ class FeSpace:
         constrained[self.outer_dofs] = True
         self.constrained = constrained
         self.free = np.nonzero(~constrained)[0]
+
+    # -- elimination tree ---------------------------------------------------
+
+    def _build_tree(self):
+        """Binary tree of the elements by recursive spectral bisection.
+
+        A set of elements is split in halves by a stable sort of the Fiedler
+        vector of its facet-adjacency Laplacian; a leaf is one element. A
+        free skeleton DOF is eliminated at the first node that holds every
+        element it belongs to, and passed up from the nodes below that.
+        `tree` lists the nodes in postorder, the root last, each as
+        (dofs, n_elim, children, lowest, keep): its front's free skeleton
+        DOFs, the n_elim eliminated there first; (node index, positions of
+        the node's passed-up DOFs in dofs) per child; the lowest-numbered
+        element below it; for a leaf, dofs as indices into its element's
+        skeleton.
+        """
+        nel = self.mesh.n_elements
+        adj = np.zeros((nel, nel))
+        pairs = _facet_owners(self.mesh)[1] // 4
+        adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1.0
+        skel = self.elem_dofs[:, _skeleton_locals(self.p)]
+        count = np.bincount(skel.ravel(), minlength=self.n_skeleton)
+        tree, passed, where = [], [], np.empty(self.n_skeleton, dtype=np.int64)
+
+        def build(elems):
+            if len(elems) == 1:
+                children, keep = (), np.flatnonzero(~self.constrained[skel[elems[0]]])
+                dofs = skel[elems[0], keep]
+            else:
+                A = adj[np.ix_(elems, elems)]
+                fiedler = np.linalg.eigh(np.diag(A.sum(axis=1)) - A)[1][:, 1]
+                halves = np.array_split(elems[np.argsort(fiedler, kind="stable")], 2)
+                children = [build(half) for half in halves]
+                keep = dofs = np.unique(np.concatenate([passed[c] for c in children]))
+            here = np.bincount(skel[elems].ravel(), minlength=len(count))[dofs] == count[dofs]
+            order = np.argsort(~here, kind="stable")
+            dofs, keep, n_elim = dofs[order], keep[order], int(np.count_nonzero(here))
+            passed.append(dofs[n_elim:])
+            where[dofs] = np.arange(len(dofs))
+            children = tuple((c, where[passed[c]]) for c in children)
+            tree.append((dofs, n_elim, children, int(elems.min()), keep))
+            return len(tree) - 1
+
+        build(np.arange(nel))
+        self.tree = tree
 
 
 def _first_appearance(keys, axis=None):
@@ -256,8 +307,7 @@ class AssembledSystem:
     under `uniform_eps`). Sigma enters only through coef, so `at`
     re-targets the system to another conductivity without recomputing an
     element matrix. No global matrix is formed: `solve` condenses once per
-    (shape, coef) group, and `global_matrix` builds the assembled matrix,
-    in CSC, on request.
+    (shape, coef) group and eliminates the skeleton front by front.
     """
 
     space: FeSpace
@@ -416,58 +466,35 @@ def _scatter(dofs, vals, n) -> np.ndarray:
     return np.bincount(idx, vals.real, n) + 1j * np.bincount(idx, vals.imag, n)
 
 
-def _accumulate_csc(rows, cols, vals, n) -> sp.csc_matrix:
-    """n x n CSC matrix of the triplets, duplicates summed in their input
-    order, so the exact complex symmetry of the element matrices is kept."""
-    keys = cols * np.int64(n) + rows
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    starts = np.flatnonzero(np.diff(ks, prepend=-1))  # keys are >= 0
-    data = np.add.reduceat(vals[order], starts)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(ks[starts] // n, minlength=n))])
-    return sp.csc_matrix((data, ks[starts] % n, indptr), shape=(n, n))
-
-
-def _element_triplets(dofs):
-    """Row and column indices of the entries of element matrices over dofs."""
-    k = dofs.shape[1]
-    return np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
-
-
-def global_matrix(system: AssembledSystem) -> sp.csc_matrix:
-    """The assembled n_dofs x n_dofs matrix in CSC, constrained rows included.
-
-    `solve` never forms it; it is for checks on the full system.
-    """
-    rows, cols = _element_triplets(system.space.elem_dofs)
-    k = system.elem_shape
-    vals = system.coef[:, None, None] * system.stiffness[k] - system.kappa2 * system.mass[k]
-    return _accumulate_csc(rows, cols, vals.ravel(), system.space.n_dofs)
-
-
 def _interior_locals(p: int) -> np.ndarray:
     """Local tensor indices of the (p-1)^2 element-interior nodes."""
     inner = np.arange(1, p)
     return (inner[:, None] * (p + 1) + inner[None, :]).ravel()
 
 
+def _skeleton_locals(p: int) -> np.ndarray:
+    """Local tensor indices of the 4p vertex and edge nodes, ascending."""
+    return np.setdiff1d(np.arange((p + 1) ** 2), _interior_locals(p))
+
+
 def solve(system: AssembledSystem) -> DiscreteField:
-    """Direct solve by static condensation; full residual <= 1e-10 relative.
+    """Direct solve by static condensation and multifrontal elimination;
+    full residual <= 1e-10 relative.
 
     The interior DOFs of each element are eliminated against its skeleton
     (vertex and edge) DOFs, once per group of elements that share a shape
     class and a coefficient, and so a matrix. The Schur complements are
-    summed over the skeleton, whose free block is factored by sparse LU;
-    the interiors are then recovered by back-substitution.
+    eliminated front by front over `space.tree` (`_eliminate`); the
+    interiors are then recovered by back-substitution.
 
     A singular interior block raises AssemblyError naming the
-    lowest-numbered element that has one.
+    lowest-numbered element that has one; a singular front, the
+    lowest-numbered element below it.
     """
     space = system.space
     dofs = space.elem_dofs
     ns = space.n_skeleton
-    il = _interior_locals(space.p)
-    bl = np.setdiff1d(np.arange(dofs.shape[1]), il)
+    il, bl = _interior_locals(space.p), _skeleton_locals(space.p)
     skel = dofs[:, bl]
     nel, ni, nb = len(dofs), len(il), len(bl)
     rhs = system.lifted_rhs()
@@ -497,22 +524,14 @@ def solve(system: AssembledSystem) -> DiscreteField:
         A_bi = A[bl[:, None], il]
         schur[g] = A[bl[:, None], bl] - A_bi @ X[:, :nb]
         A_bi_x[idx] = x_r[idx] @ A_bi.T
-    rhs_s = rhs[:ns] - _scatter(skel, A_bi_x, ns)
 
     # Constrained skeleton rows and columns are dropped: rhs carries -A g.
-    free_s = space.free[space.free < ns]
-    index = np.full(ns, -1, dtype=np.int64)
-    index[free_s] = np.arange(len(free_s))
-    rows, cols = _element_triplets(index[skel])
-    keep = (rows >= 0) & (cols >= 0)
-    S_ff = _accumulate_csc(rows[keep], cols[keep], schur[group].ravel()[keep], len(free_s))
-    del schur
-    fact = linsolve.factor(S_ff)
-
     y = np.zeros(space.n_dofs, dtype=np.complex128)  # coefficients minus gvec
-    y[free_s] = linsolve.backsolve(fact, rhs_s[free_s])
+    y[:ns] = _eliminate(space.tree, schur, group, rhs[:ns] - _scatter(skel, A_bi_x, ns))
     for idx, X in zip(groups, X_b):
         y[dofs[idx[:, None], il]] = x_r[idx] - y[skel[idx]] @ X.T
+    if not np.all(np.isfinite(y)):
+        raise AssemblyError("non-finite solution")
 
     free = space.free
     b_f = rhs[free]
@@ -523,6 +542,38 @@ def solve(system: AssembledSystem) -> DiscreteField:
         if not res <= 1e-10:
             raise AssemblyError(f"solver residual {res:.3e} exceeds 1e-10")
     return DiscreteField(space=space, coeffs=system.gvec + y)
+
+
+def _eliminate(tree, schur, group, b) -> np.ndarray:
+    """Solution of the summed skeleton system, zero at constrained DOFs.
+
+    Element e's Schur complement over its skeleton is schur[group[e]], and
+    b is the skeleton right-hand side. Each front of `tree`, in postorder,
+    takes its leaf's block or extend-adds its children's update blocks,
+    eliminates its DOFs with one dense solve (partial pivoting within the
+    front) and passes the update block of the rest up; b is updated in
+    place of a rhs column. Back-substitution runs from the root down.
+    """
+    b = b.copy()
+    updates, solved = {}, []
+    for k, (dofs, n, children, lowest, keep) in enumerate(tree):
+        if children:
+            F = np.zeros((len(dofs),) * 2, dtype=np.complex128)
+            for c, pos in children:
+                F[pos[:, None], pos] += updates.pop(c)
+        else:
+            F = schur[group[lowest]][keep[:, None], keep]
+        try:
+            X = np.linalg.solve(F[:n, :n], np.column_stack([F[:n, n:], b[dofs[:n]]]))
+        except np.linalg.LinAlgError:
+            raise AssemblyError(f"singular front at element {lowest}") from None
+        b[dofs[n:]] -= F[n:, :n] @ X[:, -1]
+        updates[k] = F[n:, n:] - F[n:, :n] @ X[:, :-1]
+        solved.append(X)
+    y = np.zeros_like(b)
+    for (dofs, n, *_), X in zip(reversed(tree), reversed(solved)):
+        y[dofs[:n]] = X[:, -1] - X[:, :-1] @ y[dofs[n:]]
+    return y
 
 
 # ---------------------------------------------------------------------------

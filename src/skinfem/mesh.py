@@ -94,18 +94,6 @@ class QuadMesh:
         """(n_elements, 4, 2) node ids of the first and last corner of each face."""
         return self.corners[:, _FACE_CORNERS]
 
-    def face_node_ids(self, e: int, face: int) -> np.ndarray:
-        return self.elem_nodes[e, _face_locals(self.geomdeg)[face]]
-
-    def facet_adjacency(self) -> dict:
-        """Map facet key (sorted corner ids) -> list of (elem, face)."""
-        keys = np.sort(self.face_corners, axis=2).tolist()
-        adj: dict[tuple[int, int], list] = {}
-        for e, faces in enumerate(keys):
-            for face, key in enumerate(faces):
-                adj.setdefault(tuple(key), []).append((e, face))
-        return adj
-
 
 class _NodeRegistry:
     """Deduplicates geometry nodes by exact coordinate values.

@@ -113,15 +113,10 @@ class SlopeReport:
     curv_ratio: float
 
 
-def slope_report(
-    field: DiscreteField,
-    params: PhysicalParams,
-    mean_curv: float,
-    interface_radius: float,
-) -> SlopeReport:
-    """Fit the equatorial decay slope and compare with the curvature-corrected
-    theoretical value."""
-    y3, vals = extract_radial(field, interface_radius)
+def slope_report(y3, vals, params: PhysicalParams, mean_curv: float) -> SlopeReport:
+    """Fit the decay slope of the equatorial trace (y3, vals) from
+    `extract_radial` and compare with the curvature-corrected theoretical
+    value."""
     ell = params.ell
     s_fit, _ = regression_slope(y3, vals, ell)
     s_th = theoretical_slope(params, mean_curv)

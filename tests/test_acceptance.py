@@ -9,6 +9,8 @@ import pytest
 
 from skinfem import fem, geometry, mesh, physics, postprocess
 from skinfem.physics import PhysicalParams
+from test_fem import global_matrix
+from test_mesh import facet_adjacency
 
 
 _CAPMAN = None
@@ -93,7 +95,7 @@ def test_criterion_3_slope_reproduction(b1_m3):
     details = []
     for sigma, p in [(5.0, 10), (20.0, 12), (80.0, 16)]:
         f, params, _ = run_b1(b1_m3, sigma, p)
-        rep = postprocess.slope_report(f, params, H, a)
+        rep = postprocess.slope_report(*postprocess.extract_radial(f, a), params, H)
         ok &= rep.err <= bounds[sigma] and rep.err < rep.curv_ratio
         details.append(
             f"sigma={sigma:g}: s_fit={rep.slope_fit:.5f} err={rep.err:.4f}"
@@ -189,14 +191,14 @@ def test_criterion_7_property_suites_standalone():
     details.append("regression exactness")
 
     m = mesh.mesh_for("B1", "M1", sigma_max=80.0)
-    A = fem.global_matrix(
+    A = global_matrix(
         fem.assemble(fem.FeSpace(m, 2), p, fem.SourceSpec.dirichlet_radius())
     )
     d = (A - A.T).tocoo()
     ok &= d.nnz == 0 or np.max(np.abs(d.data)) == 0.0
     details.append("matrix symmetry")
 
-    for owners in m.facet_adjacency().values():
+    for owners in facet_adjacency(m).values():
         ok &= len(owners) <= 2
     details.append("mesh conformity")
 

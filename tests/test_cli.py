@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skinfem import cli, fem, linsolve, mesh, physics, postprocess
+from skinfem import cli, fem, mesh, physics, postprocess
 
 
 def write_ini(tmp_path, body, name="exp.ini"):
@@ -252,11 +252,10 @@ class TestExitCodes:
         "exc, code",
         [
             (fem.AssemblyError("singular interior block in element 3"), cli.EXIT_SOLVE),
-            (linsolve.SingularMatrixError("singular matrix", index=4), cli.EXIT_SOLVE),
             (mesh.MeshGenerationError("facet shared by 3 elements"), cli.EXIT_SOLVE),
             (cli.PostprocessError("no conductor samples"), cli.EXIT_POST),
         ],
-        ids=["assembly", "singular", "mesh", "postprocess"],
+        ids=["assembly", "mesh", "postprocess"],
     )
     def test_library_error_exit_code(self, tmp_path, monkeypatch, capsys, exc, code):
         out = tmp_path / "out"
@@ -264,6 +263,25 @@ class TestExitCodes:
         assert cli.main(["--config", write_ini(tmp_path, TWO_SIGMAS.format(out=out))]) == code
         assert str(exc) in capsys.readouterr().err
         assert os.listdir(out) == []  # the first sigma's field file is removed
+
+    def test_singular_skeleton_exit_3(self, tmp_path, monkeypatch, capsys):
+        # Zero skeleton rows and columns: regular interior blocks, a
+        # singular summed skeleton.
+        assemble = cli.fem.assemble
+
+        def singular(space, *args, **kwargs):
+            system = assemble(space, *args, **kwargs)
+            bl = fem._skeleton_locals(space.p)
+            for a in (system.stiffness, system.mass):
+                a[:, bl, :] = 0.0
+                a[:, :, bl] = 0.0
+            return system
+
+        monkeypatch.setattr(cli.fem, "assemble", singular)
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_ini(tmp_path, BASE.format(out=out))]) == cli.EXIT_SOLVE
+        assert "singular front at element" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_postprocess_value_error_exit_4(self, tmp_path, monkeypatch):
         def bad(field):

@@ -26,6 +26,31 @@ from skinfem.fem import (
     write_field,
 )
 from test_kernels import dense_element_matrix
+from test_mesh import face_node_ids, facet_adjacency
+
+
+def _element_triplets(dofs):
+    """Row and column indices of the entries of element matrices over dofs."""
+    k = dofs.shape[1]
+    return np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
+
+
+def global_matrix(system):
+    """The assembled n_dofs x n_dofs matrix in CSC, constrained rows included.
+
+    Duplicates are summed in element order, so the exact complex symmetry
+    of the element matrices is kept.
+    """
+    n = system.space.n_dofs
+    rows, cols = _element_triplets(system.space.elem_dofs)
+    k = system.elem_shape
+    vals = system.coef[:, None, None] * system.stiffness[k] - system.kappa2 * system.mass[k]
+    keys = cols * np.int64(n) + rows
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    data = np.add.reduceat(vals.ravel()[order], starts)
+    entry = keys[order][starts]
+    return sparse.csc_matrix((data, (entry % n, entry // n)), shape=(n, n))
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +228,7 @@ class TestNumbering:
 class TestAssembly:
     def test_exact_complex_symmetry(self, mesh_b1, params5):
         sp = FeSpace(mesh_b1, 3)
-        A = fem.global_matrix(assemble(sp, params5, SourceSpec.dirichlet_radius()))
+        A = global_matrix(assemble(sp, params5, SourceSpec.dirichlet_radius()))
         d = (A - A.T).tocoo()
         assert d.nnz == 0 or np.max(np.abs(d.data)) == 0.0
 
@@ -216,7 +241,7 @@ class TestAssembly:
         x = sp.dof_coords[:, 0].astype(np.complex128)
         k2 = params5.kappa**2
         expect = 32.0 - 16.0 * k2
-        assert x @ (fem.global_matrix(sys_) @ x) == pytest.approx(expect, rel=1e-12)
+        assert x @ (global_matrix(sys_) @ x) == pytest.approx(expect, rel=1e-12)
 
     def test_element_order_invariance(self, params5):
         import dataclasses
@@ -253,7 +278,7 @@ class TestAssembly:
         sp = FeSpace(mesh_b1, 4)
         sys_ = assemble(sp, params5, SourceSpec.dirichlet_radius())
         f = solve(sys_)
-        A = fem.global_matrix(sys_)
+        A = global_matrix(sys_)
         free = sp.free
         rhs = sys_.lifted_rhs()
         # rhs already contains -A g; full residual on free rows:
@@ -262,41 +287,18 @@ class TestAssembly:
         assert np.max(np.abs(r)) / scale < 1e-9
 
 
-def _accumulate_csr_then_csc(rows, cols, vals, n):
-    """The skeleton build before the direct CSC one: duplicates summed in a
-    row-major stable sort, a CSR matrix, then `tocsc`."""
-    keys = rows * np.int64(n) + cols
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(ks))[0] + 1])
-    sums = np.add.reduceat(vals[order], starts)
-    return sparse.csr_matrix((sums, (ks[starts] // n, ks[starts] % n)), shape=(n, n)).tocsc()
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_accumulate_csc_bitwise_equals_csr_then_tocsc(seed):
-    # Values over 16 decades, so that another summation order of the
-    # duplicates would show; odd columns and the last one stay empty.
-    rng = np.random.default_rng(seed)
-    n, m = 81, 3000
-    rows, cols = rng.integers(0, n, m), 2 * rng.integers(0, n // 2, m)
-    scale = 10.0 ** rng.uniform(-8, 8, m)
-    vals = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    got = fem._accumulate_csc(rows, cols, vals, n)
-    want = _accumulate_csr_then_csc(rows, cols, vals, n)
-    assert got.format == "csc" and got.shape == (n, n)
-    assert want.nnz < m  # duplicates were summed
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-
 class TestCondensation:
     """solve() against an uncondensed direct solve of the same system."""
 
-    @pytest.mark.parametrize("config", ["A", "B1", "C1"])
-    @pytest.mark.parametrize("p", [1, 2, 4, 8])
-    def test_matches_global_solve(self, params5, config, p):
-        m = mesh.mesh_for(config, "M1", sigma_max=80.0)
+    CASES = [(c, "M1", p) for p in (1, 2, 4, 8) for c in ("A", "B1", "C1")]
+    CASES += [("A", "M3", 8), ("B2", "M2", 8)]
+
+    @pytest.mark.parametrize(
+        "config, spec, p", CASES,
+        ids=[f"{p}-{c}" + (f"-{s}" if s != "M1" else "") for c, s, p in CASES],
+    )
+    def test_matches_global_solve(self, params5, config, spec, p):
+        m = mesh.mesh_for(config, spec, sigma_max=80.0)
         space = FeSpace(m, p)
         if p == 1:
             assert space.n_skeleton == space.n_dofs  # nothing to condense
@@ -329,6 +331,28 @@ class TestCondensation:
         with pytest.raises(AssemblyError, match=rf"element {lowest}\b"):
             solve(sys_)
 
+    def test_singular_skeleton_names_element(self, mesh_a2, params5):
+        # Regular interior blocks, zero Schur complements: the first front
+        # that eliminates anything is singular.
+        space = FeSpace(mesh_a2, 3)
+        sys_ = assemble(space, params5, SourceSpec.dirichlet_radius())
+        bl = fem._skeleton_locals(3)
+        for a in (sys_.stiffness, sys_.mass):
+            a[:, bl, :] = 0.0
+            a[:, :, bl] = 0.0
+        lowest = next(node[3] for node in space.tree if node[1])  # first front with eliminations
+        with pytest.raises(AssemblyError, match=rf"singular front at element {lowest}\b"):
+            solve(sys_)
+
+    def test_non_finite_solution_raises_without_rhs(self, mesh_a2, params5):
+        # No source: the free rhs is zero and the residual check is skipped.
+        sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec())
+        assert not np.any(sys_.lifted_rhs())
+        bl = fem._skeleton_locals(3)
+        sys_.stiffness[:, bl[0], bl[0]] = np.nan
+        with pytest.raises(AssemblyError, match="non-finite"):
+            solve(sys_)
+
     def test_all_skeleton_dofs_prescribed(self, params5):
         # One element with four outer facets: the free skeleton is empty and
         # only the interior is solved for. H = r is exact in Q_3.
@@ -348,10 +372,8 @@ class TestCondensation:
 
     def test_full_residual_checked(self, mesh_a2, params5, monkeypatch):
         sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
-        backsolve = fem.linsolve.backsolve
-        monkeypatch.setattr(
-            fem.linsolve, "backsolve", lambda fact, rhs: backsolve(fact, rhs) * (1 + 1e-6)
-        )
+        eliminate = fem._eliminate
+        monkeypatch.setattr(fem, "_eliminate", lambda *args: eliminate(*args) * (1 + 1e-6))
         with pytest.raises(AssemblyError, match="residual"):
             solve(sys_)
 
@@ -434,7 +456,7 @@ def _condensed_per_element(system, S, M):
         schur.append(A[e][np.ix_(bl, bl)] - Abi @ X_b[e])
         np.subtract.at(rhs_s, dofs[e, bl], Abi @ x_r[e])
     skel = dofs[:, bl]
-    rows, cols = fem._element_triplets(skel)
+    rows, cols = _element_triplets(skel)
     K = sparse.csr_matrix((np.ravel(schur), (rows, cols)), shape=(ns, ns))
     free_s = space.free[space.free < ns]
     y = np.zeros(n, dtype=np.complex128)
@@ -567,13 +589,13 @@ class TestEvaluation:
     def test_continuity_across_facets(self, mesh_b1, params5):
         sp = FeSpace(mesh_b1, 4)
         f = solve(assemble(sp, params5, SourceSpec.dirichlet_radius()))
-        adj = mesh_b1.facet_adjacency()
+        adj = facet_adjacency(mesh_b1)
         checked = 0
         for owners in adj.values():
             if len(owners) != 2 or checked >= 10:
                 continue
             (e0, f0), (e1, f1) = owners
-            pts = mesh_b1.nodes[mesh_b1.face_node_ids(e0, f0)]
+            pts = mesh_b1.nodes[face_node_ids(mesh_b1, e0, f0)]
             mid = pts[len(pts) // 2]
             vals = []
             for e in (e0, e1):
