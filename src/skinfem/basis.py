@@ -1,12 +1,12 @@
 """Gauss-Lobatto nodes, Lagrange evaluation, Gauss quadrature, tensor bases.
 
 Shared by the mesh generator (curved-facet geometry interpolation) and the
-finite element space. All reference coordinates live on [0, 1].
+finite element space. All reference coordinates live on [0, 1]. Tables are
+computed on each call from the barycentric formulas (Berrut & Trefethen,
+SIAM Review 46, 2004); nothing is cached.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def gll_points(p: int) -> np.ndarray:
     """Gauss-Lobatto-Legendre points of degree p on [0, 1], (p+1,) array."""
     if p < 1:
@@ -40,18 +39,18 @@ def gll_points(p: int) -> np.ndarray:
     return pts
 
 
-@lru_cache(maxsize=None)
-def _bary_weights_cached(key: bytes, n: int) -> np.ndarray:
-    nodes = np.frombuffer(key, dtype=np.float64)
-    w = np.ones(n)
-    for j in range(n):
-        diff = nodes[j] - np.delete(nodes, j)
-        w[j] = 1.0 / np.prod(diff)
-    return w
-
-
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:
-    return _bary_weights_cached(np.ascontiguousarray(nodes).tobytes(), len(nodes))
+    return 1.0 / np.prod(nodes[:, None] - nodes[None, :] + np.eye(len(nodes)), axis=1)
+
+
+def _diff_matrix(nodes: np.ndarray) -> np.ndarray:
+    """Differentiation matrix D[i, j] = L_j'(nodes[i]) of the Lagrange basis
+    at its own nodes; each row sums to zero."""
+    w = _bary_weights(nodes)
+    D = (w[None, :] / w[:, None]) / (nodes[:, None] - nodes[None, :] + np.eye(len(nodes)))
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return D
 
 
 def lagrange_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -74,36 +73,24 @@ def lagrange_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _diff_matrix_cached(key: bytes, n: int) -> np.ndarray:
-    """Differentiation matrix of the Lagrange basis at its own nodes."""
-    nodes = np.frombuffer(key, dtype=np.float64)
-    w = _bary_weights_cached(key, n)
-    D = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (w[j] / w[i]) / (nodes[i] - nodes[j])
-        D[i, i] = 0.0
-        D[i, i] = -D[i, :].sum()
-    D.flags.writeable = False
-    return D
-
-
 def lagrange_deriv_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Derivatives L_j'(x_i), shape (len(x), len(nodes))."""
     nodes = np.asarray(nodes, dtype=float)
-    D = _diff_matrix_cached(np.ascontiguousarray(nodes).tobytes(), len(nodes))
     # L'(x) = L(x) @ D works because the derivative of a degree-n polynomial
     # is itself degree < n and interpolation at the nodes is exact.
-    return lagrange_matrix(nodes, x) @ D
+    return lagrange_matrix(nodes, x) @ _diff_matrix(nodes)
 
 
-@lru_cache(maxsize=None)
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre rule on [0, 1]: (points, weights)."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _row_kron(A, B):
+    """Row-wise Kronecker product: A[q, i] B[q, k] as a (n_points, n_i * n_k)
+    table, column i * n_k + k."""
+    return (A[:, :, None] * B[:, None, :]).reshape(len(A), -1)
 
 
 def tensor_lagrange(deg: int, u, v):
@@ -113,30 +100,14 @@ def tensor_lagrange(deg: int, u, v):
     function j*(deg+1)+i is L_i(u) L_j(v), so the u index is fast.
     """
     nodes = gll_points(deg)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    D = _diff_matrix_cached(nodes.tobytes(), len(nodes))
+    D = _diff_matrix(nodes)
     Vu, Vv = lagrange_matrix(nodes, u), lagrange_matrix(nodes, v)
     Du, Dv = Vu @ D, Vv @ D  # as in lagrange_deriv_matrix, without re-evaluating V
-
-    def outer(a, b):
-        return (b[:, :, None] * a[:, None, :]).reshape(len(u), -1)
-
-    return outer(Vu, Vv), outer(Du, Vv), outer(Vu, Dv)
-
-
-@lru_cache(maxsize=None)
-def _tensor_grid_cached(deg: int, key: bytes):
-    x = np.frombuffer(key, dtype=np.float64)
-    U, V = np.meshgrid(x, x, indexing="xy")  # V slow, U fast along rows
-    tables = tensor_lagrange(deg, U.ravel(), V.ravel())
-    for t in tables:
-        t.flags.writeable = False  # shared by every caller
-    return tables
+    return _row_kron(Vv, Vu), _row_kron(Vv, Du), _row_kron(Dv, Vu)
 
 
 def tensor_lagrange_grid(deg: int, x):
     """`tensor_lagrange` on the tensor grid x × x, point index b*len(x)+a for
-    (x[a], x[b]). Cached per degree and point set; the tables are read-only."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    return _tensor_grid_cached(deg, x.tobytes())
+    (x[a], x[b])."""
+    U, V = np.meshgrid(x, x)  # V slow, U fast along rows
+    return tensor_lagrange(deg, U.ravel(), V.ravel())

@@ -220,8 +220,7 @@ class _Runner:
     # -- helpers ------------------------------------------------------------
 
     def _mesh(self, spec: str):
-        sigma_max = max(self.cfg.sigmas)
-        return mesh.mesh_for(self.cfg.config, spec, sigma_max=sigma_max)
+        return mesh.mesh_for(self.cfg.config, spec, max(self.cfg.sigmas), self.cfg.omega)
 
     def _solve(self, spec: str, p: int, sigma: float) -> fem.DiscreteField:
         """Solve at sigma, assembling only when (spec, p) changes."""

@@ -25,15 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
-from .basis import (
-    gauss_rule,
-    gll_points,
-    lagrange_deriv_matrix,
-    lagrange_matrix,
-    tensor_lagrange,
-    tensor_lagrange_grid,
-)
+from . import basis, kernels
 from .mesh import (
     FACET_AXIS,
     FACET_OUTER,
@@ -79,7 +71,7 @@ class PointLocationError(RuntimeError):
 def _quad_points(nq1: int, nsub: int = 1):
     """nq1-point Gauss rule on each of nsub equal subintervals of [0, 1]:
     (points, tensor weights), the weights ordered like the tensor grid."""
-    gx, gw = gauss_rule(nq1)
+    gx, gw = basis.gauss_rule(nq1)
     x = np.concatenate([(s + gx) / nsub for s in range(nsub)])
     w = np.tile(gw / nsub, nsub)
     return x, np.outer(w, w).reshape(-1)
@@ -154,7 +146,7 @@ class FeSpace:
 
     def _compute_dof_coords(self):
         mesh = self.mesh
-        GV = tensor_lagrange_grid(mesh.geomdeg, gll_points(self.p))[0]
+        GV = basis.tensor_lagrange_grid(mesh.geomdeg, basis.gll_points(self.p))[0]
         coords = np.empty((self.n_dofs, 2))
         coords[self.elem_dofs] = GV @ mesh.nodes[mesh.elem_nodes]
         self.dof_coords = coords
@@ -384,12 +376,9 @@ def assemble(
     mesh, p = space.mesh, space.p
     nq1 = p + 3
 
-    n2 = (p + 1) ** 2
     xq, w2 = _quad_points(nq1)
-    phi = tensor_lagrange_grid(p, xq)[0]
-
     X = mesh.nodes[mesh.elem_nodes]
-    rq, zq, xu, xv, yu, yv, det = _geometry_eval(X, *tensor_lagrange_grid(mesh.geomdeg, xq))
+    rq, zq, xu, xv, yu, yv, det = _geometry_eval(X, *basis.tensor_lagrange_grid(mesh.geomdeg, xq))
     bad_det, bad_r = np.any(det <= 0.0, axis=1), np.any(rq <= 0.0, axis=1)
     if np.any(bad_det | bad_r):
         e = int(np.argmax(bad_det | bad_r))
@@ -399,23 +388,25 @@ def assemble(
 
     elem_shape, first = _shape_classes(mesh)
     S, M = kernels.element_matrix(
-        lagrange_matrix(gll_points(p), xq),
-        lagrange_deriv_matrix(gll_points(p), xq),
+        basis.lagrange_matrix(basis.gll_points(p), xq),
+        basis.lagrange_deriv_matrix(basis.gll_points(p), xq),
         *(a[first] for a in (rq, wq, xu, xv, yu, yv, det)),
     )
 
-    be = np.zeros((mesh.n_elements, n2))
+    be = np.zeros((mesh.n_elements, (p + 1) ** 2))
     if source.interior_f is not None:
+        phi = basis.tensor_lagrange_grid(p, xq)[0]
         be = kernels.element_load(phi, rq, wq, np.asarray(source.interior_f(rq, zq), dtype=float))
         cut = []
         if source.support is not None:
             C = mesh.nodes[mesh.corners]
             inside = np.asarray(source.support(C[..., 0], C[..., 1]), dtype=bool)
             cut = np.flatnonzero(inside.any(axis=1) & ~inside.all(axis=1))
-        if len(cut):  # tables per call, not cached: large and used once
+        if len(cut):
             sxq, sw2 = _quad_points(nq1, 4)
             su, sv = (t.ravel() for t in np.meshgrid(sxq, sxq))
-            sub_geom, sub_phi = tensor_lagrange(mesh.geomdeg, su, sv), tensor_lagrange(p, su, sv)[0]
+            sub_geom = basis.tensor_lagrange(mesh.geomdeg, su, sv)
+            sub_phi = basis.tensor_lagrange(p, su, sv)[0]
             srq, szq, _, _, _, _, sdet = _geometry_eval(X[cut], *sub_geom)
             fq = np.asarray(source.interior_f(srq, szq), dtype=float)
             be[cut] = kernels.element_load(sub_phi, srq, sw2 * sdet, fq)
@@ -594,17 +585,12 @@ def inverse_map(mesh: QuadMesh, elems, points):
     X = mesh.nodes[mesh.elem_nodes[elems]]
     act = np.arange(len(elems))
     for _ in range(60):
-        GV, GDu, GDv = tensor_lagrange(mesh.geomdeg, uv[act, 0], uv[act, 1])
-        Xa, ta = X[act], target[act]
-        resid = np.einsum("kj,kjd->kd", GV, Xa) - ta
-        conv = np.max(np.abs(resid), axis=1) < 1e-14 * (1.0 + np.max(np.abs(ta), axis=1))
-        xu, yu = np.einsum("kj,kjd->dk", GDu, Xa)
-        xv, yv = np.einsum("kj,kjd->dk", GDv, Xa)
-        det = xu * yv - xv * yu
+        tables = (t[:, None] for t in basis.tensor_lagrange(mesh.geomdeg, uv[act, 0], uv[act, 1]))
+        x, y, xu, xv, yu, yv, det = np.squeeze(_geometry_eval(X[act], *tables), axis=2)
+        dx, dy = x - target[act, 0], y - target[act, 1]
+        conv = np.maximum(abs(dx), abs(dy)) < 1e-14 * (1.0 + np.max(np.abs(target[act]), axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.column_stack(
-                [yv * resid[:, 0] - xv * resid[:, 1], xu * resid[:, 1] - yu * resid[:, 0]]
-            ) / det[:, None]
+            step = np.column_stack([yv * dx - xv * dy, xu * dy - yu * dx]) / det[:, None]
             size = np.max(np.abs(step), axis=1)
             step *= np.minimum(1.0, 0.5 / size)[:, None]  # max-norm clamp at 0.5
         new = uv[act] - step
@@ -653,7 +639,7 @@ def locate(mesh: QuadMesh, points):
 def _values_at(field: DiscreteField, elem, u, v) -> np.ndarray:
     """Field values at located points (elem >= 0)."""
     space = field.space
-    phi = tensor_lagrange(space.p, u, v)[0]
+    phi = basis.tensor_lagrange(space.p, u, v)[0]
     return np.einsum("kj,kj->k", phi, field.coeffs[space.elem_dofs[elem]])
 
 

@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .basis import _row_kron
+
 __all__ = ["element_matrix", "element_load"]
 
 # Index pairs (a, b), a <= b, of the basis factors (phi, du phi, dv phi)
 # in the stiffness terms.
 _PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]
-
-
-def _pair_table(A, B):
-    """A[q, i] B[q, k] as a (n_points, n_i * n_k) table, column i * n_k + k."""
-    return (A[:, :, None] * B[:, None, :]).reshape(len(A), -1)
 
 
 def _add_transpose(R, n1, out):
@@ -59,8 +56,8 @@ def element_matrix(V, D, rq, wq, xu, xv, yu, yv, det):
     nq, n1 = V.shape
     n = n1 * n1
     along_u, along_v = (V, D, V), (V, V, D)
-    P = np.stack([_pair_table(along_u[a], along_u[b]) for a, b in _PAIRS])
-    Qt = np.concatenate([_pair_table(along_v[a], along_v[b]) for a, b in _PAIRS]).T.copy()
+    P = np.stack([_row_kron(along_u[a], along_u[b]) for a, b in _PAIRS])
+    Qt = np.concatenate([_row_kron(along_v[a], along_v[b]) for a, b in _PAIRS]).T.copy()
     wr = wq * rq
     cr = (1.0 / rq, yv / det, -yu / det)
     cz = (0.0, -xv / det, xu / det)

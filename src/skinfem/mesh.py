@@ -134,6 +134,7 @@ class _MeshBuilder:
     def __init__(self, geomdeg: int, on_outer, name: str = ""):
         self.reg = _NodeRegistry()
         self.geomdeg = geomdeg
+        self._pts = gll_points(geomdeg).tolist()
         self.on_outer = on_outer
         self.elem_nodes: list[list[int]] = []
         self.tags: list[str] = []
@@ -141,8 +142,7 @@ class _MeshBuilder:
 
     def add_element(self, gen, tag: str):
         """gen(u, v) -> (r, z) on [0,1]^2, counterclockwise orientation."""
-        pts = gll_points(self.geomdeg).tolist()
-        self.elem_nodes.append([self.reg.add(*gen(u, v)) for v in pts for u in pts])
+        self.elem_nodes.append([self.reg.add(*gen(u, v)) for v in self._pts for u in self._pts])
         self.tags.append(tag)
 
     def finish(self) -> QuadMesh:
@@ -317,7 +317,6 @@ def layered_mesh_B(
     n_layers: int,
     sigma_max: float,
     omega: float = OMEGA_DEFAULT,
-    mu0: float = MU0,
 ) -> QuadMesh:
     """Boundary-layer mesh M_{n_layers} for configs B1/B2/C1/C2.
 
@@ -334,7 +333,7 @@ def layered_mesh_B(
     a, bb, c, d = p["a"], p["b"], p["c"], p["d"]
     shell_conductor = config.startswith("C")
 
-    ell = skin_depth(omega, mu0, sigma_max)
+    ell = skin_depth(omega, MU0, sigma_max)
     t_band = _BAND_FACTOR * ell
     kmax = a / c**2  # max meridian curvature of the inner ellipse
     t_core = min(0.35 * c, 0.7 / kmax)
@@ -469,15 +468,18 @@ def layered_mesh_B(
     return b.finish()
 
 
-def mesh_for(config: str, spec: str, sigma_max: float = 80.0) -> QuadMesh:
-    """Build a mesh from a name like 'M2' (A: square index, B/C: layer count)."""
+def mesh_for(
+    config: str, spec: str, sigma_max: float = 80.0, omega: float = OMEGA_DEFAULT
+) -> QuadMesh:
+    """Build a mesh from a name like 'M2' (A: square index, B/C: layer count).
+    B/C meshes resolve the skin depth at sigma_max and omega."""
     spec = spec.strip()
     if not spec.upper().startswith("M"):
         raise ValueError(f"mesh spec {spec!r} not understood (expected 'M<k>')")
     k = int(spec[1:])
     if config == "A":
         return square_mesh_A(k)
-    return layered_mesh_B(config, k, sigma_max)
+    return layered_mesh_B(config, k, sigma_max, omega)
 
 
 # ---------------------------------------------------------------------------

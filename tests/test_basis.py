@@ -11,17 +11,57 @@ from skinfem.basis import (
 )
 
 
+def bary_weights_reference(nodes):
+    """The scalar loop the barycentric weights were computed with before
+    the array form."""
+    w = np.ones(len(nodes))
+    for j in range(len(nodes)):
+        w[j] = 1.0 / np.prod(nodes[j] - np.delete(nodes, j))
+    return w
+
+
+def diff_matrix_reference(nodes):
+    """The scalar loop of the differentiation matrix before the array form."""
+    n = len(nodes)
+    w = bary_weights_reference(nodes)
+    D = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = (w[j] / w[i]) / (nodes[i] - nodes[j])
+        D[i, i] = 0.0
+        D[i, i] = -D[i, :].sum()
+    return D
+
+
+def lagrange_reference(nodes, x):
+    """Barycentric values and derivatives, point by point, from the
+    reference loops."""
+    w = bary_weights_reference(nodes)
+    V = np.zeros((len(x), len(nodes)))
+    for i, xi in enumerate(x):
+        hit = np.abs(xi - nodes) < 1e-14
+        if hit.any():
+            V[i, hit] = 1.0
+        else:
+            V[i] = (w / (xi - nodes)) / np.sum(w / (xi - nodes))
+    return V, V @ diff_matrix_reference(nodes)
+
+
 def einsum_reference(deg, x):
     """The tensor tables as the element assembly built them before the
-    shared helper: 1-D Lagrange tables at x combined by einsum, u fast."""
-    nodes = gll_points(deg)
-    V = lagrange_matrix(nodes, x)
-    D = lagrange_deriv_matrix(nodes, x)
+    shared helper: 1-D reference Lagrange tables at x combined by einsum,
+    u fast."""
+    V, D = lagrange_reference(gll_points(deg), x)
     n = len(x)
     phi = np.einsum("ai,bj->baji", V, V).reshape(n * n, -1)
     du = np.einsum("ai,bj->baji", D, V).reshape(n * n, -1)
     dv = np.einsum("ai,bj->baji", V, D).reshape(n * n, -1)
     return phi, du, dv
+
+
+def close(new, ref, rtol):
+    return new.shape == ref.shape and np.max(np.abs(new - ref)) <= rtol * np.max(np.abs(ref))
 
 
 def point_set(kind, p):
@@ -38,8 +78,7 @@ def point_set(kind, p):
 def test_grid_matches_einsum_reference(p, kind):
     x = point_set(kind, p)
     for new, ref in zip(tensor_lagrange_grid(p, x), einsum_reference(p, x)):
-        assert new.shape == ref.shape
-        assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert close(new, ref, 1e-14)
 
 
 @pytest.mark.parametrize("p", [1, 2, 8, 16, 20])
@@ -50,7 +89,19 @@ def test_paired_points_give_grid_rows(p):
         assert np.array_equal(paired, grid)
 
 
-def test_grid_tables_read_only():
-    phi = tensor_lagrange_grid(3, gauss_rule(4)[0])[0]
-    with pytest.raises(ValueError):
-        phi[0, 0] = 1.0
+@pytest.mark.parametrize("kind", ["gauss", "subgauss", "gll"])
+@pytest.mark.parametrize("p", [1, 2, 8, 16, 20])
+def test_1d_tables_match_scalar_reference(p, kind):
+    nodes, x = gll_points(p), point_set(kind, p)
+    V, D = lagrange_reference(nodes, x)
+    assert close(lagrange_matrix(nodes, x), V, 1e-14)
+    assert close(lagrange_deriv_matrix(nodes, x), D, 1e-14)
+
+
+def test_returned_points_and_weights_are_private():
+    before = [gll_points(3).copy(), *(a.copy() for a in gauss_rule(4))]
+    gll_points(3)[1] = 0.9
+    for a in gauss_rule(4):
+        a[:] = 0.0
+    for new, old in zip([gll_points(3), *gauss_rule(4)], before):
+        assert np.array_equal(new, old)

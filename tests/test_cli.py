@@ -418,6 +418,16 @@ class TestPConvergenceReference:
         ]
 
 
+def test_mesh_resolves_the_run_omega():
+    # The skin band is 3 ell at the run's omega, not at the default one.
+    cfg = cli.ExperimentConfig(
+        study="slope-study", config="B1", sigmas=[80.0, 200.0], ps=[8], omega=3e6
+    )
+    got = cli._Runner(cfg)._mesh("M2")
+    assert np.array_equal(got.nodes, mesh.layered_mesh_B("B1", 2, 200.0, 3e6).nodes)
+    assert not np.array_equal(got.nodes, mesh.layered_mesh_B("B1", 2, 200.0).nodes)
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from skinfem import fem, mesh, physics, postprocess
-from skinfem.basis import gll_points, tensor_lagrange
+from skinfem.basis import gll_points, tensor_lagrange, tensor_lagrange_grid
 from skinfem.fem import (
     AssemblyError,
     FeSpace,
@@ -106,8 +106,6 @@ class TestSpace:
         sp = FeSpace(mesh_b1, 5)
         # dof coordinates were written once per adjacent element; recompute
         # from each element and compare
-        from skinfem.basis import gll_points, tensor_lagrange_grid
-
         for e in range(mesh_b1.n_elements):
             GV = tensor_lagrange_grid(mesh_b1.geomdeg, gll_points(5))[0]
             pts = GV @ mesh_b1.nodes[mesh_b1.elem_nodes[e]]
@@ -411,11 +409,11 @@ def _per_element_arrays(space, source):
     nq1 = p + 3
     n2 = (p + 1) ** 2
     xq, w2 = fem._quad_points(nq1)
-    phi = fem.tensor_lagrange_grid(p, xq)[0]
+    phi = tensor_lagrange_grid(p, xq)[0]
     nel = m.n_elements
     S, M, be = np.empty((nel, n2, n2)), np.empty((nel, n2, n2)), np.zeros((nel, n2))
     X = m.nodes[m.elem_nodes]
-    rq, zq, xu, xv, yu, yv, det = fem._geometry_eval(X, *fem.tensor_lagrange_grid(m.geomdeg, xq))
+    rq, zq, xu, xv, yu, yv, det = fem._geometry_eval(X, *tensor_lagrange_grid(m.geomdeg, xq))
     wq = w2 * det
     for e in range(nel):
         S[e], M[e] = dense_element_matrix(p, *(a[e] for a in (rq, wq, xu, xv, yu, yv, det)))
@@ -713,19 +711,6 @@ class TestSources:
         assert np.max(np.abs(f.coeffs)) > 0
         # outer boundary is homogeneous
         assert np.max(np.abs(f.coeffs[sp.outer_dofs])) == 0.0
-
-    def test_cut_element_tables_not_cached(self, params5):
-        # The subdivided-rule tables serve one assembly; the shared cache
-        # holds only what every assembly on the space uses.
-        from skinfem import basis
-
-        sp = FeSpace(mesh.mesh_for("C1", "M1", sigma_max=80.0), 3)
-        counts = []
-        for src in (SourceSpec.dirichlet_radius(), SourceSpec.config_C1()):
-            basis._tensor_grid_cached.cache_clear()
-            assemble(sp, params5, src)
-            counts.append(basis._tensor_grid_cached.cache_info().currsize)
-        assert counts[1] <= counts[0]
 
 
 class TestFieldIO:

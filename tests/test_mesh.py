@@ -221,7 +221,7 @@ def test_band_resolves_skin_depth():
 def test_generation_error_when_band_too_thick():
     with pytest.raises(MeshGenerationError):
         # sigma tiny: skin depth comparable to the conductor size
-        layered_mesh_B("B1", 3, 1e-4, 3e7, 4e-7 * np.pi)
+        layered_mesh_B("B1", 3, 1e-4, 3e7)
 
 
 def test_mesh_io_roundtrip(tmp_path):

@@ -21,6 +21,18 @@ def test_all_names_resolve(modname):
     assert not missing, f"{modname}.__all__ names missing attributes: {missing}"
 
 
+@pytest.mark.parametrize("modname", MODULES)
+def test_no_process_wide_caches(modname):
+    """Nothing global pins memory for the life of the process: no module
+    attribute is a memoizing wrapper (functools caches and the like)."""
+    mod = importlib.import_module(modname)
+    cached = [
+        name for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_info") or hasattr(obj, "cache_clear")
+    ]
+    assert not cached, f"{modname} holds caches: {cached}"
+
+
 def test_cli_import_leaves_out_scipy_interpolate():
     """No scipy module at all is loaded: numpy is the only runtime
     dependency, and `scipy.interpolate` alone (with the optimize, fft and
