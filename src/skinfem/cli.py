@@ -27,7 +27,6 @@ import configparser
 import hashlib
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass, field
 
@@ -53,8 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVE = 3
 EXIT_POST = 4
-
-_MESH_SPEC = re.compile(r"[Mm][1-9][0-9]*")
 
 
 class ConfigError(ValueError):
@@ -105,7 +102,7 @@ class ExperimentConfig:
         if self.study == "field-map" and len(self.sigmas) != 1:
             raise ConfigError("field 'sigma': field-map takes exactly one conductivity")
         specs = self.mesh_spec.split("+") if self.study == "h-stability" else [self.mesh_spec]
-        if not all(_MESH_SPEC.fullmatch(s.strip()) for s in specs):
+        if not all(mesh.MESH_SPEC.fullmatch(s) for s in specs):
             raise ConfigError(
                 f"field 'mesh': bad spec {self.mesh_spec!r} (expected 'M<k>' with k >= 1)"
             )

@@ -34,6 +34,7 @@ from .mesh import (
     _corner_locals,
     _face_locals,
     _facet_owners,
+    _first_appearance,
     _parse_text,
 )
 from .physics import PhysicalParams
@@ -214,21 +215,6 @@ class FeSpace:
 
         build(np.arange(nel))
         self.tree = tree
-
-
-def _first_appearance(keys, axis=None):
-    """Class index of each key, classes numbered in order of first
-    appearance; returns (indices, position of each class's first key).
-
-    With axis=None a key is an entry of keys (positions index keys.ravel())
-    and the indices are shaped like keys; with axis=0 a key is a row, and
-    the indices are one per row.
-    """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True, axis=axis)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    shape = np.shape(keys) if axis is None else len(keys)
-    return rank[inverse.reshape(-1)].reshape(shape), np.sort(first)
 
 
 def _quantized(x, scale: float) -> np.ndarray:

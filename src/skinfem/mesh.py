@@ -8,11 +8,17 @@ two ellipses. Every element of a mesh carries tensor geometry nodes of one
 degree: 1 for config A's squares, 4 for configs B/C, whose curved elements
 interpolate the exact offset/blend maps and whose axis rectangles are
 bilinear maps written at degree 4, which represents them exactly.
+
+Every mesh is built from structured blocks, each a map of the block's
+logical coordinates (i + u, j + v) evaluated on arrays of all its cells and
+GLL points at once; the nodes are numbered by exact coordinates in order of
+first appearance over the elements.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +49,8 @@ _FACET_TAGS = (FACET_OUTER, FACET_AXIS, FACET_INTERFACE)
 
 _AXIS_TOL = 1e-12
 _NODE_TOL = 1e-12  # both copies of a facet-interior node, and the outer boundary
+
+MESH_SPEC = re.compile(r"\s*[Mm]([1-9][0-9]*)\s*")  # 'M<k>', k >= 1
 
 
 class MeshGenerationError(RuntimeError):
@@ -95,69 +103,67 @@ class QuadMesh:
         return self.corners[:, _FACE_CORNERS]
 
 
-class _NodeRegistry:
-    """Deduplicates geometry nodes by exact coordinate values.
-
-    Element corners shared across blocks are generated by the same
-    expressions, so they collide bitwise. Nodes inside a facet that the two
-    sides parametrize in opposite directions can differ in the last bit and
-    are then kept twice; `_MeshBuilder.finish` merges them.
-    """
-
-    def __init__(self):
-        self.coords: list[tuple[float, float]] = []
-        self._index: dict[tuple[float, float], int] = {}
-
-    def add(self, r: float, z: float) -> int:
-        if abs(r) < _AXIS_TOL:
-            r = 0.0
-        key = (r, z)
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self.coords)
-            self.coords.append(key)
-            self._index[key] = idx
-        return idx
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-
 class _MeshBuilder:
-    """Collects elements; `finish` merges the copies of facet-interior nodes,
-    then checks and tags the facets.
+    """Collects blocks of elements; `finish` numbers the nodes, merges the
+    copies of facet-interior nodes, then checks and tags the facets.
 
     on_outer(r, z) tells, for arrays of node coordinates, which nodes lie on
     the domain's outer boundary.
     """
 
     def __init__(self, geomdeg: int, on_outer, name: str = ""):
-        self.reg = _NodeRegistry()
         self.geomdeg = geomdeg
-        self._pts = gll_points(geomdeg).tolist()
         self.on_outer = on_outer
-        self.elem_nodes: list[list[int]] = []
-        self.tags: list[str] = []
         self.name = name
+        self.blocks: list[np.ndarray] = []
+        self.tags: list[str] = []
 
-    def add_element(self, gen, tag: str):
-        """gen(u, v) -> (r, z) on [0,1]^2, counterclockwise orientation."""
-        self.elem_nodes.append([self.reg.add(*gen(u, v)) for v in self._pts for u in self._pts])
-        self.tags.append(tag)
+    def add_block(self, nu: int, nv: int, gen, tag):
+        """Add nu x nv elements, cell (i, j) the map (u, v) -> gen(i, u, j, v)
+        = (r, z) of [0,1]^2, counterclockwise. gen gets broadcast arrays of
+        the cell indices and the GLL points. The elements run with i fast,
+        their nodes in tensor order; tag is one tag or an (nv, nu) array."""
+        x = gll_points(self.geomdeg)
+        j, i, v, u = np.ix_(np.arange(nv), np.arange(nu), x, x)
+        r, z = (np.broadcast_to(c, (nv, nu, len(x), len(x))) for c in gen(i, u, j, v))
+        self.blocks.append(np.stack([r, z], axis=-1).reshape(nu * nv, -1, 2))
+        self.tags += np.broadcast_to(tag, (nv, nu)).ravel().tolist()
 
     def finish(self) -> QuadMesh:
-        n_geom = (self.geomdeg + 1) ** 2
+        """Snap |r| < _AXIS_TOL to the axis and number the nodes by exact
+        coordinates, in order of first appearance. Corners shared across
+        blocks come from the same expressions and collide bitwise; nodes
+        inside a facet that its two sides parametrize in opposite directions
+        can differ in the last bit and are merged by `_merge_facet_nodes`."""
+        X = np.concatenate(self.blocks)
+        X[..., 0][np.abs(X[..., 0]) < _AXIS_TOL] = 0.0
+        ids, first = _first_appearance(X.reshape(-1, 2), axis=0)
         mesh = QuadMesh(
-            nodes=self.reg.array(),
-            elem_nodes=np.array(self.elem_nodes, dtype=np.int64).reshape(-1, n_geom),
+            nodes=X.reshape(-1, 2)[first],
+            elem_nodes=ids.reshape(len(X), -1),
             geomdeg=self.geomdeg,
-            elem_tag=list(self.tags),
+            elem_tag=self.tags,
             name=self.name,
         )
         one, two = _facet_owners(mesh)
         _merge_facet_nodes(mesh, two)
         _tag_facets(mesh, one, two, self.on_outer)
         return mesh
+
+
+def _first_appearance(keys, axis=None):
+    """Class index of each key, classes numbered in order of first
+    appearance; returns (indices, position of each class's first key).
+
+    With axis=None a key is an entry of keys (positions index keys.ravel())
+    and the indices are shaped like keys; with axis=0 a key is a row, and
+    the indices are one per row.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True, axis=axis)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    shape = np.shape(keys) if axis is None else len(keys)
+    return rank[inverse.reshape(-1)].reshape(shape), np.sort(first)
 
 
 def _facet_error(face, what: str) -> MeshGenerationError:
@@ -232,18 +238,9 @@ def square_mesh_A(k: int) -> QuadMesh:
         raise ValueError("refinement index k must be >= 1")
     # The nodes i/k and j/k - 2 hit the sides r = 2 and z = +-2 exactly.
     b = _MeshBuilder(1, lambda r, z: (r == 2.0) | (np.abs(z) == 2.0), name=f"A:M{k}")
-    nr, nz = 2 * k, 4 * k
-    node_id = np.empty((nr + 1, nz + 1), dtype=np.int64)
-    for j in range(nz + 1):
-        for i in range(nr + 1):
-            node_id[i, j] = b.reg.add(i / k, j / k - 2.0)
-    for j in range(nz):
-        for i in range(nr):
-            tag = TAG_CONDUCTOR if (i < k and k <= j < 3 * k) else TAG_DIELECTRIC
-            b.elem_nodes.append(
-                [node_id[i, j], node_id[i + 1, j], node_id[i, j + 1], node_id[i + 1, j + 1]]
-            )
-            b.tags.append(tag)
+    j, i = np.mgrid[: 4 * k, : 2 * k]
+    tags = np.where((i < k) & (k <= j) & (j < 3 * k), TAG_CONDUCTOR, TAG_DIELECTRIC)
+    b.add_block(2 * k, 4 * k, lambda i, u, j, v: ((i + u) / k, (j + v) / k - 2.0), tags)
     return b.finish()
 
 
@@ -259,29 +256,24 @@ _BAND_FACTOR = 3.0  # band total thickness = 3 * ell(sigma_max)
 
 
 def _lin(a, b, t):
-    # Exact endpoints so shared nodes generated from either side of a facet
-    # collide bitwise in the node registry.
-    if t == 0.0:
-        return a
-    if t == 1.0:
-        return b
-    return a + t * (b - a)
+    # Exact endpoints, so that nodes shared by two blocks collide bitwise.
+    return np.where(t == 0.0, a, np.where(t == 1.0, b, a + t * (b - a)))
 
 
 def _levels(a, b, n):
     """n + 1 equispaced levels from a to b, both ends exact."""
-    return [_lin(a, b, i / n) for i in range(n + 1)]
+    return _lin(a, b, np.arange(n + 1) / n)
 
 
 def _ellipse_point(a, c, phi):
-    return (a * math.sin(phi), c * math.cos(phi))
+    return a * np.sin(phi), c * np.cos(phi)
 
 
 def _inward_normal(a, c, phi):
     # Tangent of phi -> (a sin, c cos) is (a cos, -c sin); inward is (T_z, -T_r).
-    dr, dz = a * math.cos(phi), -c * math.sin(phi)
-    sp = math.hypot(dr, dz)
-    return (dz / sp, -dr / sp)
+    dr, dz = a * np.cos(phi), -c * np.sin(phi)
+    sp = np.hypot(dr, dz)
+    return dz / sp, -dr / sp
 
 
 def _graded_thicknesses(total: float, n: int, ratio: float) -> list[float]:
@@ -382,89 +374,55 @@ def layered_mesh_B(
     )
     n_phi = len(phi_nodes) - 1  # = 2*nr + nz
 
-    # Inner path around the axis rectangle, matched node-for-node to phi_nodes.
-    # Rectangle grid levels are shared with the path so coordinates coincide
-    # bitwise where the blocks meet.
-    rlev = _levels(0.0, w, nr)
-    zlev_desc = _levels(zq, -zq, nz)
-    path = []
-    for i in range(nr + 1):
-        path.append((rlev[i], zq))
-    for j in range(1, nz + 1):
-        path.append((w, zlev_desc[j]))
-    for i in range(1, nr + 1):
-        path.append((rlev[nr - i], zlev_desc[nz]))
-    path = np.asarray(path)
+    # Inner path around the axis rectangle (top, side, bottom), matched
+    # node-for-node to phi_nodes, as (r levels, z levels). Rectangle grid
+    # levels are shared with the path so coordinates coincide bitwise where
+    # the blocks meet.
+    rlev = np.asarray(_levels(0.0, w, nr))
+    zlev = np.asarray(_levels(zq, -zq, nz))  # descending
+    path = np.array([
+        np.r_[rlev, np.full(nz, w), rlev[-2::-1]],
+        np.r_[np.full(nr + 1, zq), zlev[1:], np.full(nr, zlev[-1])],
+    ])
+
+    def arc(i, u):
+        return _lin(phi_nodes[i], phi_nodes[i + 1], u)
 
     def offset(phi, h):
-        r0, z0 = _ellipse_point(a, c, phi)
-        nrm = _inward_normal(a, c, phi)
-        return (r0 + h * nrm[0], z0 + h * nrm[1])
+        (r0, z0), (dr, dz) = _ellipse_point(a, c, phi), _inward_normal(a, c, phi)
+        return r0 + h * dr, z0 + h * dz
 
     def blend(phi, t):
-        ri, zi = _ellipse_point(a, c, phi)
-        ro, zo = _ellipse_point(bb, d, phi)
-        return (ri + t * (ro - ri), zi + t * (zo - zi))
+        (ri, zi), (ro, zo) = _ellipse_point(a, c, phi), _ellipse_point(bb, d, phi)
+        return ri + t * (ro - ri), zi + t * (zo - zi)
+
+    def rect(i, u, j, v):  # bilinear, exact at geometry degree GEOM_DEG_CURVED
+        return _lin(rlev[i], rlev[i + 1], u), _lin(rect_z[j], rect_z[j + 1], v)
+
+    def ogrid(i, u, j, v):
+        s = _lin(j / ns, (j + 1) / ns, v)
+        pr, pz = (_lin(q[i], q[i + 1], u) for q in path)
+        cr, cz = offset(arc(i, u), t_core)
+        return _lin(pr, cr, s), _lin(pz, cz, s)
 
     inner_tag = TAG_DIELECTRIC if shell_conductor else TAG_CONDUCTOR
     annulus_tag = TAG_CONDUCTOR if shell_conductor else TAG_DIELECTRIC
+    h, t, rect_z = np.asarray(inner_h), np.asarray(tlev), zlev[::-1]
 
     b = _MeshBuilder(
         GEOM_DEG_CURVED,
         lambda r, z: np.abs((r / bb) ** 2 + (z / d) ** 2 - 1.0) < _NODE_TOL,
         name=f"{config}:M{n_layers}:smax{sigma_max:g}",
     )
-
-    # Band + transition rows inside the inner ellipse.
-    for j in range(len(inner_h) - 1):
-        h_lo, h_hi = inner_h[j], inner_h[j + 1]
-        for i in range(n_phi):
-            p0, p1 = phi_nodes[i], phi_nodes[i + 1]
-
-            def gen(u, v, p0=p0, p1=p1, h_lo=h_lo, h_hi=h_hi):
-                return offset(_lin(p0, p1, u), _lin(h_hi, h_lo, v))
-
-            b.add_element(gen, inner_tag)
-
-    # Annulus between the ellipses.
-    for j in range(len(tlev) - 1):
-        t_lo, t_hi = tlev[j], tlev[j + 1]
-        for i in range(n_phi):
-            p0, p1 = phi_nodes[i], phi_nodes[i + 1]
-
-            def gen(u, v, p0=p0, p1=p1, t_lo=t_lo, t_hi=t_hi):
-                return blend(_lin(p0, p1, u), _lin(t_lo, t_hi, v))
-
-            b.add_element(gen, annulus_tag)
-
-    # Axis rectangle: bilinear maps, exact at geometry degree GEOM_DEG_CURVED.
-    rect_r = np.asarray(rlev)
-    rect_z = np.asarray(zlev_desc[::-1])
-    for j in range(nz):
-        for i in range(nr):
-            r0, r1 = rect_r[i], rect_r[i + 1]
-            z0, z1 = rect_z[j], rect_z[j + 1]
-
-            def gen(u, v, r0=r0, r1=r1, z0=z0, z1=z1):
-                return (_lin(r0, r1, u), _lin(z0, z1, v))
-
-            b.add_element(gen, inner_tag)
-
-    # O-grid patch between the rectangle path and the core offset curve.
-    for j in range(ns):
-        s_lo, s_hi = j / ns, (j + 1) / ns
-        for i in range(n_phi):
-            p0, p1 = phi_nodes[i], phi_nodes[i + 1]
-            q0, q1 = path[i], path[i + 1]
-
-            def gen(u, v, p0=p0, p1=p1, q0=q0, q1=q1, s_lo=s_lo, s_hi=s_hi):
-                s = _lin(s_lo, s_hi, v)
-                pr, pz = _lin(q0[0], q1[0], u), _lin(q0[1], q1[1], u)
-                cr, cz = offset(_lin(p0, p1, u), t_core)
-                return (_lin(pr, cr, s), _lin(pz, cz, s))
-
-            b.add_element(gen, inner_tag)
-
+    # The band and transition rows inside the inner ellipse, the annulus
+    # between the ellipses, the axis rectangle, and the O-grid patch between
+    # the rectangle's path and the core offset curve.
+    b.add_block(n_phi, len(h) - 1, lambda i, u, j, v: offset(arc(i, u), _lin(h[j + 1], h[j], v)),
+                inner_tag)
+    b.add_block(n_phi, len(t) - 1, lambda i, u, j, v: blend(arc(i, u), _lin(t[j], t[j + 1], v)),
+                annulus_tag)
+    b.add_block(nr, nz, rect, inner_tag)
+    b.add_block(n_phi, ns, ogrid, inner_tag)
     return b.finish()
 
 
@@ -473,10 +431,10 @@ def mesh_for(
 ) -> QuadMesh:
     """Build a mesh from a name like 'M2' (A: square index, B/C: layer count).
     B/C meshes resolve the skin depth at sigma_max and omega."""
-    spec = spec.strip()
-    if not spec.upper().startswith("M"):
-        raise ValueError(f"mesh spec {spec!r} not understood (expected 'M<k>')")
-    k = int(spec[1:])
+    match = MESH_SPEC.fullmatch(spec)
+    if not match:
+        raise ValueError(f"mesh spec {spec!r} not understood (expected 'M<k>' with k >= 1)")
+    k = int(match[1])
     if config == "A":
         return square_mesh_A(k)
     return layered_mesh_B(config, k, sigma_max, omega)

@@ -647,24 +647,21 @@ class TestBatchedLocation:
         src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
         f = solve(assemble(FeSpace(m, 4), physics.PhysicalParams(sigma=20.0), src))
         pts = locate_points(m)
-        stored = np.loadtxt(GOLDEN_LOCATE / f"{config}_{spec}.csv", delimiter=",", skiprows=1)
-        assert len(stored) == len(pts)
-        ref = [None if e < 0 else (int(e), u, v) for e, u, v in stored]
-        sp = f.space
-        want = np.array([
-            np.nan if x is None
-            else tensor_lagrange(sp.p, x[1], x[2])[0][0] @ f.coeffs[sp.elem_dofs[x[0]]]
-            for x in ref
-        ])
+        ref = np.loadtxt(GOLDEN_LOCATE / f"{config}_{spec}.csv", delimiter=",", skiprows=1)
+        assert len(ref) == len(pts)
+        elem, inside = ref[:, 0].astype(np.int64), ref[:, 0] >= 0
+        phi = tensor_lagrange(f.space.p, ref[inside, 1], ref[inside, 2])[0]
+        c = f.coeffs[f.space.elem_dofs[elem[inside]]]
+        want = np.full(len(pts), np.nan, dtype=np.complex128)
+        want[inside] = np.matmul(phi[:, None, :], c[:, :, None])[:, 0, 0]
         return f, pts, ref, want
 
     def test_same_elements_and_coordinates(self, case):
         f, pts, ref, _ = case
         elem, u, v = locate(f.space.mesh, pts)
-        assert np.array_equal(elem, [-1 if x is None else x[0] for x in ref])
+        assert np.array_equal(elem, ref[:, 0])
         inside = elem >= 0
-        uv_ref = np.array([x[1:] for x in ref if x is not None])
-        assert np.max(np.abs(np.column_stack([u, v])[inside] - uv_ref)) <= 1e-12
+        assert np.max(np.abs(np.column_stack([u, v])[inside] - ref[inside, 1:])) <= 1e-12
 
     def test_same_values(self, case):
         f, pts, _, want = case
@@ -685,8 +682,8 @@ class TestBatchedLocation:
 
     def test_evaluate_names_first_outside_point(self, case):
         f, pts, ref, _ = case
-        outside = [k for k, x in enumerate(ref) if x is None]
-        assert outside
+        outside = np.flatnonzero(ref[:, 0] < 0)
+        assert len(outside)
         r, z = pts[outside[0]]
         with pytest.raises(PointLocationError, match=re.escape(f"({r}, {z})")):
             evaluate(f, pts)

@@ -1,17 +1,20 @@
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from skinfem import cli, mesh
-from skinfem.basis import gauss_rule, tensor_lagrange_grid
-from skinfem.fem import _geometry_eval
+from skinfem.basis import gauss_rule, gll_points, tensor_lagrange_grid
+from skinfem.fem import FeSpace, _geometry_eval
 from skinfem.geometry import CONFIG_PARAMS
 from skinfem.mesh import (
     FACET_AXIS,
     FACET_INTERFACE,
     FACET_OUTER,
     TAG_CONDUCTOR,
+    TAG_DIELECTRIC,
     MeshGenerationError,
     layered_mesh_B,
     mesh_for,
@@ -19,6 +22,7 @@ from skinfem.mesh import (
     square_mesh_A,
     write_mesh,
 )
+from skinfem.physics import MU0, OMEGA_DEFAULT, skin_depth
 
 
 def element_areas(m):
@@ -238,8 +242,17 @@ def test_mesh_io_roundtrip(tmp_path):
 
 
 def test_mesh_for_rejects_bad_spec():
-    with pytest.raises(ValueError):
-        mesh_for("B1", "fine")
+    for config in ("A", "B1"):
+        for spec in ("fine", "M 2", "M2.5", "M0"):
+            with pytest.raises(ValueError, match=re.escape(f"mesh spec {spec!r} not understood")):
+                mesh_for(config, spec)
+
+
+def test_mesh_for_and_cli_accept_the_same_specs():
+    assert mesh_for("A", " m2 ").name == "A:M2"
+    cfg = cli.ExperimentConfig(study="solve", config="A", sigmas=[5.0], ps=[2], mesh_spec="M 2")
+    with pytest.raises(cli.ConfigError, match="field 'mesh'"):
+        cfg.validate()
 
 
 def _edit(lineno, edit):
@@ -323,3 +336,234 @@ def test_read_mesh_bad_file_names_file(tmp_path, cut, message):
     path.write_text("".join(line + "\n" for line in cut(lines)))
     with pytest.raises(ValueError, match=message):
         read_mesh(path)
+
+
+# ---------------------------------------------------------------------------
+# The scalar mesh builder that `_MeshBuilder.add_block` replaced: a dict
+# registry of exact node coordinates, one `gen(u, v)` call per node, and a
+# hand-numbered node grid for config A. Kept verbatim apart from names and
+# the dropped argument checks, as the reference for the array builder.
+
+
+class _RefBuilder:
+    def __init__(self, geomdeg, on_outer, name=""):
+        self.coords, self._index = [], {}
+        self.geomdeg = geomdeg
+        self._pts = gll_points(geomdeg).tolist()
+        self.on_outer = on_outer
+        self.elem_nodes, self.tags = [], []
+        self.name = name
+
+    def add(self, r, z):
+        if abs(r) < 1e-12:
+            r = 0.0
+        key = (r, z)
+        idx = self._index.get(key)
+        if idx is None:
+            idx = len(self.coords)
+            self.coords.append(key)
+            self._index[key] = idx
+        return idx
+
+    def add_element(self, gen, tag):
+        self.elem_nodes.append([self.add(*gen(u, v)) for v in self._pts for u in self._pts])
+        self.tags.append(tag)
+
+    def finish(self):
+        n_geom = (self.geomdeg + 1) ** 2
+        m = mesh.QuadMesh(
+            nodes=np.asarray(self.coords, dtype=float),
+            elem_nodes=np.array(self.elem_nodes, dtype=np.int64).reshape(-1, n_geom),
+            geomdeg=self.geomdeg,
+            elem_tag=list(self.tags),
+            name=self.name,
+        )
+        one, two = mesh._facet_owners(m)
+        mesh._merge_facet_nodes(m, two)
+        mesh._tag_facets(m, one, two, self.on_outer)
+        return m
+
+
+def _ref_square_mesh_A(k):
+    b = _RefBuilder(1, lambda r, z: (r == 2.0) | (np.abs(z) == 2.0), name=f"A:M{k}")
+    nr, nz = 2 * k, 4 * k
+    node_id = np.empty((nr + 1, nz + 1), dtype=np.int64)
+    for j in range(nz + 1):
+        for i in range(nr + 1):
+            node_id[i, j] = b.add(i / k, j / k - 2.0)
+    for j in range(nz):
+        for i in range(nr):
+            tag = TAG_CONDUCTOR if (i < k and k <= j < 3 * k) else TAG_DIELECTRIC
+            b.elem_nodes.append(
+                [node_id[i, j], node_id[i + 1, j], node_id[i, j + 1], node_id[i + 1, j + 1]]
+            )
+            b.tags.append(tag)
+    return b.finish()
+
+
+def _ref_lin(a, b, t):
+    if t == 0.0:
+        return a
+    if t == 1.0:
+        return b
+    return a + t * (b - a)
+
+
+def _ref_ellipse_point(a, c, phi):
+    return (a * math.sin(phi), c * math.cos(phi))
+
+
+def _ref_inward_normal(a, c, phi):
+    dr, dz = a * math.cos(phi), -c * math.sin(phi)
+    sp = math.hypot(dr, dz)
+    return (dz / sp, -dr / sp)
+
+
+def _ref_layered_mesh_B(config, n_layers, sigma_max, omega):
+    p = CONFIG_PARAMS[config]
+    a, bb, c, d = p["a"], p["b"], p["c"], p["d"]
+    shell_conductor = config.startswith("C")
+    ell = skin_depth(omega, MU0, sigma_max)
+    t_band = mesh._BAND_FACTOR * ell
+    kmax = a / c**2
+    t_core = min(0.35 * c, 0.7 / kmax)
+    if t_band >= min(t_core, 1.0 / kmax):
+        raise MeshGenerationError("skin band thickness exceeds the validity range")
+    if shell_conductor:
+        inner_h = [0.0, 0.5 * t_core, t_core]
+    else:
+        inner_h = [0.0]
+        for t in mesh._graded_thicknesses(t_band, n_layers, mesh._GRADING_RATIO):
+            inner_h.append(inner_h[-1] + t)
+        for t in mesh._geometric_fill(inner_h[-1] - inner_h[-2], t_core - t_band):
+            inner_h.append(inner_h[-1] + t)
+        inner_h[-1] = t_core
+    if shell_conductor:
+        gap = bb - a
+        tb = t_band / gap
+        tlev = [0.0]
+        for t in mesh._graded_thicknesses(tb, n_layers, mesh._GRADING_RATIO):
+            tlev.append(tlev[-1] + t)
+        rest = 1.0 - tlev[-1]
+        for frac in (0.25, 0.55, 1.0):
+            tlev.append(tb + rest * frac)
+        tlev[-1] = 1.0
+    else:
+        tlev = [0.0, 0.12, 0.3, 0.6, 1.0]
+
+    a_core, c_core = a - t_core, c - t_core
+    w, zq = 0.5 * a_core, 0.5 * c_core
+    phi_c1 = math.atan2(w / a_core, zq / c_core)
+    nr, nz, ns = mesh._NR_CORE, mesh._NZ_CORE, mesh._NS_OGRID
+    phi_nodes = np.concatenate(
+        [
+            np.linspace(0.0, phi_c1, nr + 1),
+            np.linspace(phi_c1, math.pi - phi_c1, nz + 1)[1:],
+            np.linspace(math.pi - phi_c1, math.pi, nr + 1)[1:],
+        ]
+    )
+    n_phi = len(phi_nodes) - 1
+    rlev = [_ref_lin(0.0, w, i / nr) for i in range(nr + 1)]
+    zlev_desc = [_ref_lin(zq, -zq, i / nz) for i in range(nz + 1)]
+    path = []
+    for i in range(nr + 1):
+        path.append((rlev[i], zq))
+    for j in range(1, nz + 1):
+        path.append((w, zlev_desc[j]))
+    for i in range(1, nr + 1):
+        path.append((rlev[nr - i], zlev_desc[nz]))
+    path = np.asarray(path)
+
+    def offset(phi, h):
+        r0, z0 = _ref_ellipse_point(a, c, phi)
+        nrm = _ref_inward_normal(a, c, phi)
+        return (r0 + h * nrm[0], z0 + h * nrm[1])
+
+    def blend(phi, t):
+        ri, zi = _ref_ellipse_point(a, c, phi)
+        ro, zo = _ref_ellipse_point(bb, d, phi)
+        return (ri + t * (ro - ri), zi + t * (zo - zi))
+
+    inner_tag = TAG_DIELECTRIC if shell_conductor else TAG_CONDUCTOR
+    annulus_tag = TAG_CONDUCTOR if shell_conductor else TAG_DIELECTRIC
+    b = _RefBuilder(
+        mesh.GEOM_DEG_CURVED,
+        lambda r, z: np.abs((r / bb) ** 2 + (z / d) ** 2 - 1.0) < 1e-12,
+        name=f"{config}:M{n_layers}:smax{sigma_max:g}",
+    )
+    for j in range(len(inner_h) - 1):
+        h_lo, h_hi = inner_h[j], inner_h[j + 1]
+        for i in range(n_phi):
+            p0, p1 = phi_nodes[i], phi_nodes[i + 1]
+
+            def gen(u, v, p0=p0, p1=p1, h_lo=h_lo, h_hi=h_hi):
+                return offset(_ref_lin(p0, p1, u), _ref_lin(h_hi, h_lo, v))
+
+            b.add_element(gen, inner_tag)
+    for j in range(len(tlev) - 1):
+        t_lo, t_hi = tlev[j], tlev[j + 1]
+        for i in range(n_phi):
+            p0, p1 = phi_nodes[i], phi_nodes[i + 1]
+
+            def gen(u, v, p0=p0, p1=p1, t_lo=t_lo, t_hi=t_hi):
+                return blend(_ref_lin(p0, p1, u), _ref_lin(t_lo, t_hi, v))
+
+            b.add_element(gen, annulus_tag)
+    rect_r = np.asarray(rlev)
+    rect_z = np.asarray(zlev_desc[::-1])
+    for j in range(nz):
+        for i in range(nr):
+            r0, r1 = rect_r[i], rect_r[i + 1]
+            z0, z1 = rect_z[j], rect_z[j + 1]
+
+            def gen(u, v, r0=r0, r1=r1, z0=z0, z1=z1):
+                return (_ref_lin(r0, r1, u), _ref_lin(z0, z1, v))
+
+            b.add_element(gen, inner_tag)
+    for j in range(ns):
+        s_lo, s_hi = j / ns, (j + 1) / ns
+        for i in range(n_phi):
+            p0, p1 = phi_nodes[i], phi_nodes[i + 1]
+            q0, q1 = path[i], path[i + 1]
+
+            def gen(u, v, p0=p0, p1=p1, q0=q0, q1=q1, s_lo=s_lo, s_hi=s_hi):
+                s = _ref_lin(s_lo, s_hi, v)
+                pr, pz = _ref_lin(q0[0], q1[0], u), _ref_lin(q0[1], q1[1], u)
+                cr, cz = offset(_ref_lin(p0, p1, u), t_core)
+                return (_ref_lin(pr, cr, s), _ref_lin(pz, cz, s))
+
+            b.add_element(gen, inner_tag)
+    return b.finish()
+
+
+# A M1-M8; B1/B2/C1/C2 M1-M6 meshed for sigma_max 20, 80 and 400, and M3
+# at omega = 1.2e8.
+BUILDER_CASES = (
+    [("A", k, 80.0, OMEGA_DEFAULT) for k in range(1, 9)]
+    + [(c, k, s, OMEGA_DEFAULT) for c in ("B1", "B2", "C1", "C2") for k in range(1, 7)
+       for s in (20.0, 80.0, 400.0)]
+    + [(c, 3, 80.0, 1.2e8) for c in ("B1", "B2", "C1", "C2")]
+)
+
+
+@pytest.mark.parametrize("config,k,sigma_max,omega", BUILDER_CASES, ids=str)
+def test_block_builder_matches_scalar_builder(config, k, sigma_max, omega):
+    """Same elements, tags, facets and DOF numbering as the scalar builder.
+    Config B/C meshes keep its node numbering, so their `FeSpace` is the
+    same; config A's nodes are numbered by first appearance over the
+    elements, no longer row by row, and its DOFs are compared. Node
+    coordinates may differ by an ulp where numpy's sin, cos or hypot round
+    differently from math's."""
+    if config == "A":
+        ref, new = _ref_square_mesh_A(k), square_mesh_A(k)
+        assert np.array_equal(FeSpace(new, 3).elem_dofs, FeSpace(ref, 3).elem_dofs)
+    else:
+        ref = _ref_layered_mesh_B(config, k, sigma_max, omega)
+        new = layered_mesh_B(config, k, sigma_max, omega)
+        assert np.array_equal(new.elem_nodes, ref.elem_nodes)
+    assert (new.name, new.geomdeg, new.elem_tag, new.facets) == (
+        ref.name, ref.geomdeg, ref.elem_tag, ref.facets
+    )
+    assert new.nodes.shape == ref.nodes.shape
+    X, X_ref = new.nodes[new.elem_nodes], ref.nodes[ref.elem_nodes]
+    assert np.max(np.abs(X - X_ref)) <= 1e-15 * np.max(np.abs(ref.nodes))
