@@ -319,13 +319,7 @@ class _Runner:
             f = self._solve(self.cfg.mesh_spec, p, sigma)
             r0 = self.dom.params["r0"]
             l0 = self.dom.params["l0"]
-            mid, slopes = _post(
-                postprocess.corner_slopes,
-                f,
-                corner=(r0, l0 / 2.0),
-                params=params,
-                max_depth=10 * params.ell / 4,
-            )
+            mid, slopes = _post(postprocess.corner_slopes, f, params, corner=(r0, l0 / 2.0))
             postprocess.write_csv(
                 self._path(f"corner_s{sigma:g}_p{p}.csv"), "rho,slope", (mid, slopes)
             )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import gll_points
-from .geometry import CONFIG_PARAMS
+from .geometry import CONFIG_PARAMS, Ellipse
 from .physics import MU0, OMEGA_DEFAULT, skin_depth
 
 __all__ = [
@@ -265,17 +265,6 @@ def _levels(a, b, n):
     return _lin(a, b, np.arange(n + 1) / n)
 
 
-def _ellipse_point(a, c, phi):
-    return a * np.sin(phi), c * np.cos(phi)
-
-
-def _inward_normal(a, c, phi):
-    # Tangent of phi -> (a sin, c cos) is (a cos, -c sin); inward is (T_z, -T_r).
-    dr, dz = a * np.cos(phi), -c * np.sin(phi)
-    sp = np.hypot(dr, dz)
-    return dz / sp, -dr / sp
-
-
 def _graded_thicknesses(total: float, n: int, ratio: float) -> list[float]:
     """n layer thicknesses summing to `total`, thinnest first, growth 1/ratio."""
     weights = [(1.0 / ratio) ** i for i in range(n)]
@@ -327,7 +316,8 @@ def layered_mesh_B(
 
     ell = skin_depth(omega, MU0, sigma_max)
     t_band = _BAND_FACTOR * ell
-    kmax = a / c**2  # max meridian curvature of the inner ellipse
+    inner, outer = Ellipse(a, c), Ellipse(bb, d)
+    kmax = inner.max_curvature
     t_core = min(0.35 * c, 0.7 / kmax)
     if t_band >= min(t_core, 1.0 / kmax):
         raise MeshGenerationError(
@@ -389,11 +379,11 @@ def layered_mesh_B(
         return _lin(phi_nodes[i], phi_nodes[i + 1], u)
 
     def offset(phi, h):
-        (r0, z0), (dr, dz) = _ellipse_point(a, c, phi), _inward_normal(a, c, phi)
+        (r0, z0), (dr, dz) = inner.point(phi), inner.inward_normal(phi)
         return r0 + h * dr, z0 + h * dz
 
     def blend(phi, t):
-        (ri, zi), (ro, zo) = _ellipse_point(a, c, phi), _ellipse_point(bb, d, phi)
+        (ri, zi), (ro, zo) = inner.point(phi), outer.point(phi)
         return ri + t * (ro - ri), zi + t * (zo - zi)
 
     def rect(i, u, j, v):  # bilinear, exact at geometry degree GEOM_DEG_CURVED

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _Z_TOL = 1e-9
+_CORNER_SAMPLES = 11  # corner-study depths ell/4 .. 11 ell/4
 
 
 def conductor_norm(field: DiscreteField) -> float:
@@ -68,8 +69,10 @@ def extract_radial(field: DiscreteField, interface_radius: float):
 
     Collects the degree-p nodal values on conductor-element edges lying on
     z = 0 and returns (y3, values) with the depth coordinate
-    y3 = interface_radius - r, sorted by increasing depth. The interface
-    sample y3 = 0 is dropped (it anchors the boundary data, not the decay).
+    y3 = |interface_radius - r| on the conductor's side (r below the
+    interface for A and B, above it for the C shells), sorted by increasing
+    depth. The interface sample y3 = 0 is dropped (it anchors the boundary
+    data, not the decay).
     """
     space = field.space
     cond = np.asarray(space.mesh.elem_tag) == TAG_CONDUCTOR
@@ -78,11 +81,14 @@ def extract_radial(field: DiscreteField, interface_radius: float):
     on_eq = np.abs(pts[:, 1]) < _Z_TOL
     if not np.any(on_eq):
         raise ValueError("no conductor samples found on z = 0")
-    # One sample per distinct r, the last in element order, by decreasing r.
+    # One sample per distinct r, the last in element order, by decreasing r,
+    # then stably by increasing depth (a no-op where the conductor lies at
+    # r below the interface).
     r, d = pts[on_eq, 0][::-1], dofs[on_eq][::-1]
     rs, last = np.unique(r, return_index=True)
-    y3, vals = interface_radius - rs[::-1], field.coeffs[d[last]][::-1]
-    keep = y3 > _Z_TOL
+    y3, vals = np.abs(interface_radius - rs[::-1]), field.coeffs[d[last]][::-1]
+    order = np.argsort(y3, kind="stable")
+    keep = order[y3[order] > _Z_TOL]
     return y3[keep], vals[keep]
 
 
@@ -133,28 +139,15 @@ def slope_report(y3, vals, params: PhysicalParams, mean_curv: float) -> SlopeRep
     )
 
 
-def corner_slopes(
-    field: DiscreteField,
-    corner=(1.0, 1.0),
-    spacing: float | None = None,
-    max_depth: float | None = None,
-    params: PhysicalParams | None = None,
-):
+def corner_slopes(field: DiscreteField, params: PhysicalParams, corner=(1.0, 1.0)):
     """Local decay slopes along the inward diagonal from a reentrant corner.
 
-    Samples |H| along the direction (-1,-1)/sqrt(2) starting at `corner`,
-    at equispaced depths (default spacing ell/4 when `params` is given) and
-    returns midpoints rho and finite-difference slopes
+    Samples |H| along the direction (-1,-1)/sqrt(2) starting at `corner`, at
+    the _CORNER_SAMPLES depths k ell/4, k = 1, 2, ..., and returns the
+    midpoints rho and finite-difference slopes
     s_i = -(log10|H_{i+1}| - log10|H_i|) / (rho_{i+1} - rho_i).
     """
-    if spacing is None:
-        if params is None:
-            raise ValueError("either spacing or params must be given")
-        spacing = params.ell / 4.0
-    if max_depth is None:
-        max_depth = 8.0 * spacing
-    n = int(np.floor(max_depth / spacing)) + 1
-    rho = spacing * np.arange(1, n + 1)
+    rho = params.ell / 4.0 * np.arange(1, _CORNER_SAMPLES + 1)
     d = 1.0 / np.sqrt(2.0)
     pts = np.column_stack([corner[0] - rho * d, corner[1] - rho * d])
     vals = field.evaluate(pts)

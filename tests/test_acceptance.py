@@ -148,9 +148,7 @@ def test_criterion_6_corner_decay():
     m = mesh.mesh_for("A", "M4")
     space = fem.FeSpace(m, 16)
     f = fem.solve(fem.assemble(space, params, fem.SourceSpec.dirichlet_radius()))
-    mid, slopes = postprocess.corner_slopes(
-        f, corner=(1.0, 1.0), params=params, max_depth=10 * params.ell / 4
-    )
+    mid, slopes = postprocess.corner_slopes(f, params, corner=(1.0, 1.0))
     s_flat = physics.theoretical_slope(params, 0.0)
     near = slopes[0] / s_flat
     deep = slopes[mid >= 2.0 * params.ell] / s_flat
@@ -168,11 +166,10 @@ def test_criterion_7_property_suites_standalone():
     ok = True
     details = []
 
-    curve = geometry.ellipse_arclength(2.0, 1.0)
-    xi = 0.5 * curve.length
-    ok &= abs(curve.curvature(xi) - 2.0) < 1e-8
-    ok &= abs(np.hypot(*curve.tangent(xi)) - 1.0) < 1e-10
-    details.append("geometry Frenet/curvature")
+    ellipse = geometry.Ellipse(2.0, 1.0)
+    ok &= abs(ellipse.curvature(0.5 * np.pi) - 2.0) < 1e-8
+    ok &= abs(np.hypot(*ellipse.inward_normal(0.5 * np.pi)) - 1.0) < 1e-10
+    details.append("geometry normal/curvature")
 
     p = PhysicalParams(sigma=20.0)
     tr = physics.ProfileTrace(h0=1.0 - 0.5j)

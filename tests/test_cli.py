@@ -205,6 +205,19 @@ class TestRuns:
         header = (out / "slope_table.csv").read_text().splitlines()[0]
         assert header == "sigma,ell,s,curv_ratio,p,n,s_fit,err"
 
+    def test_slope_study_shell_conductor(self, tmp_path):
+        # C1's conductor lies outside the interface; its fitted slope
+        # resolves the negative mean-curvature correction.
+        out = tmp_path / "out"
+        body = (
+            "[experiment]\nstudy = slope-study\nconfig = C1\n"
+            f"sigma = 20, 80\np = 12, 16\nmesh = M3\nout = {out}\n"
+        )
+        assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_OK
+        rows = _golden_columns(out / "slope_table.csv")
+        assert np.all(rows["curv_ratio"] < 0)
+        assert np.all(rows["err"] < np.abs(rows["curv_ratio"]))
+
     def test_failed_rerun_leaves_no_manifest(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["--config", write_ini(tmp_path, BASE.format(out=out))]) == cli.EXIT_OK

@@ -131,6 +131,20 @@ class TestExtraction:
         y3, _ = postprocess.extract_radial(solved_a, 1.0)
         assert np.min(y3) > 1e-9
 
+    def test_shell_conductor_depth(self):
+        # C1's conductor lies outside the interface, at 2 <= r <= 4 on z = 0:
+        # the depth is r - 2, increasing away from the interface.
+        m = mesh.mesh_for("C1", "M1", sigma_max=20.0)
+        space = fem.FeSpace(m, 3)
+        field = fem.solve(
+            fem.assemble(space, PhysicalParams(sigma=20.0), fem.SourceSpec.config_C1())
+        )
+        y3, vals = postprocess.extract_radial(field, 2.0)
+        assert len(y3) > 3 and y3[0] > 1e-9 and np.all(np.diff(y3) > 0)
+        assert y3[-1] == pytest.approx(2.0, abs=1e-12)
+        pts = np.column_stack([2.0 + y3, np.zeros_like(y3)])
+        assert np.allclose(vals, field.evaluate(pts), rtol=0, atol=1e-10 * np.max(np.abs(vals)))
+
 
 class _StubField:
     """Duck-typed field with a prescribed closed-form evaluate."""
@@ -152,12 +166,19 @@ class TestCornerSlopes:
             return 10.0 ** (-s * rho)
 
         field = _StubField(fn)
-        mid, slopes = postprocess.corner_slopes(field, corner=(1.0, 1.0), spacing=0.01)
+        params = PhysicalParams(sigma=80.0)
+        mid, slopes = postprocess.corner_slopes(field, params, corner=(1.0, 1.0))
         assert np.allclose(slopes, s, rtol=1e-9)
 
-    def test_requires_spacing_or_params(self):
-        with pytest.raises(ValueError):
-            postprocess.corner_slopes(_StubField(lambda r, z: 1.0))
+    def test_eleven_samples_at_quarter_skin_depths(self):
+        # At this pair (10 ell/4) / (ell/4) rounds below 10, so a count
+        # derived from a depth range would lose the last sample.
+        params = PhysicalParams(sigma=0.14063, omega=3e6)
+        assert (10 * params.ell / 4) / (params.ell / 4.0) < 10.0
+        mid, slopes = postprocess.corner_slopes(_StubField(lambda r, z: 10.0 ** (r + z)), params)
+        rho = params.ell / 4.0 * np.arange(1, 12)
+        assert np.array_equal(mid, 0.5 * (rho[1:] + rho[:-1]))
+        assert len(slopes) == 10
 
 
 class TestCsv:
