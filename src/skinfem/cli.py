@@ -91,6 +91,19 @@ class ExperimentConfig:
             raise ConfigError("field 'sigma': conductivities must be positive and finite")
         if not 0 < self.omega < math.inf:
             raise ConfigError(f"field 'omega': {self.omega!r} is not positive and finite")
+        if self.study == "corner-study":
+            # corner_slopes samples the diagonal from (r0, l0/2) inward down to
+            # the depth _CORNER_SAMPLES * ell / 4, which must stay off the axis.
+            a, n = geometry.CONFIG_PARAMS["A"], postprocess._CORNER_SAMPLES
+            ell_max = 4.0 * math.sqrt(2.0) * min(a["r0"], (a["l0"] + a["l1"]) / 2.0) / n
+            # ell = sqrt(2 / (omega mu0 sigma)) >= ell_max, without a division that
+            # an underflowed product would turn into a ZeroDivisionError.
+            if self.omega * physics.MU0 * min(self.sigmas) * ell_max**2 <= 2.0:
+                raise ConfigError(
+                    f"fields 'sigma' and 'omega': sigma {min(self.sigmas)!r} at omega "
+                    f"{self.omega!r} is too small; corner-study samples down to {n} ell/4 "
+                    f"and needs ell = sqrt(2/(omega mu0 sigma)) < {ell_max:.4g} m"
+                )
         if not self.ps:
             raise ConfigError("field 'p': empty degree list")
         if any(not 1 <= p <= fem.MAX_DEGREE for p in self.ps):

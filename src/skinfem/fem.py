@@ -27,15 +27,12 @@ import numpy as np
 
 from . import basis, kernels
 from .mesh import (
-    FACET_AXIS,
-    FACET_OUTER,
-    TAG_CONDUCTOR,
     QuadMesh,
     _corner_locals,
     _face_locals,
     _facet_owners,
     _first_appearance,
-    _parse_text,
+    _on_axis,
 )
 from .physics import PhysicalParams
 
@@ -103,9 +100,10 @@ class FeSpace:
     first, each in order of first appearance over the elements, `n_skeleton`
     of them; the interior DOFs follow, element by element.
     `elem_dofs` is an (n_elements, (p+1)^2) array in local tensor order.
-    Outer-boundary and axis DOFs are flagged for essential conditions; every
-    axis DOF is constrained to zero. `tree` is the elimination tree of the
-    free skeleton DOFs (`_build_tree`).
+    The DOFs on the faces that belong to one element are flagged for
+    essential conditions: axis DOFs, on faces with r == 0, are constrained
+    to zero, and the rest are outer-boundary DOFs. `tree` is the
+    elimination tree of the free skeleton DOFs (`_build_tree`).
     """
 
     def __init__(self, mesh: QuadMesh, p: int):
@@ -113,10 +111,11 @@ class FeSpace:
             raise ValueError(f"degree p={p} outside supported range 1..{MAX_DEGREE}")
         self.mesh = mesh
         self.p = p
+        one, two = _facet_owners(mesh)
         self._build_numbering()
         self._compute_dof_coords()
-        self._collect_boundary_dofs()
-        self._build_tree()
+        self._collect_boundary_dofs(one)
+        self._build_tree(two // 4)
 
     # -- numbering ----------------------------------------------------------
 
@@ -154,16 +153,13 @@ class FeSpace:
 
     # -- boundary dofs ------------------------------------------------------
 
-    def _collect_boundary_dofs(self):
-        e, face, on_axis = np.array(
-            [(e, face, tag == FACET_AXIS) for e, face, tag in self.mesh.facets
-             if tag in (FACET_OUTER, FACET_AXIS)],
-            dtype=np.int64,
-        ).reshape(-1, 3).T
-        ids = self.elem_dofs[e[:, None], _face_locals(self.p)[face]]
+    def _collect_boundary_dofs(self, one):
+        """Axis and outer DOFs on the one-owner faces `one` (4*e + face)."""
+        ids = self.elem_dofs[one[:, None] // 4, _face_locals(self.p)[one % 4]]
+        axis = _on_axis(self.mesh, one)
         # The axis condition is essential and wins at shared corners.
-        self.axis_dofs = np.unique(ids[on_axis == 1])
-        self.outer_dofs = np.setdiff1d(ids[on_axis == 0], self.axis_dofs)
+        self.axis_dofs = np.unique(ids[axis])
+        self.outer_dofs = np.setdiff1d(ids[~axis], self.axis_dofs)
         constrained = np.zeros(self.n_dofs, dtype=bool)
         constrained[self.axis_dofs] = True
         constrained[self.outer_dofs] = True
@@ -172,8 +168,9 @@ class FeSpace:
 
     # -- elimination tree ---------------------------------------------------
 
-    def _build_tree(self):
-        """Binary tree of the elements by recursive spectral bisection.
+    def _build_tree(self, pairs):
+        """Binary tree of the elements by recursive spectral bisection;
+        pairs is an (n, 2) array of the elements that share a facet.
 
         A set of elements is split in halves by a stable sort of the Fiedler
         vector of its facet-adjacency Laplacian; a leaf is one element. A
@@ -188,7 +185,6 @@ class FeSpace:
         """
         nel = self.mesh.n_elements
         adj = np.zeros((nel, nel))
-        pairs = _facet_owners(self.mesh)[1] // 4
         adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1.0
         skel = self.elem_dofs[:, _skeleton_locals(self.p)]
         count = np.bincount(skel.ravel(), minlength=self.n_skeleton)
@@ -325,7 +321,7 @@ def _coefficients(mesh: QuadMesh, params: PhysicalParams, uniform_eps: bool):
     """Stiffness coefficient per element: 1/eps_conductor in the conductor, else 1."""
     coef = np.ones(mesh.n_elements, dtype=np.complex128)
     if not uniform_eps:
-        coef[np.asarray(mesh.elem_tag) == TAG_CONDUCTOR] = 1.0 / params.eps_conductor
+        coef[mesh.conductor] = 1.0 / params.eps_conductor
     return coef
 
 
@@ -666,11 +662,22 @@ def write_field(field: DiscreteField, path):
 def read_field(path, space: Optional[FeSpace] = None):
     """Read a FIELD v1 file; returns (coeffs, meta) or a DiscreteField.
 
-    Raises ValueError naming the file when it is truncated or malformed, or
-    when its coefficient count differs from `space.n_dofs`.
+    Raises ValueError naming the file when it is not a FIELD v1 file, when
+    a line is missing or malformed (naming the line), or when its
+    coefficient count differs from `space.n_dofs`.
     """
+    with open(path) as f:
+        lines = f.read().splitlines()
+    if not lines or lines[0] != "FIELD v1":
+        raise ValueError(f"not a FIELD v1 file: {path}")
+    pos = 1
 
-    def parse(line):
+    def line() -> str:
+        nonlocal pos
+        pos += 1
+        return lines[pos - 1]
+
+    try:
         meta = {}
         for _ in range(int(line())):
             k, v = line().split(None, 1)
@@ -679,9 +686,10 @@ def read_field(path, space: Optional[FeSpace] = None):
         for i in range(len(coeffs)):
             re, im = line().split()
             coeffs[i] = complex(float(re), float(im))
-        return coeffs, meta
-
-    coeffs, meta = _parse_text(path, "FIELD v1", parse)
+    except (IndexError, ValueError) as exc:
+        if pos > len(lines):
+            raise ValueError(f"truncated FIELD v1 file {path}: line {pos} missing") from None
+        raise ValueError(f"malformed FIELD v1 file {path}, line {pos}: {exc}") from None
     if space is None:
         return coeffs, meta
     if len(coeffs) != space.n_dofs:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +33,7 @@ __all__ = [
     "square_mesh_A",
     "layered_mesh_B",
     "mesh_for",
-    "write_mesh",
-    "read_mesh",
 ]
-
-TAG_DIELECTRIC = "dielectric"
-TAG_CONDUCTOR = "conductor"
-
-FACET_OUTER = "outer"
-FACET_AXIS = "axis"
-FACET_INTERFACE = "interface"
-
-_ELEMENT_TAGS = (TAG_DIELECTRIC, TAG_CONDUCTOR)
-_FACET_TAGS = (FACET_OUTER, FACET_AXIS, FACET_INTERFACE)
 
 _AXIS_TOL = 1e-12
 _NODE_TOL = 1e-12  # both copies of a facet-interior node, and the outer boundary
@@ -74,18 +62,21 @@ _FACE_CORNERS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
 
 @dataclass
 class QuadMesh:
-    """Conforming curved quad mesh with subdomain and boundary labels.
+    """Conforming curved quad mesh of the meridian domain.
 
     Every element has geometry degree `geomdeg`. Its geometry nodes are the
     row of `elem_nodes` in tensor order (index j*(g+1)+i for local
     coordinates (u_i, v_j)); the four corners are the tensor corners.
+    `conductor` marks the conductor's elements. The boundary is not stored:
+    a facet with one element lies on the axis r = 0 when all its nodes have
+    r == 0.0, and on the outer boundary otherwise (`_MeshBuilder.finish`
+    checks that no other kind exists).
     """
 
     nodes: np.ndarray  # (n_nodes, 2)
     elem_nodes: np.ndarray  # (n_elements, (geomdeg+1)^2) int64
     geomdeg: int
-    elem_tag: list
-    facets: list = field(default_factory=list)  # (elem, face, tag)
+    conductor: np.ndarray  # (n_elements,) bool
     name: str = ""
 
     @property
@@ -105,7 +96,7 @@ class QuadMesh:
 
 class _MeshBuilder:
     """Collects blocks of elements; `finish` numbers the nodes, merges the
-    copies of facet-interior nodes, then checks and tags the facets.
+    copies of facet-interior nodes, then checks the mesh for cracks.
 
     on_outer(r, z) tells, for arrays of node coordinates, which nodes lie on
     the domain's outer boundary.
@@ -116,18 +107,19 @@ class _MeshBuilder:
         self.on_outer = on_outer
         self.name = name
         self.blocks: list[np.ndarray] = []
-        self.tags: list[str] = []
+        self.conductor: list[np.ndarray] = []
 
-    def add_block(self, nu: int, nv: int, gen, tag):
+    def add_block(self, nu: int, nv: int, gen, conductor):
         """Add nu x nv elements, cell (i, j) the map (u, v) -> gen(i, u, j, v)
         = (r, z) of [0,1]^2, counterclockwise. gen gets broadcast arrays of
         the cell indices and the GLL points. The elements run with i fast,
-        their nodes in tensor order; tag is one tag or an (nv, nu) array."""
+        their nodes in tensor order; conductor is one bool or an (nv, nu)
+        bool array."""
         x = gll_points(self.geomdeg)
         j, i, v, u = np.ix_(np.arange(nv), np.arange(nu), x, x)
         r, z = (np.broadcast_to(c, (nv, nu, len(x), len(x))) for c in gen(i, u, j, v))
         self.blocks.append(np.stack([r, z], axis=-1).reshape(nu * nv, -1, 2))
-        self.tags += np.broadcast_to(tag, (nv, nu)).ravel().tolist()
+        self.conductor.append(np.broadcast_to(np.asarray(conductor, dtype=bool), (nv, nu)).ravel())
 
     def finish(self) -> QuadMesh:
         """Snap |r| < _AXIS_TOL to the axis and number the nodes by exact
@@ -142,12 +134,12 @@ class _MeshBuilder:
             nodes=X.reshape(-1, 2)[first],
             elem_nodes=ids.reshape(len(X), -1),
             geomdeg=self.geomdeg,
-            elem_tag=self.tags,
+            conductor=np.concatenate(self.conductor),
             name=self.name,
         )
         one, two = _facet_owners(mesh)
         _merge_facet_nodes(mesh, two)
-        _tag_facets(mesh, one, two, self.on_outer)
+        _check_cracks(mesh, one, self.on_outer)
         return mesh
 
 
@@ -211,22 +203,20 @@ def _merge_facet_nodes(mesh: QuadMesh, two):
     mesh.nodes = mesh.nodes[keep]
 
 
-def _tag_facets(mesh: QuadMesh, one, two, on_outer):
-    """Tag the facets `_facet_owners` found: a one-owner facet on the axis
-    or on the outer boundary (on_outer), and the conductor side of a facet
-    between the subdomains. Any other one-owner facet is a crack in the
-    mesh and raises MeshGenerationError."""
+def _on_axis(mesh: QuadMesh, faces) -> np.ndarray:
+    """Whether each of the flat faces 4*e + face lies on the axis: all its
+    nodes have r == 0.0, as `_MeshBuilder.finish` snaps them."""
+    return np.all(mesh.nodes[_face_nodes(mesh, faces), 0] == 0.0, axis=1)
+
+
+def _check_cracks(mesh: QuadMesh, one, on_outer):
+    """Raise MeshGenerationError for a facet with one owner, one of the
+    faces `one`, that lies neither on the axis nor on the outer boundary
+    (on_outer): a crack in the mesh."""
     r, z = np.moveaxis(mesh.nodes[_face_nodes(mesh, one)], -1, 0)
-    axis = np.all(np.abs(r) < _AXIS_TOL, axis=1)
-    inside = ~axis & ~np.all(on_outer(r, z), axis=1)
+    inside = ~_on_axis(mesh, one) & ~np.all(on_outer(r, z), axis=1)
     if np.any(inside):
         raise _facet_error(one[np.argmax(inside)], "facet has one owner but lies inside the domain")
-    cond = np.asarray(mesh.elem_tag) == TAG_CONDUCTOR
-    e1, e2 = two.T // 4
-    side = np.where(cond[e1], two[:, 0], two[:, 1])[cond[e1] != cond[e2]]
-    faces = np.concatenate([one, side])
-    tags = np.where(axis, FACET_AXIS, FACET_OUTER).tolist() + [FACET_INTERFACE] * len(side)
-    mesh.facets = sorted(zip((faces // 4).tolist(), (faces % 4).tolist(), tags))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +229,8 @@ def square_mesh_A(k: int) -> QuadMesh:
     # The nodes i/k and j/k - 2 hit the sides r = 2 and z = +-2 exactly.
     b = _MeshBuilder(1, lambda r, z: (r == 2.0) | (np.abs(z) == 2.0), name=f"A:M{k}")
     j, i = np.mgrid[: 4 * k, : 2 * k]
-    tags = np.where((i < k) & (k <= j) & (j < 3 * k), TAG_CONDUCTOR, TAG_DIELECTRIC)
-    b.add_block(2 * k, 4 * k, lambda i, u, j, v: ((i + u) / k, (j + v) / k - 2.0), tags)
+    conductor = (i < k) & (k <= j) & (j < 3 * k)
+    b.add_block(2 * k, 4 * k, lambda i, u, j, v: ((i + u) / k, (j + v) / k - 2.0), conductor)
     return b.finish()
 
 
@@ -395,8 +385,6 @@ def layered_mesh_B(
         cr, cz = offset(arc(i, u), t_core)
         return _lin(pr, cr, s), _lin(pz, cz, s)
 
-    inner_tag = TAG_DIELECTRIC if shell_conductor else TAG_CONDUCTOR
-    annulus_tag = TAG_CONDUCTOR if shell_conductor else TAG_DIELECTRIC
     h, t, rect_z = np.asarray(inner_h), np.asarray(tlev), zlev[::-1]
 
     b = _MeshBuilder(
@@ -406,13 +394,14 @@ def layered_mesh_B(
     )
     # The band and transition rows inside the inner ellipse, the annulus
     # between the ellipses, the axis rectangle, and the O-grid patch between
-    # the rectangle's path and the core offset curve.
+    # the rectangle's path and the core offset curve. The conductor is the
+    # annulus for the C shells and everything inside the inner ellipse for B.
     b.add_block(n_phi, len(h) - 1, lambda i, u, j, v: offset(arc(i, u), _lin(h[j + 1], h[j], v)),
-                inner_tag)
+                not shell_conductor)
     b.add_block(n_phi, len(t) - 1, lambda i, u, j, v: blend(arc(i, u), _lin(t[j], t[j + 1], v)),
-                annulus_tag)
-    b.add_block(nr, nz, rect, inner_tag)
-    b.add_block(n_phi, ns, ogrid, inner_tag)
+                shell_conductor)
+    b.add_block(nr, nz, rect, not shell_conductor)
+    b.add_block(n_phi, ns, ogrid, not shell_conductor)
     return b.finish()
 
 
@@ -428,103 +417,3 @@ def mesh_for(
     if config == "A":
         return square_mesh_A(k)
     return layered_mesh_B(config, k, sigma_max, omega)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text mesh I/O ("QUADMESH v1")
-
-def write_mesh(mesh: QuadMesh, path):
-    lines = ["QUADMESH v1", str(len(mesh.nodes))]
-    for i, (r, z) in enumerate(mesh.nodes):
-        # repr of a Python float round-trips exactly
-        lines.append(f"{i} {float(r)!r} {float(z)!r}")
-    lines.append(str(mesh.n_elements))
-    for e, (ids, tag) in enumerate(zip(mesh.elem_nodes.tolist(), mesh.elem_tag)):
-        lines.append(f"{e} {tag} {mesh.geomdeg} {len(ids)} {' '.join(map(str, ids))}")
-    lines.append(str(len(mesh.facets)))
-    for e, face, tag in mesh.facets:
-        lines.append(f"{e} {face} {tag}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _parse_text(path, magic: str, parse):
-    """Run parse(line) over a plain-text file whose first line is `magic`.
-
-    `line()` returns the next line. A missing line or a malformed field
-    (a ValueError or IndexError inside parse) is raised as a ValueError that
-    names the file and the line.
-    """
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != magic:
-        raise ValueError(f"not a {magic} file: {path}")
-    pos = 1
-
-    def line() -> str:
-        nonlocal pos
-        pos += 1
-        return lines[pos - 1]
-
-    try:
-        return parse(line)
-    except (IndexError, ValueError) as exc:
-        if pos > len(lines):
-            raise ValueError(f"truncated {magic} file {path}: line {pos} missing") from None
-        raise ValueError(f"malformed {magic} file {path}, line {pos}: {exc}") from None
-
-
-def read_mesh(path) -> QuadMesh:
-    """Read a QUADMESH v1 file. Every element must have the same geometry
-    degree, and element and facet tags must be ones the solver knows."""
-
-    def parse(line):
-        n_nodes = int(line())
-        nodes = np.empty((n_nodes, 2))
-        for k in range(n_nodes):
-            i, r, z = line().split()
-            if int(i) != k:
-                raise ValueError(f"node {i} where node {k} was expected")
-            nodes[k] = (float(r), float(z))
-        n_el = int(line())
-        elem_nodes, tags, geomdeg = [], [], None
-        for _ in range(n_el):
-            parts = line().split()
-            if parts[1] not in _ELEMENT_TAGS:
-                raise ValueError(f"unknown element tag {parts[1]!r}")
-            g = int(parts[2])
-            if g < 1:
-                raise ValueError(f"geometry degree {g} < 1")
-            if geomdeg is not None and g != geomdeg:
-                raise ValueError(f"geometry degree {g} differs from the first element's {geomdeg}")
-            geomdeg = g
-            ids = [int(x) for x in parts[4:]]
-            if not len(ids) == int(parts[3]) == (g + 1) ** 2:
-                raise ValueError(
-                    f"expected {(g + 1) ** 2} node ids for geometry degree "
-                    f"{g}, got {len(ids)} (count field {parts[3]})"
-                )
-            if not 0 <= min(ids) <= max(ids) < n_nodes:
-                raise ValueError(f"node id outside 0..{n_nodes - 1}")
-            elem_nodes.append(ids)
-            tags.append(parts[1])
-        facets = []
-        for _ in range(int(line())):
-            e, face, tag = line().split()
-            if not 0 <= int(e) < n_el:
-                raise ValueError(f"facet element {e} outside 0..{n_el - 1}")
-            if not 0 <= int(face) <= 3:
-                raise ValueError(f"facet face {face} outside 0..3")
-            if tag not in _FACET_TAGS:
-                raise ValueError(f"unknown facet tag {tag!r}")
-            facets.append((int(e), int(face), tag))
-        geomdeg = geomdeg or 1
-        return QuadMesh(
-            nodes=nodes,
-            elem_nodes=np.array(elem_nodes, dtype=np.int64).reshape(n_el, (geomdeg + 1) ** 2),
-            geomdeg=geomdeg,
-            elem_tag=tags,
-            facets=facets,
-        )
-
-    return _parse_text(path, "QUADMESH v1", parse)

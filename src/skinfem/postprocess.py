@@ -14,7 +14,6 @@ import numpy as np
 from .basis import tensor_lagrange_grid
 from . import fem
 from .fem import DiscreteField, _geometry_eval, _quad_points
-from .mesh import TAG_CONDUCTOR
 from .physics import PhysicalParams, curv_ratio, theoretical_slope
 
 __all__ = [
@@ -40,7 +39,7 @@ def conductor_norm(field: DiscreteField) -> float:
     mesh, p = space.mesh, space.p
     xq, w2 = _quad_points(p + 3)
     phi = tensor_lagrange_grid(p, xq)[0]
-    cond = np.flatnonzero(np.asarray(mesh.elem_tag) == TAG_CONDUCTOR)
+    cond = np.flatnonzero(mesh.conductor)
     # One real product for all conductor elements: the coefficients as
     # (n_basis, 2 n_cond) with the real and imaginary parts side by side.
     coef = np.ascontiguousarray(field.coeffs[space.elem_dofs[cond]].T, dtype=np.complex128)
@@ -75,8 +74,7 @@ def extract_radial(field: DiscreteField, interface_radius: float):
     data, not the decay).
     """
     space = field.space
-    cond = np.asarray(space.mesh.elem_tag) == TAG_CONDUCTOR
-    dofs = space.elem_dofs[cond].ravel()
+    dofs = space.elem_dofs[space.mesh.conductor].ravel()
     pts = space.dof_coords[dofs]
     on_eq = np.abs(pts[:, 1]) < _Z_TOL
     if not np.any(on_eq):

@@ -50,6 +50,19 @@ class TestValidation:
         )
         assert cli.main(["--config", path]) == cli.EXIT_CONFIG
 
+    def test_corner_samples_off_the_mesh_rejected(self, tmp_path, capsys):
+        # ell = 1.94 m: the depths 11 ell/4 along the corner diagonal would
+        # cross the axis r = 0 and leave the mesh.
+        out = tmp_path / "out"
+        body = (
+            "[experiment]\nstudy = corner-study\nconfig = A\nsigma = 0.14063\np = 8\n"
+            f"mesh = M4\nomega = 3e6\nout = {out}\n"
+        )
+        assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'sigma'" in err and "'omega'" in err
+        assert not out.exists()
+
     def test_unknown_field(self, tmp_path):
         path = write_ini(
             tmp_path,

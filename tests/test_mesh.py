@@ -9,19 +9,7 @@ from skinfem import cli, mesh
 from skinfem.basis import gauss_rule, gll_points, tensor_lagrange_grid
 from skinfem.fem import FeSpace, _geometry_eval
 from skinfem.geometry import CONFIG_PARAMS
-from skinfem.mesh import (
-    FACET_AXIS,
-    FACET_INTERFACE,
-    FACET_OUTER,
-    TAG_CONDUCTOR,
-    TAG_DIELECTRIC,
-    MeshGenerationError,
-    layered_mesh_B,
-    mesh_for,
-    read_mesh,
-    square_mesh_A,
-    write_mesh,
-)
+from skinfem.mesh import MeshGenerationError, layered_mesh_B, mesh_for, square_mesh_A
 from skinfem.physics import MU0, OMEGA_DEFAULT, skin_depth
 
 
@@ -44,10 +32,10 @@ class TestSquareMeshA:
     def test_counts(self):
         m1 = square_mesh_A(1)
         assert m1.n_elements == 8
-        assert sum(t == TAG_CONDUCTOR for t in m1.elem_tag) == 2
+        assert m1.conductor.dtype == bool and m1.conductor.sum() == 2
         m2 = square_mesh_A(2)
         assert m2.n_elements == 32
-        assert sum(t == TAG_CONDUCTOR for t in m2.elem_tag) == 8
+        assert m2.conductor.sum() == 8
 
     def test_nesting(self):
         coarse = square_mesh_A(2)
@@ -61,10 +49,17 @@ class TestSquareMeshA:
         assert m.nodes[:, 0].min() == 0.0 and m.nodes[:, 0].max() == 2.0
         assert m.nodes[:, 1].min() == -2.0 and m.nodes[:, 1].max() == 2.0
 
-    def test_facet_tags(self):
+    def test_facet_kinds(self):
+        # M1: the axis side r = 0 has 4 facets, the outer sides r = 2 and
+        # z = +-2 have 8, and the conductor [0,1]x[-1,1] meets the dielectric
+        # along 4 (r = 1 and z = +-1).
         m = square_mesh_A(1)
-        tags = {t for _, _, t in m.facets}
-        assert tags == {FACET_AXIS, FACET_OUTER, FACET_INTERFACE}
+        owners = list(facet_adjacency(m).values())
+        one = [o[0] for o in owners if len(o) == 1]
+        on_axis = [np.all(m.nodes[face_node_ids(m, *o), 0] == 0.0) for o in one]
+        cond = [[m.conductor[e] for e, _ in o] for o in owners]
+        interface = [c for c in cond if len(c) == 2 and c[0] != c[1]]
+        assert (sum(on_axis), len(one) - sum(on_axis), len(interface)) == (4, 8, 4)
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -177,8 +172,7 @@ class TestCoreCrack:
 def test_b1_areas():
     m = mesh_for("B1", "M3", sigma_max=80.0)
     areas, _ = element_areas(m)
-    cond = np.array([t == TAG_CONDUCTOR for t in m.elem_tag])
-    assert areas[cond].sum() == pytest.approx(np.pi * 2.0 * 1.0 / 2.0, abs=1e-6)
+    assert areas[m.conductor].sum() == pytest.approx(np.pi * 2.0 * 1.0 / 2.0, abs=1e-6)
     assert areas.sum() == pytest.approx(np.pi * 4.0 * 2.0 / 2.0, abs=1e-6)
 
 
@@ -191,11 +185,11 @@ def test_b1_layer_count_refines():
 def test_interface_facet_nodes_on_ellipse():
     m = mesh_for("B1", "M2", sigma_max=80.0)
     found = 0
-    for e, face, tag in m.facets:
-        if tag != FACET_INTERFACE:
+    for owners in facet_adjacency(m).values():
+        if len(owners) != 2 or m.conductor[owners[0][0]] == m.conductor[owners[1][0]]:
             continue
         found += 1
-        pts = m.nodes[face_node_ids(m, e, face)]
+        pts = m.nodes[face_node_ids(m, *owners[0])]
         vals = (pts[:, 0] / 2.0) ** 2 + (pts[:, 1] / 1.0) ** 2
         assert np.max(np.abs(vals - 1.0)) < 1e-8
     assert found > 0
@@ -228,19 +222,6 @@ def test_generation_error_when_band_too_thick():
         layered_mesh_B("B1", 3, 1e-4, 3e7)
 
 
-def test_mesh_io_roundtrip(tmp_path):
-    m = mesh_for("B1", "M1", sigma_max=80.0)
-    path = tmp_path / "m.txt"
-    write_mesh(m, path)
-    m2 = read_mesh(path)
-    assert np.array_equal(m.nodes, m2.nodes)
-    assert np.array_equal(m.elem_nodes, m2.elem_nodes)
-    assert m2.elem_nodes.dtype == np.int64
-    assert list(m.elem_tag) == list(m2.elem_tag)
-    assert m.geomdeg == m2.geomdeg
-    assert m.facets == m2.facets
-
-
 def test_mesh_for_rejects_bad_spec():
     for config in ("A", "B1"):
         for spec in ("fine", "M 2", "M2.5", "M0"):
@@ -255,94 +236,12 @@ def test_mesh_for_and_cli_accept_the_same_specs():
         cfg.validate()
 
 
-def _edit(lineno, edit):
-    """Replace the fields of 1-based line lineno of a QUADMESH file by edit(fields)."""
-
-    def cut(lines):
-        fields = edit(lines[lineno - 1].split())
-        return lines[: lineno - 1] + [" ".join(fields)] + lines[lineno:]
-
-    return cut
-
-
-# square_mesh_A(1) as written: 15 nodes on lines 3-17, 8 elements on lines
-# 19-26 ("e tag geomdeg count ids..."), 16 facets from line 28 ("e face tag").
-@pytest.mark.parametrize(
-    "cut, message",
-    [
-        pytest.param(lambda lines: [], "bad.txt", id="empty"),
-        pytest.param(lambda lines: lines[:1], "bad.txt", id="header"),
-        pytest.param(lambda lines: lines[:5], "bad.txt", id="nodes"),
-        pytest.param(lambda lines: lines[:-1], "bad.txt", id="facets"),
-        pytest.param(
-            lambda lines: lines[:1] + ["many"] + lines[2:], "bad.txt", id="node-count"
-        ),
-        pytest.param(
-            lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],
-            "bad.txt",
-            id="node-order",
-        ),
-        pytest.param(
-            _edit(19, lambda f: f[:4] + ["99999"] + f[5:]),
-            r"bad\.txt, line 19: node id",
-            id="elem-node-high",
-        ),
-        pytest.param(
-            _edit(20, lambda f: f[:5] + ["-1"] + f[6:]),
-            r"bad\.txt, line 20: node id",
-            id="elem-node-negative",
-        ),
-        pytest.param(
-            _edit(21, lambda f: f[:3] + ["3"] + f[4:-1]),
-            r"bad\.txt, line 21: expected 4 node ids",
-            id="elem-id-count",
-        ),
-        pytest.param(
-            _edit(28, lambda f: ["8"] + f[1:]),
-            r"bad\.txt, line 28: facet element",
-            id="facet-element",
-        ),
-        pytest.param(
-            _edit(29, lambda f: f[:1] + ["4"] + f[2:]),
-            r"bad\.txt, line 29: facet face",
-            id="facet-face",
-        ),
-        pytest.param(
-            _edit(19, lambda f: f[:1] + ["conductr"] + f[2:]),
-            r"bad\.txt, line 19: unknown element tag 'conductr'",
-            id="elem-tag",
-        ),
-        pytest.param(
-            _edit(30, lambda f: f[:2] + ["outr"]),
-            r"bad\.txt, line 30: unknown facet tag 'outr'",
-            id="facet-tag",
-        ),
-        pytest.param(
-            _edit(19, lambda f: f[:2] + ["0", "1"] + f[4:5]),
-            r"bad\.txt, line 19: geometry degree 0 < 1",
-            id="elem-degree-0",
-        ),
-        pytest.param(
-            _edit(22, lambda f: f[:2] + ["2", "9"] + f[4:] + f[4:] + f[4:5]),
-            r"bad\.txt, line 22: geometry degree 2 differs from the first element's 1",
-            id="mixed-degrees",
-        ),
-    ],
-)
-def test_read_mesh_bad_file_names_file(tmp_path, cut, message):
-    path = tmp_path / "bad.txt"
-    write_mesh(square_mesh_A(1), path)
-    lines = path.read_text().splitlines()
-    path.write_text("".join(line + "\n" for line in cut(lines)))
-    with pytest.raises(ValueError, match=message):
-        read_mesh(path)
-
-
 # ---------------------------------------------------------------------------
 # The scalar mesh builder that `_MeshBuilder.add_block` replaced: a dict
 # registry of exact node coordinates, one `gen(u, v)` call per node, and a
-# hand-numbered node grid for config A. Kept verbatim apart from names and
-# the dropped argument checks, as the reference for the array builder.
+# hand-numbered node grid for config A. Kept verbatim apart from names, the
+# dropped argument checks and a conductor flag in place of an element tag,
+# as the reference for the array builder.
 
 
 class _RefBuilder:
@@ -351,7 +250,7 @@ class _RefBuilder:
         self.geomdeg = geomdeg
         self._pts = gll_points(geomdeg).tolist()
         self.on_outer = on_outer
-        self.elem_nodes, self.tags = [], []
+        self.elem_nodes, self.conductor = [], []
         self.name = name
 
     def add(self, r, z):
@@ -365,9 +264,9 @@ class _RefBuilder:
             self._index[key] = idx
         return idx
 
-    def add_element(self, gen, tag):
+    def add_element(self, gen, conductor):
         self.elem_nodes.append([self.add(*gen(u, v)) for v in self._pts for u in self._pts])
-        self.tags.append(tag)
+        self.conductor.append(conductor)
 
     def finish(self):
         n_geom = (self.geomdeg + 1) ** 2
@@ -375,12 +274,12 @@ class _RefBuilder:
             nodes=np.asarray(self.coords, dtype=float),
             elem_nodes=np.array(self.elem_nodes, dtype=np.int64).reshape(-1, n_geom),
             geomdeg=self.geomdeg,
-            elem_tag=list(self.tags),
+            conductor=np.array(self.conductor, dtype=bool),
             name=self.name,
         )
         one, two = mesh._facet_owners(m)
         mesh._merge_facet_nodes(m, two)
-        mesh._tag_facets(m, one, two, self.on_outer)
+        mesh._check_cracks(m, one, self.on_outer)
         return m
 
 
@@ -393,11 +292,10 @@ def _ref_square_mesh_A(k):
             node_id[i, j] = b.add(i / k, j / k - 2.0)
     for j in range(nz):
         for i in range(nr):
-            tag = TAG_CONDUCTOR if (i < k and k <= j < 3 * k) else TAG_DIELECTRIC
             b.elem_nodes.append(
                 [node_id[i, j], node_id[i + 1, j], node_id[i, j + 1], node_id[i + 1, j + 1]]
             )
-            b.tags.append(tag)
+            b.conductor.append(i < k and k <= j < 3 * k)
     return b.finish()
 
 
@@ -484,8 +382,7 @@ def _ref_layered_mesh_B(config, n_layers, sigma_max, omega):
         ro, zo = _ref_ellipse_point(bb, d, phi)
         return (ri + t * (ro - ri), zi + t * (zo - zi))
 
-    inner_tag = TAG_DIELECTRIC if shell_conductor else TAG_CONDUCTOR
-    annulus_tag = TAG_CONDUCTOR if shell_conductor else TAG_DIELECTRIC
+    inner_conductor, annulus_conductor = not shell_conductor, shell_conductor
     b = _RefBuilder(
         mesh.GEOM_DEG_CURVED,
         lambda r, z: np.abs((r / bb) ** 2 + (z / d) ** 2 - 1.0) < 1e-12,
@@ -499,7 +396,7 @@ def _ref_layered_mesh_B(config, n_layers, sigma_max, omega):
             def gen(u, v, p0=p0, p1=p1, h_lo=h_lo, h_hi=h_hi):
                 return offset(_ref_lin(p0, p1, u), _ref_lin(h_hi, h_lo, v))
 
-            b.add_element(gen, inner_tag)
+            b.add_element(gen, inner_conductor)
     for j in range(len(tlev) - 1):
         t_lo, t_hi = tlev[j], tlev[j + 1]
         for i in range(n_phi):
@@ -508,7 +405,7 @@ def _ref_layered_mesh_B(config, n_layers, sigma_max, omega):
             def gen(u, v, p0=p0, p1=p1, t_lo=t_lo, t_hi=t_hi):
                 return blend(_ref_lin(p0, p1, u), _ref_lin(t_lo, t_hi, v))
 
-            b.add_element(gen, annulus_tag)
+            b.add_element(gen, annulus_conductor)
     rect_r = np.asarray(rlev)
     rect_z = np.asarray(zlev_desc[::-1])
     for j in range(nz):
@@ -519,7 +416,7 @@ def _ref_layered_mesh_B(config, n_layers, sigma_max, omega):
             def gen(u, v, r0=r0, r1=r1, z0=z0, z1=z1):
                 return (_ref_lin(r0, r1, u), _ref_lin(z0, z1, v))
 
-            b.add_element(gen, inner_tag)
+            b.add_element(gen, inner_conductor)
     for j in range(ns):
         s_lo, s_hi = j / ns, (j + 1) / ns
         for i in range(n_phi):
@@ -532,7 +429,7 @@ def _ref_layered_mesh_B(config, n_layers, sigma_max, omega):
                 cr, cz = offset(_ref_lin(p0, p1, u), t_core)
                 return (_ref_lin(pr, cr, s), _ref_lin(pz, cz, s))
 
-            b.add_element(gen, inner_tag)
+            b.add_element(gen, inner_conductor)
     return b.finish()
 
 
@@ -548,7 +445,7 @@ BUILDER_CASES = (
 
 @pytest.mark.parametrize("config,k,sigma_max,omega", BUILDER_CASES, ids=str)
 def test_block_builder_matches_scalar_builder(config, k, sigma_max, omega):
-    """Same elements, tags, facets and DOF numbering as the scalar builder.
+    """Same elements, conductor and DOF numbering as the scalar builder.
     Config B/C meshes keep its node numbering, so their `FeSpace` is the
     same; config A's nodes are numbered by first appearance over the
     elements, no longer row by row, and its DOFs are compared. Node
@@ -561,9 +458,8 @@ def test_block_builder_matches_scalar_builder(config, k, sigma_max, omega):
         ref = _ref_layered_mesh_B(config, k, sigma_max, omega)
         new = layered_mesh_B(config, k, sigma_max, omega)
         assert np.array_equal(new.elem_nodes, ref.elem_nodes)
-    assert (new.name, new.geomdeg, new.elem_tag, new.facets) == (
-        ref.name, ref.geomdeg, ref.elem_tag, ref.facets
-    )
+    assert (new.name, new.geomdeg) == (ref.name, ref.geomdeg)
+    assert new.conductor.dtype == bool and np.array_equal(new.conductor, ref.conductor)
     assert new.nodes.shape == ref.nodes.shape
     X, X_ref = new.nodes[new.elem_nodes], ref.nodes[ref.elem_nodes]
     assert np.max(np.abs(X - X_ref)) <= 1e-15 * np.max(np.abs(ref.nodes))

@@ -93,7 +93,7 @@ def _conductor_norm_per_element(field):
     phi = tensor_lagrange_grid(p, xq)[0]
     total = 0.0
     for e in range(m.n_elements):
-        if m.elem_tag[e] != mesh.TAG_CONDUCTOR:
+        if not m.conductor[e]:
             continue
         X = m.nodes[m.elem_nodes[e]]
         rq, _, _, _, _, _, det = _geometry_eval(X, *tensor_lagrange_grid(m.geomdeg, xq))
