@@ -91,6 +91,14 @@ class ExperimentConfig:
             raise ConfigError("field 'sigma': conductivities must be positive and finite")
         if not 0 < self.omega < math.inf:
             raise ConfigError(f"field 'omega': {self.omega!r} is not positive and finite")
+        # The skin depth sqrt(2/(omega mu0 sigma)) is finite when the product is
+        # a normal float; the smallest sigma gives the smallest product.
+        if not self.omega * physics.MU0 * min(self.sigmas) >= sys.float_info.min:
+            raise ConfigError(
+                f"fields 'sigma' and 'omega': omega mu0 sigma underflows at sigma "
+                f"{min(self.sigmas)!r} and omega {self.omega!r}; the skin depth "
+                "sqrt(2/(omega mu0 sigma)) needs a normal float"
+            )
         if self.study == "corner-study":
             # corner_slopes samples the diagonal from (r0, l0/2) inward down to
             # the depth _CORNER_SAMPLES * ell / 4, which must stay off the axis.

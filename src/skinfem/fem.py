@@ -8,9 +8,12 @@ the homogeneous axis condition) are imposed by interpolation at boundary
 DOF nodes plus right-hand-side lifting.
 
 The form's weights depend on r alone, so elements that differ only by a
-shift in z have the same stiffness and mass. `assemble` computes them once
-per such shape class, with the sum-factorized `kernels.element_matrix` on
-1D Lagrange tables, and `solve` condenses once per class and coefficient.
+shift in z, or by a reflection z -> -z, have the same stiffness and mass up
+to a flip of the local DOF order. `FeSpace` finds these shape classes once
+(Bossavit, CMAME 56, 1986) and holds its DOF table in each class's order;
+`assemble` computes S and M once per class, with the sum-factorized
+`kernels.element_matrix` on 1D Lagrange tables, and `solve` condenses once
+per class and coefficient.
 The skeleton system left by the condensation is solved by multifrontal
 elimination over a nested-dissection tree of the elements (George 1973;
 Duff & Reid 1983), which `FeSpace` builds once; numpy is the only
@@ -104,6 +107,13 @@ class FeSpace:
     essential conditions: axis DOFs, on faces with r == 0, are constrained
     to zero, and the rest are outer-boundary DOFs. `tree` is the
     elimination tree of the free skeleton DOFs (`_build_tree`).
+
+    Element e has shape class `elem_shape[e]` and flip `elem_flip[e]`
+    (`_shape_classes`): `_flips(p)[elem_flip[e]]` maps the local order of
+    its class's lowest-numbered element to its own, the identity or, for a
+    mirror image, the u or v index reversed. `class_dofs` is `elem_dofs` in
+    that class order; the assembly and the solver read it, while
+    `elem_dofs` serves evaluation.
     """
 
     def __init__(self, mesh: QuadMesh, p: int):
@@ -113,6 +123,8 @@ class FeSpace:
         self.p = p
         one, two = _facet_owners(mesh)
         self._build_numbering()
+        self.elem_shape, self.elem_flip = _shape_classes(mesh)
+        self.class_dofs = np.take_along_axis(self.elem_dofs, _flips(p)[self.elem_flip], axis=1)
         self._compute_dof_coords()
         self._collect_boundary_dofs(one)
         self._build_tree(two // 4)
@@ -175,37 +187,44 @@ class FeSpace:
         A set of elements is split in halves by a stable sort of the Fiedler
         vector of its facet-adjacency Laplacian; a leaf is one element. A
         free skeleton DOF is eliminated at the first node that holds every
-        element it belongs to, and passed up from the nodes below that.
+        element it belongs to, and passed up from the nodes below that,
+        with the number of elements below that hold it.
         `tree` lists the nodes in postorder, the root last, each as
         (dofs, n_elim, children, lowest, keep): its front's free skeleton
         DOFs, the n_elim eliminated there first; (node index, positions of
         the node's passed-up DOFs in dofs) per child; the lowest-numbered
         element below it; for a leaf, dofs as indices into its element's
-        skeleton.
+        skeleton in class order.
         """
         nel = self.mesh.n_elements
         adj = np.zeros((nel, nel))
         adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1.0
-        skel = self.elem_dofs[:, _skeleton_locals(self.p)]
+        skel = self.class_dofs[:, _skeleton_locals(self.p)]
         count = np.bincount(skel.ravel(), minlength=self.n_skeleton)
         tree, passed, where = [], [], np.empty(self.n_skeleton, dtype=np.int64)
 
         def build(elems):
             if len(elems) == 1:
                 children, keep = (), np.flatnonzero(~self.constrained[skel[elems[0]]])
-                dofs = skel[elems[0], keep]
+                dofs, below = skel[elems[0], keep], np.ones(len(keep))
             else:
                 A = adj[np.ix_(elems, elems)]
                 fiedler = np.linalg.eigh(np.diag(A.sum(axis=1)) - A)[1][:, 1]
                 halves = np.array_split(elems[np.argsort(fiedler, kind="stable")], 2)
                 children = [build(half) for half in halves]
-                keep = dofs = np.unique(np.concatenate([passed[c] for c in children]))
-            here = np.bincount(skel[elems].ravel(), minlength=len(count))[dofs] == count[dofs]
+                up = np.concatenate([passed[c][0] for c in children])
+                keep = dofs = np.unique(up)
+                below = np.bincount(
+                    np.searchsorted(dofs, up),
+                    np.concatenate([passed[c][1] for c in children]),
+                    len(dofs),
+                )
+            here = below == count[dofs]
             order = np.argsort(~here, kind="stable")
             dofs, keep, n_elim = dofs[order], keep[order], int(np.count_nonzero(here))
-            passed.append(dofs[n_elim:])
+            passed.append((dofs[n_elim:], below[order][n_elim:]))
             where[dofs] = np.arange(len(dofs))
-            children = tuple((c, where[passed[c]]) for c in children)
+            children = tuple((c, where[passed[c][0]]) for c in children)
             tree.append((dofs, n_elim, children, int(elems.min()), keep))
             return len(tree) - 1
 
@@ -273,12 +292,12 @@ class DiscreteField:
 class AssembledSystem:
     """Sigma-independent element pieces plus one coefficient per element.
 
-    Elements that are translates of each other in z share S and M, since
-    the form's weights depend on r alone: element e has shape class
-    k = elem_shape[e], and its matrix is
-    coef[e] * stiffness[k] - kappa2 * mass[k], where coef is
-    1/eps_conductor in the conductor and 1 in the dielectric (or everywhere
-    under `uniform_eps`). Sigma enters only through coef, so `at`
+    The members of a shape class share S and M in the class's local order:
+    element e, of class k = space.elem_shape[e], has the matrix
+    coef[e] * stiffness[k] - kappa2 * mass[k] over the DOFs
+    space.class_dofs[e]; its load vector loads[e] is in element order. coef
+    is 1/eps_conductor in the conductor and 1 in the dielectric (or
+    everywhere under `uniform_eps`). Sigma enters only through coef, so `at`
     re-targets the system to another conductivity without recomputing an
     element matrix. No global matrix is formed: `solve` condenses once per
     (shape, coef) group and eliminates the skeleton front by front.
@@ -287,7 +306,6 @@ class AssembledSystem:
     space: FeSpace
     stiffness: np.ndarray  # (n_shapes, (p+1)^2, (p+1)^2) real
     mass: np.ndarray  # (n_shapes, (p+1)^2, (p+1)^2) real
-    elem_shape: np.ndarray  # (n_elements,) int64 shape class of each element
     loads: np.ndarray  # (n_elements, (p+1)^2) real element loads
     gvec: np.ndarray  # prescribed values at constrained dofs, 0 elsewhere
     kappa2: float
@@ -309,9 +327,9 @@ class AssembledSystem:
 
     def lifted_rhs(self) -> np.ndarray:
         """b - A g over all dofs."""
-        dofs = self.space.elem_dofs
-        Ag = _element_products(self, self.gvec)
-        return _scatter(dofs, self.loads - Ag, self.space.n_dofs)
+        space = self.space
+        loads = np.take_along_axis(self.loads, _flips(space.p)[space.elem_flip], axis=1)
+        return _scatter(space.class_dofs, loads - _element_products(self, self.gvec), space.n_dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +345,38 @@ def _coefficients(mesh: QuadMesh, params: PhysicalParams, uniform_eps: bool):
 
 def _shape_classes(mesh: QuadMesh):
     """Shape class of each element, numbered in order of first appearance,
-    and the lowest-numbered element of each class.
+    and its flip from the class's lowest-numbered element, the class's
+    representative: 0 for none, 1 or 2 for a mirror image z -> -z with the
+    local u or v index reversed.
 
-    Two elements share a class when their geometry nodes, shifted so that
-    the first node has z = 0, agree on the `_quantized` grid of
-    1e-13 * max|nodes|.
+    An element is keyed by its geometry nodes shifted so that the first node
+    has z = 0, on the `_quantized` grid of 1e-13 * max|nodes|; so are its
+    mirror image with u reversed and with v reversed. It joins the earliest
+    class whose representative's own key equals one of its three keys, by
+    that flip (no flip first), or else starts a class.
     """
-    X = mesh.nodes[mesh.elem_nodes]
-    rel = X.copy()
-    rel[..., 1] -= X[:, :1, 1]
-    keys = _quantized(rel, np.max(np.abs(mesh.nodes))).reshape(len(X), -1)
-    return _first_appearance(keys, axis=0)
+    g1 = mesh.geomdeg + 1
+    X = mesh.nodes[mesh.elem_nodes].reshape(-1, g1, g1, 2)
+    R = X * [1.0, -1.0]
+    keys = []
+    for Y in (X, R[:, :, ::-1], R[:, ::-1]):
+        rel = Y.reshape(len(X), -1, 2).copy()
+        rel[..., 1] -= rel[:, :1, 1]
+        keys.append(_quantized(rel, np.max(np.abs(mesh.nodes))).reshape(len(X), -1))
+    ids = _first_appearance(np.concatenate(keys), axis=0)[0].reshape(3, -1)
+    shape, flip = np.empty((2, len(X)), dtype=np.int64)
+    classes = {}  # representative's own key -> class
+    for e, own in enumerate(ids.T.tolist()):
+        hits = [(classes[k], f) for f, k in enumerate(own) if k in classes]
+        shape[e], flip[e] = min(hits) if hits else (classes.setdefault(own[0], len(classes)), 0)
+    return shape, flip
+
+
+def _flips(p: int) -> np.ndarray:
+    """(3, (p+1)^2) local tensor indices under flip 0 (none), 1 (u index
+    reversed) and 2 (v index reversed)."""
+    idx = np.arange((p + 1) ** 2).reshape(p + 1, p + 1)
+    return np.stack([idx, idx[:, ::-1], idx[::-1]]).reshape(3, -1)
 
 
 def _members(labels) -> list:
@@ -368,7 +407,7 @@ def assemble(
         raise AssemblyError(f"{what} in element {e}")
     wq = w2 * det
 
-    elem_shape, first = _shape_classes(mesh)
+    first = np.unique(space.elem_shape, return_index=True)[1]
     S, M = kernels.element_matrix(
         basis.lagrange_matrix(basis.gll_points(p), xq),
         basis.lagrange_deriv_matrix(basis.gll_points(p), xq),
@@ -404,7 +443,6 @@ def assemble(
         space=space,
         stiffness=S,
         mass=M,
-        elem_shape=elem_shape,
         loads=be,
         gvec=gvec,
         kappa2=params.kappa**2,
@@ -414,15 +452,15 @@ def assemble(
 
 
 def _element_products(system: AssembledSystem, v) -> np.ndarray:
-    """A_e v_e for every element, (n_elements, (p+1)^2) complex.
+    """A_e v_e for every element, (n_elements, (p+1)^2) complex, in class order.
 
     One real product per shape class: its S and M multiply the real and
     the imaginary parts of all its members' vectors at once (S and M are
     symmetric, so v_e S = S v_e). No complex element matrix is formed.
     """
-    ve = np.asarray(v, dtype=np.complex128)[system.space.elem_dofs]
+    ve = np.asarray(v, dtype=np.complex128)[system.space.class_dofs]
     out = np.empty_like(ve)
-    for k, idx in enumerate(_members(system.elem_shape)):
+    for k, idx in enumerate(_members(system.space.elem_shape)):
         parts = np.concatenate([ve[idx].real, ve[idx].imag])
         Sv, Mv = parts @ system.stiffness[k], parts @ system.mass[k]
         m = len(idx)
@@ -456,7 +494,8 @@ def solve(system: AssembledSystem) -> DiscreteField:
 
     The interior DOFs of each element are eliminated against its skeleton
     (vertex and edge) DOFs, once per group of elements that share a shape
-    class and a coefficient, and so a matrix. The Schur complements are
+    class and a coefficient, and so a matrix; every member reads its DOFs
+    in the class order of `space.class_dofs`. The Schur complements are
     eliminated front by front over `space.tree` (`_eliminate`); the
     interiors are then recovered by back-substitution.
 
@@ -465,7 +504,7 @@ def solve(system: AssembledSystem) -> DiscreteField:
     lowest-numbered element below it.
     """
     space = system.space
-    dofs = space.elem_dofs
+    dofs = space.class_dofs
     ns = space.n_skeleton
     il, bl = _interior_locals(space.p), _skeleton_locals(space.p)
     skel = dofs[:, bl]
@@ -477,7 +516,7 @@ def solve(system: AssembledSystem) -> DiscreteField:
     # Schur complement on the skeleton, shared by the members. A real
     # coefficient keeps the matrix real; the members' interior right-hand
     # sides are then solved as real and imaginary columns.
-    keys = np.column_stack([system.elem_shape, system.coef.real, system.coef.imag])
+    keys = np.column_stack([space.elem_shape, system.coef.real, system.coef.imag])
     group = _first_appearance(keys, axis=0)[0]
     groups = _members(group)
     X_b, schur = [], np.empty((len(groups), nb, nb), dtype=np.complex128)
@@ -485,7 +524,7 @@ def solve(system: AssembledSystem) -> DiscreteField:
     A_bi_x = np.empty((nel, nb), dtype=np.complex128)
     for g, idx in enumerate(groups):
         e, m = idx[0], len(idx)
-        c, k = system.coef[e], system.elem_shape[e]
+        c, k = system.coef[e], space.elem_shape[e]
         A = (c if c.imag else c.real) * system.stiffness[k] - system.kappa2 * system.mass[k]
         r = r_i[idx].T if c.imag else np.hstack([r_i[idx].real.T, r_i[idx].imag.T])
         try:

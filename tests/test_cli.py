@@ -63,6 +63,20 @@ class TestValidation:
         assert "'sigma'" in err and "'omega'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma, omega", [("5e-324", "5e-324"), ("1e-300", "1e-10")])
+    def test_underflowing_skin_depth_rejected(self, tmp_path, capsys, sigma, omega):
+        # omega mu0 sigma underflows: 0.0 for the first pair, subnormal for
+        # the second, where 2 / (omega mu0 sigma) overflows.
+        out = tmp_path / "out"
+        body = (
+            f"[experiment]\nstudy = solve\nconfig = B1\nsigma = {sigma}\np = 2\n"
+            f"mesh = M1\nomega = {omega}\nout = {out}\n"
+        )
+        assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'sigma'" in err and "'omega'" in err
+        assert not out.exists()
+
     def test_unknown_field(self, tmp_path):
         path = write_ini(
             tmp_path,
@@ -361,6 +375,27 @@ class TestSigmaReuse:
         space = fem.FeSpace(mesh.mesh_for("A", "M1", sigma_max=20.0), 2)
         fem.assemble(space, physics.PhysicalParams(sigma=5.0), fem.SourceSpec.dirichlet_radius())
         assert swept == sum(calls) - swept == 2  # one element matrix per shape class
+
+    def test_sweep_b1_kernel_evaluations(self, tmp_path, monkeypatch):
+        # The sweep-b1 study, mesh and sigmas (B1 M3 meshed for sigma <= 400)
+        # at p=4: the classes depend on the mesh alone. Its 152 elements
+        # fall into 73 classes up to z-translation and z-reflection.
+        calls = []
+        kernel = cli.fem.kernels.element_matrix
+
+        def counted(*args):
+            result = kernel(*args)
+            calls.append(len(result[0]))
+            return result
+
+        monkeypatch.setattr(cli.fem.kernels, "element_matrix", counted)
+        out = tmp_path / "out"
+        body = (
+            "[experiment]\nstudy = sigma-scaling\nconfig = B1\n"
+            f"sigma = 80, 200, 400\np = 4\nmesh = M3\nout = {out}\n"
+        )
+        assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_OK
+        assert sum(calls) == 73
 
     @staticmethod
     def _fresh_norm(config, spec, p, sigma, sigma_max):

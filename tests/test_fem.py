@@ -10,8 +10,15 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from skinfem import fem, mesh, physics, postprocess
-from skinfem.basis import gll_points, tensor_lagrange, tensor_lagrange_grid
+from scipy.spatial import cKDTree
+from skinfem import fem, kernels, mesh, physics, postprocess
+from skinfem.basis import (
+    gll_points,
+    lagrange_deriv_matrix,
+    lagrange_matrix,
+    tensor_lagrange,
+    tensor_lagrange_grid,
+)
 from skinfem.fem import (
     AssemblyError,
     FeSpace,
@@ -42,8 +49,8 @@ def global_matrix(system):
     of the element matrices is kept.
     """
     n = system.space.n_dofs
-    rows, cols = _element_triplets(system.space.elem_dofs)
-    k = system.elem_shape
+    rows, cols = _element_triplets(system.space.class_dofs)  # class order
+    k = system.space.elem_shape
     vals = system.coef[:, None, None] * system.stiffness[k] - system.kappa2 * system.mass[k]
     keys = cols * np.int64(n) + rows
     order = np.argsort(keys, kind="stable")
@@ -300,6 +307,42 @@ class TestAssembly:
         assert np.max(np.abs(r)) / scale < 1e-9
 
 
+class TestEliminationTree:
+    """FeSpace.tree against a count over all skeleton DOFs at every node."""
+
+    @pytest.mark.parametrize(
+        "config, spec, p", [("A", "M2", 4), ("B1", "M1", 3), ("C1", "M1", 2), ("B2", "M2", 2)]
+    )
+    def test_eliminates_where_every_element_is_below(self, config, spec, p):
+        space = FeSpace(mesh.mesh_for(config, spec, sigma_max=80.0), p)
+        skel = space.class_dofs[:, fem._skeleton_locals(p)]
+        count = np.bincount(skel.ravel(), minlength=space.n_skeleton)
+        below = []
+        for dofs, n, children, lowest, keep in space.tree:
+            if children:
+                elems = np.concatenate([below[c] for c, _ in children])
+            else:
+                elems = np.array([lowest])
+                assert np.array_equal(dofs, skel[lowest, keep])
+            below.append(elems)
+            here = np.bincount(skel[elems].ravel(), minlength=space.n_skeleton)[dofs] == count[dofs]
+            assert np.all(here[:n]) and not np.any(here[n:])
+        assert np.array_equal(np.sort(below[-1]), np.arange(space.mesh.n_elements))
+        free = np.concatenate([dofs[:n] for dofs, n, *_ in space.tree])
+        assert np.array_equal(np.sort(free), space.free[space.free < space.n_skeleton])
+
+    # Three times sum n^3/3 + n^2 m + n m^2 over the fronts (n eliminated,
+    # m passed up), as the tree had before it counted over its own DOFs.
+    @pytest.mark.parametrize(
+        "config, spec, sigma_max, p, work3",
+        [("A", "M2", 80.0, 16, 35112129), ("B1", "M3", 400.0, 16, 452118117)],
+    )
+    def test_front_work(self, config, spec, sigma_max, p, work3):
+        space = FeSpace(mesh.mesh_for(config, spec, sigma_max=sigma_max), p)
+        fronts = [(n, len(dofs) - n) for dofs, n, *_ in space.tree]
+        assert sum(n**3 + 3 * n * n * m + 3 * n * m * m for n, m in fronts) == work3
+
+
 class TestCondensation:
     """solve() against an uncondensed direct solve of the same system."""
 
@@ -317,12 +360,13 @@ class TestCondensation:
             assert space.n_skeleton == space.n_dofs  # nothing to condense
         src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
         sys_ = assemble(space, params5, src)
-        # Global CSR from the element matrices; scipy sums the duplicates.
-        dofs = space.elem_dofs
+        # Global CSR from the class matrices over the class-order DOF table;
+        # scipy sums the duplicates.
+        dofs = space.class_dofs
         n2 = dofs.shape[1]
         rows = np.repeat(dofs, n2, axis=1).ravel()
         cols = np.tile(dofs, (1, n2)).ravel()
-        k = sys_.elem_shape
+        k = space.elem_shape
         Ae = sys_.coef[:, None, None] * sys_.stiffness[k] - sys_.kappa2 * sys_.mass[k]
         A = sparse.csr_matrix((Ae.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2)
         free = space.free
@@ -336,10 +380,10 @@ class TestCondensation:
         # class has a singular block; the lowest-numbered one is named.
         sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
         il = fem._interior_locals(3)
-        k = sys_.elem_shape[5]
+        k = sys_.space.elem_shape[5]
         sys_.stiffness[k][np.ix_(il, il)] = 0.0
         sys_.mass[k][np.ix_(il, il)] = 0.0
-        lowest = np.flatnonzero(sys_.elem_shape == k)[0]
+        lowest = np.flatnonzero(sys_.space.elem_shape == k)[0]
         assert lowest < 5
         with pytest.raises(AssemblyError, match=rf"element {lowest}\b"):
             solve(sys_)
@@ -478,6 +522,27 @@ def _condensed_per_element(system, S, M):
     return system.gvec + y
 
 
+def _perm(space):
+    """Local order of each element's class representative in its own."""
+    return fem._flips(space.p)[space.elem_flip]
+
+
+def _in_element_order(space, mats):
+    """mats[elem_shape[e]], the class matrices, in element e's own local
+    order, for every element e."""
+    inv = np.argsort(_perm(space), axis=1)
+    return mats[space.elem_shape[:, None, None], inv[:, :, None], inv[:, None, :]]
+
+
+def _kernel_matrices(m, p, elems):
+    """S and M of the elements elems from the kernel on their own geometry."""
+    xq, w2 = fem._quad_points(p + 3)
+    X = m.nodes[m.elem_nodes[elems]]
+    rq, _, xu, xv, yu, yv, det = fem._geometry_eval(X, *tensor_lagrange_grid(m.geomdeg, xq))
+    V, D = lagrange_matrix(gll_points(p), xq), lagrange_deriv_matrix(gll_points(p), xq)
+    return kernels.element_matrix(V, D, rq, w2 * det, xu, xv, yu, yv, det)
+
+
 class TestShapeClasses:
     """Per-class element arrays against the per-element dense kernel loop."""
 
@@ -492,12 +557,22 @@ class TestShapeClasses:
         return system, _per_element_arrays(space, src)
 
     def test_element_matrices_and_loads(self, case):
+        # A member with the identity permutation is checked against its own
+        # dense matrices; a mirrored member against its representative's,
+        # both read in its own order, since mirrored geometry puts the
+        # kernel's floor above 1e-13 (test_member_matrices_match_representative).
         system, (S, M, be) = case
-        k = system.elem_shape
-        assert k.shape == (system.space.mesh.n_elements,) and k.dtype == np.int64
+        space = system.space
+        k = space.elem_shape
+        assert k.shape == (space.mesh.n_elements,) and k.dtype == np.int64
         assert len(system.stiffness) == len(system.mass) == k.max() + 1
-        for got, want in ((system.stiffness[k], S), (system.mass[k], M)):
-            err = np.max(np.abs(got - want), axis=(1, 2))
+        first = np.unique(k, return_index=True)[1]
+        inv = np.argsort(_perm(space), axis=1)
+        mirrored = np.any(inv != np.arange(inv.shape[1]), axis=1)
+        ref = np.where(mirrored, first[k], np.arange(len(k)))
+        for got, want in ((system.stiffness, S), (system.mass, M)):
+            want = want[ref[:, None, None], inv[:, :, None], inv[:, None, :]]
+            err = np.max(np.abs(_in_element_order(space, got) - want), axis=(1, 2))
             assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=(1, 2)))
         assert np.max(np.abs(system.loads - be)) <= 1e-13 * max(np.max(np.abs(be)), 1e-300)
 
@@ -511,11 +586,72 @@ class TestShapeClasses:
     def test_class_counts_on_A(self, spec, n_shapes):
         # One class per column of squares: z-translates share a class.
         m = mesh.mesh_for("A", spec)
-        k, first = fem._shape_classes(m)
-        assert len(first) == n_shapes
+        k, flip = fem._shape_classes(m)
+        assert not np.any(flip)
         column = np.unique(m.nodes[m.corners[:, 0], 0], return_inverse=True)[1]
         assert np.array_equal(k, column)
-        assert np.array_equal(first, np.arange(n_shapes))
+        assert np.array_equal(np.unique(k, return_index=True)[1], np.arange(n_shapes))
+
+    # Classes and u-flipped members; with z-translates alone the B/C meshes
+    # had 143, 163 and 113 classes, A M4 the same 8.
+    @pytest.mark.parametrize(
+        "config, spec, sigma_max, n_shapes, n_flipped",
+        [
+            ("A", "M4", 80.0, 8, 0),
+            ("B1", "M3", 400.0, 73, 70),
+            ("B1", "M6", 80.0, 84, 79),
+            ("B2", "M2", 80.0, 60, 53),
+            ("C1", "M3", 80.0, 58, 55),
+            ("C2", "M3", 80.0, 62, 51),
+        ],
+    )
+    def test_class_counts_up_to_mirror(self, config, spec, sigma_max, n_shapes, n_flipped):
+        k, flip = fem._shape_classes(mesh.mesh_for(config, spec, sigma_max=sigma_max))
+        assert k.max() + 1 == n_shapes
+        assert np.count_nonzero(flip == 1) == n_flipped and not np.any(flip == 2)
+
+    # Over every member of these meshes at p in 2..20 the kernel's floor
+    # under a mirror is at most 4.2e-12 relative (B1 M6 p=20; B2 M2 p=8:
+    # 2.3e-13); it grows with p and on the finer B1 mesh. z-translates agree
+    # to 1.2e-14. The bound leaves a factor of 2.4.
+    @pytest.mark.parametrize("p", [4, 20])
+    @pytest.mark.parametrize(
+        "config, spec, sigma_max",
+        [("A", "M2", 80.0), ("B1", "M3", 400.0), ("B1", "M6", 80.0), ("B2", "M2", 80.0),
+         ("C1", "M3", 80.0), ("C2", "M3", 80.0)],
+    )
+    def test_member_matrices_match_representative(self, config, spec, sigma_max, p):
+        # Each member's S and M from the kernel on its own geometry, without
+        # the class table, against its representative's read in its order.
+        m = mesh.mesh_for(config, spec, sigma_max=sigma_max)
+        space = FeSpace(m, p)
+        k = space.elem_shape
+        first = np.unique(k, return_index=True)[1]
+        members = np.flatnonzero(first[k] != np.arange(m.n_elements))
+        if p == 20:
+            members = members[::8]  # every eighth, for time
+        mine = _kernel_matrices(m, p, members)
+        theirs = _kernel_matrices(m, p, first[k[members]])
+        inv = np.argsort(_perm(space)[members], axis=1)
+        rows = np.arange(len(members))[:, None, None]
+        for own, rep in zip(mine, theirs):
+            rep = rep[rows, inv[:, :, None], inv[:, None, :]]
+            err = np.max(np.abs(own - rep), axis=(1, 2))
+            assert np.all(err <= 1e-11 * np.max(np.abs(own), axis=(1, 2)))
+
+    # With g = r (B) or the C1 source, the data and the domain are even in
+    # z. Mirrored elements share their representative's matrices exactly,
+    # so H is even to rounding: at most 3.1e-15 relative here, where
+    # matrices computed per element gave up to 5.5e-14.
+    @pytest.mark.parametrize("config, spec, p", [("B1", "M3", 8), ("B2", "M2", 8), ("C1", "M1", 8)])
+    def test_z_even_data_gives_z_even_field(self, config, spec, p):
+        space = FeSpace(mesh.mesh_for(config, spec, sigma_max=80.0), p)
+        src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
+        h = solve(assemble(space, physics.PhysicalParams(sigma=80.0), src)).coeffs
+        x = space.dof_coords
+        dist, mirror = cKDTree(x).query(x * [1.0, -1.0])
+        assert np.max(dist) <= 1e-12
+        assert np.max(np.abs(h - h[mirror])) <= 1e-14 * np.max(np.abs(h))
 
     # Shifts of the order of the mesh size: a much larger shift rounds the
     # nodes of the thin boundary-layer elements by more than 1e-13 of their
@@ -528,7 +664,7 @@ class TestShapeClasses:
         src = SourceSpec.dirichlet_radius()
         a, b = (assemble(FeSpace(x, 4), physics.PhysicalParams(sigma=5.0), src) for x in (m, moved))
         for x, y in ((a.stiffness, b.stiffness), (a.mass, b.mass)):
-            err = np.max(np.abs(x[a.elem_shape] - y[b.elem_shape]))
+            err = np.max(np.abs(_in_element_order(a.space, x) - _in_element_order(b.space, y)))
             assert err <= 1e-13 * np.max(np.abs(x))
 
     @settings(max_examples=25, deadline=None)
@@ -542,10 +678,10 @@ class TestShapeClasses:
         moved = dataclasses.replace(m, nodes=m.nodes + [0.0, dz])
         src = SourceSpec.dirichlet_radius()
         a, b = (assemble(FeSpace(x, 2), physics.PhysicalParams(sigma=5.0), src) for x in (m, moved))
-        pairs = np.unique(np.column_stack([a.elem_shape, b.elem_shape]), axis=0)
+        pairs = np.unique(np.column_stack([a.space.elem_shape, b.space.elem_shape]), axis=0)
         assert len(np.unique(pairs[:, 1])) == len(pairs)  # refines a's classes
         for x, y in ((a.stiffness, b.stiffness), (a.mass, b.mass)):
-            err = np.max(np.abs(x[a.elem_shape] - y[b.elem_shape]))
+            err = np.max(np.abs(_in_element_order(a.space, x) - _in_element_order(b.space, y)))
             assert err <= 1e-13 * np.max(np.abs(x))
 
     def test_moved_node_splits_its_element_off(self):
