@@ -91,22 +91,17 @@ class ExperimentConfig:
             raise ConfigError("field 'sigma': conductivities must be positive and finite")
         if not 0 < self.omega < math.inf:
             raise ConfigError(f"field 'omega': {self.omega!r} is not positive and finite")
-        # The skin depth sqrt(2/(omega mu0 sigma)) is finite when the product is
-        # a normal float; the smallest sigma gives the smallest product.
-        if not self.omega * physics.MU0 * min(self.sigmas) >= sys.float_info.min:
-            raise ConfigError(
-                f"fields 'sigma' and 'omega': omega mu0 sigma underflows at sigma "
-                f"{min(self.sigmas)!r} and omega {self.omega!r}; the skin depth "
-                "sqrt(2/(omega mu0 sigma)) needs a normal float"
-            )
+        for s in self.sigmas:
+            try:
+                physics.PhysicalParams(sigma=s, omega=self.omega)
+            except ValueError as exc:
+                raise ConfigError(f"fields 'sigma' and 'omega': {exc}") from None
         if self.study == "corner-study":
             # corner_slopes samples the diagonal from (r0, l0/2) inward down to
             # the depth _CORNER_SAMPLES * ell / 4, which must stay off the axis.
             a, n = geometry.CONFIG_PARAMS["A"], postprocess._CORNER_SAMPLES
             ell_max = 4.0 * math.sqrt(2.0) * min(a["r0"], (a["l0"] + a["l1"]) / 2.0) / n
-            # ell = sqrt(2 / (omega mu0 sigma)) >= ell_max, without a division that
-            # an underflowed product would turn into a ZeroDivisionError.
-            if self.omega * physics.MU0 * min(self.sigmas) * ell_max**2 <= 2.0:
+            if physics.PhysicalParams(sigma=min(self.sigmas), omega=self.omega).ell >= ell_max:
                 raise ConfigError(
                     f"fields 'sigma' and 'omega': sigma {min(self.sigmas)!r} at omega "
                     f"{self.omega!r} is too small; corner-study samples down to {n} ell/4 "
@@ -274,8 +269,12 @@ class _Runner:
         rows = []
         for sigma, p in self.cfg.paired():
             f = self._solve(self.cfg.mesh_spec, p, sigma)
-            f.meta = {"config": self.cfg.config, "sigma": sigma, "mesh": self.cfg.mesh_spec}
-            fem.write_field(f, self._path(f"field_s{sigma:g}_p{p}.txt"))
+            r, z = f.space.dof_coords.T
+            postprocess.write_csv(
+                self._path(f"field_s{sigma:g}_p{p}.csv"),
+                "r,z,re,im",
+                (r, z, f.coeffs.real, f.coeffs.imag),
+            )
             rows.append((sigma, p, _post(postprocess.conductor_norm, f)))
         postprocess.write_csv(self._path("norms.csv"), "sigma,p,A", zip(*rows))
 

@@ -23,7 +23,7 @@ dependency.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,8 +51,6 @@ __all__ = [
     "locate",
     "inverse_map",
     "evaluate",
-    "write_field",
-    "read_field",
 ]
 
 MAX_DEGREE = 20
@@ -278,11 +276,11 @@ class SourceSpec:
 
 @dataclass
 class DiscreteField:
-    """Complex DOF vector over a Q_p space plus evaluation metadata."""
+    """Complex DOF vector over a Q_p space: coeffs[i] is the field's value
+    at the node space.dof_coords[i]."""
 
     space: FeSpace
     coeffs: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def evaluate(self, points) -> np.ndarray:
         return evaluate(self, points)
@@ -678,61 +676,3 @@ def evaluate(field: DiscreteField, points) -> np.ndarray:
     if np.ndim(points) == 1:
         return out[0]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Field I/O ("FIELD v1")
-
-def write_field(field: DiscreteField, path):
-    lines = ["FIELD v1"]
-    meta = dict(field.meta)
-    meta.setdefault("p", field.space.p)
-    meta.setdefault("ndofs", len(field.coeffs))
-    lines.append(str(len(meta)))
-    for k in sorted(meta):
-        lines.append(f"{k} {meta[k]}")
-    lines.append(str(len(field.coeffs)))
-    for c in field.coeffs:
-        lines.append(f"{c.real:.17g} {c.imag:.17g}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def read_field(path, space: Optional[FeSpace] = None):
-    """Read a FIELD v1 file; returns (coeffs, meta) or a DiscreteField.
-
-    Raises ValueError naming the file when it is not a FIELD v1 file, when
-    a line is missing or malformed (naming the line), or when its
-    coefficient count differs from `space.n_dofs`.
-    """
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != "FIELD v1":
-        raise ValueError(f"not a FIELD v1 file: {path}")
-    pos = 1
-
-    def line() -> str:
-        nonlocal pos
-        pos += 1
-        return lines[pos - 1]
-
-    try:
-        meta = {}
-        for _ in range(int(line())):
-            k, v = line().split(None, 1)
-            meta[k] = v
-        coeffs = np.empty(int(line()), dtype=np.complex128)
-        for i in range(len(coeffs)):
-            re, im = line().split()
-            coeffs[i] = complex(float(re), float(im))
-    except (IndexError, ValueError) as exc:
-        if pos > len(lines):
-            raise ValueError(f"truncated FIELD v1 file {path}: line {pos} missing") from None
-        raise ValueError(f"malformed FIELD v1 file {path}, line {pos}: {exc}") from None
-    if space is None:
-        return coeffs, meta
-    if len(coeffs) != space.n_dofs:
-        raise ValueError(
-            f"{path}: {len(coeffs)} coefficients for a space with {space.n_dofs} DOFs"
-        )
-    return DiscreteField(space=space, coeffs=coeffs, meta=meta)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import gll_points
 from .geometry import CONFIG_PARAMS, Ellipse
-from .physics import MU0, OMEGA_DEFAULT, skin_depth
+from .physics import OMEGA_DEFAULT, PhysicalParams
 
 __all__ = [
     "QuadMesh",
@@ -304,7 +304,7 @@ def layered_mesh_B(
     a, bb, c, d = p["a"], p["b"], p["c"], p["d"]
     shell_conductor = config.startswith("C")
 
-    ell = skin_depth(omega, MU0, sigma_max)
+    ell = PhysicalParams(sigma=sigma_max, omega=omega).ell
     t_band = _BAND_FACTOR * ell
     inner, outer = Ellipse(a, c), Ellipse(bb, d)
     kmax = inner.max_curvature

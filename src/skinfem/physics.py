@@ -61,8 +61,23 @@ class PhysicalParams:
     mu0: float = MU0
 
     def __post_init__(self):
-        if self.sigma <= 0.0 or self.omega <= 0.0:
-            raise ValueError("sigma and omega must be strictly positive")
+        # The mesh takes ell, and the assembly kappa^2 and eps_conductor
+        # (through delta): each must be a finite nonzero float. Python floats
+        # raise on a divisor that underflowed to 0 and on a power that overflows.
+        if not (0.0 < self.sigma < math.inf and 0.0 < self.omega < math.inf):
+            raise ValueError(
+                f"sigma {self.sigma!r} and omega {self.omega!r} must be positive and finite"
+            )
+        try:
+            derived = (self.ell, self.delta, self.kappa**2, self.eps_conductor)
+        except (ZeroDivisionError, OverflowError):
+            derived = (0.0,)
+        if not all(0.0 < abs(x) < math.inf for x in derived):
+            raise ValueError(
+                f"sigma {self.sigma!r} and omega {self.omega!r} give a skin depth "
+                "sqrt(2/(omega mu0 sigma)), delta sqrt(omega eps0/sigma) or kappa^2 "
+                "(omega^2 eps0 mu0) that is 0 or not finite"
+            )
 
     @property
     def delta(self) -> float:

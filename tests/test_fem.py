@@ -28,9 +28,7 @@ from skinfem.fem import (
     evaluate,
     inverse_map,
     locate,
-    read_field,
     solve,
-    write_field,
 )
 from test_kernels import dense_element_matrix
 from test_mesh import face_node_ids, facet_adjacency
@@ -887,46 +885,3 @@ class TestSources:
         assert np.max(np.abs(f.coeffs)) > 0
         # outer boundary is homogeneous
         assert np.max(np.abs(f.coeffs[sp.outer_dofs])) == 0.0
-
-
-class TestFieldIO:
-    def test_roundtrip(self, mesh_a2, params5, tmp_path):
-        sp = FeSpace(mesh_a2, 3)
-        f = solve(assemble(sp, params5, SourceSpec.dirichlet_radius()))
-        f.meta = {"config": "A"}
-        path = tmp_path / "field.txt"
-        write_field(f, path)
-        f2 = read_field(path, sp)
-        assert np.array_equal(f.coeffs, f2.coeffs)
-        assert f2.meta["config"] == "A"
-
-    def test_rejects_other_format(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("SOMETHING ELSE\n")
-        with pytest.raises(ValueError):
-            read_field(path)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",  # empty file
-            "FIELD v1\n",  # header ends before the meta count
-            "FIELD v1\n2\np 3\n",  # meta list cut short
-            "FIELD v1\n0\n5\n1 0\n",  # coefficient list cut short
-            "FIELD v1\n0\ntwo\n",  # malformed count
-            "FIELD v1\n0\n1\n1.0\n",  # coefficient without imaginary part
-        ],
-        ids=["empty", "header", "meta", "coeffs", "count", "coeff-field"],
-    )
-    def test_bad_file_names_file(self, tmp_path, text):
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="bad.txt"):
-            read_field(path)
-
-    def test_count_mismatch(self, mesh_a2, tmp_path):
-        path = tmp_path / "short.txt"
-        path.write_text("FIELD v1\n0\n2\n1 0\n2 0\n")
-        assert len(read_field(path)[0]) == 2
-        with pytest.raises(ValueError, match="short.txt"):
-            read_field(path, FeSpace(mesh_a2, 2))

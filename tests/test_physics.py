@@ -34,6 +34,35 @@ class TestSkinDepth:
         assert p.ell == pytest.approx(np.sqrt(2.0) * p.delta / p.kappa, rel=1e-14)
 
 
+class TestParamsValidity:
+    @pytest.mark.parametrize(
+        "sigma, omega",
+        [
+            (0.0, 3e7),  # not positive
+            (5.0, np.inf),  # not finite
+            (np.nan, 3e7),
+            (1e300, 1e300),  # omega mu0 sigma overflows: ell = 0
+            (1e307, 3e7),
+            (5.0, 1e170),  # kappa^2 overflows
+            (1e307, 1e-10),  # omega eps0 / sigma underflows: delta = 0
+            (5e-324, 5e-324),  # omega mu0 sigma underflows to 0
+            (1e-300, 1e-10),  # a subnormal product: ell overflows
+        ],
+    )
+    def test_rejects_pairs_without_finite_scalars(self, sigma, omega):
+        with pytest.raises(ValueError, match="sigma .* and omega"):
+            PhysicalParams(sigma=sigma, omega=omega)
+
+    @given(st.floats(), st.floats())
+    def test_accepted_pairs_have_finite_nonzero_scalars(self, sigma, omega):
+        try:
+            p = PhysicalParams(sigma=sigma, omega=omega)
+        except ValueError:
+            return
+        for x in (p.ell, p.delta, p.kappa**2, p.eps_conductor):
+            assert 0.0 < abs(x) < np.inf
+
+
 class TestSlopes:
     H_B1 = 1.25  # equator mean curvature, prolate interface a=2, c=1
 
