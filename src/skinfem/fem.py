@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 MAX_DEGREE = 20
+# `solve`'s bound on its backward error: the largest reading over the test
+# suite's solves and p=20 solves on every configuration is 3.6e-16.
+BACKWARD_ERROR_BOUND = 1e-14
 
 
 class AssemblyError(RuntimeError):
@@ -290,8 +293,9 @@ class DiscreteField:
 class AssembledSystem:
     """Sigma-independent element pieces plus one coefficient per element.
 
-    The members of a shape class share S and M in the class's local order:
-    element e, of class k = space.elem_shape[e], has the matrix
+    The members of a shape class share S and M in the class's local order,
+    each kept as its packed upper triangle (`kernels.full_index` reads it
+    back): element e, of class k = space.elem_shape[e], has the matrix
     coef[e] * stiffness[k] - kappa2 * mass[k] over the DOFs
     space.class_dofs[e]; its load vector loads[e] is in element order. coef
     is 1/eps_conductor in the conductor and 1 in the dielectric (or
@@ -302,8 +306,8 @@ class AssembledSystem:
     """
 
     space: FeSpace
-    stiffness: np.ndarray  # (n_shapes, (p+1)^2, (p+1)^2) real
-    mass: np.ndarray  # (n_shapes, (p+1)^2, (p+1)^2) real
+    stiffness: np.ndarray  # (n_shapes, n (n+1) / 2) real, n = (p+1)^2, packed
+    mass: np.ndarray  # (n_shapes, n (n+1) / 2) real, packed
     loads: np.ndarray  # (n_elements, (p+1)^2) real element loads
     gvec: np.ndarray  # prescribed values at constrained dofs, 0 elsewhere
     kappa2: float
@@ -325,9 +329,7 @@ class AssembledSystem:
 
     def lifted_rhs(self) -> np.ndarray:
         """b - A g over all dofs."""
-        space = self.space
-        loads = np.take_along_axis(self.loads, _flips(space.p)[space.elem_flip], axis=1)
-        return _scatter(space.class_dofs, loads - _element_products(self, self.gvec), space.n_dofs)
+        return _lifted_rhs(self, kernels.full_index((self.space.p + 1) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +451,40 @@ def assemble(
     )
 
 
-def _element_products(system: AssembledSystem, v) -> np.ndarray:
-    """A_e v_e for every element, (n_elements, (p+1)^2) complex, in class order.
+def _lifted_rhs(system: AssembledSystem, full) -> np.ndarray:
+    """b - A g over all dofs; full is `kernels.full_index` of the element size."""
+    space = system.space
+    loads = np.take_along_axis(system.loads, _flips(space.p)[space.elem_flip], axis=1)
+    products = _element_products(system, system.gvec, full)[0]
+    return _scatter(space.class_dofs, loads - products, space.n_dofs)
 
-    One real product per shape class: its S and M multiply the real and
-    the imaginary parts of all its members' vectors at once (S and M are
-    symmetric, so v_e S = S v_e). No complex element matrix is formed.
+
+def _element_products(system: AssembledSystem, v, full):
+    """A_e v_e for every element and the row sums of |coef_e| |S| + kappa2
+    |M|, which bound those of |A_e|: two (n_elements, (p+1)^2) arrays, the
+    first complex, in class order. full is `kernels.full_index((p+1)^2)`.
+
+    One real product per shape class, with its S and M expanded once: they
+    multiply the real and the imaginary parts of all its members' vectors at
+    once (S and M are symmetric, so v_e S = S v_e). No complex element
+    matrix is formed. A class whose members' v_e are all zero is skipped,
+    and their rows of both arrays are zero. (A class is multiplied whole:
+    the BLAS product's rounding depends on its number of rows.)
     """
     ve = np.asarray(v, dtype=np.complex128)[system.space.class_dofs]
-    out = np.empty_like(ve)
+    out, rowsum = np.zeros_like(ve), np.zeros(ve.shape)
+    nonzero = ve.any(axis=1)
     for k, idx in enumerate(_members(system.space.elem_shape)):
+        if not nonzero[idx].any():
+            continue
+        S, M = system.stiffness[k][full], system.mass[k][full]
         parts = np.concatenate([ve[idx].real, ve[idx].imag])
-        Sv, Mv = parts @ system.stiffness[k], parts @ system.mass[k]
+        Sv, Mv = parts @ S, parts @ M
         m = len(idx)
-        out[idx] = system.coef[idx, None] * (Sv[:m] + 1j * Sv[m:]) - system.kappa2 * (
-            Mv[:m] + 1j * Mv[m:]
-        )
-    return out
+        coef = system.coef[idx, None]
+        out[idx] = coef * (Sv[:m] + 1j * Sv[m:]) - system.kappa2 * (Mv[:m] + 1j * Mv[m:])
+        rowsum[idx] = np.abs(coef) * np.abs(S).sum(axis=1) + system.kappa2 * np.abs(M).sum(axis=1)
+    return out, rowsum
 
 
 def _scatter(dofs, vals, n) -> np.ndarray:
@@ -487,8 +506,12 @@ def _skeleton_locals(p: int) -> np.ndarray:
 
 
 def solve(system: AssembledSystem) -> DiscreteField:
-    """Direct solve by static condensation and multifrontal elimination;
-    full residual <= 1e-10 relative.
+    """Direct solve by static condensation and multifrontal elimination,
+    checked by its normwise backward error over the free rows (Rigal &
+    Gaches, J. ACM 14, 1967; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, sec. 7.1): ||A y - b|| / (||A|| ||y|| +
+    ||b||) in the max norm, at most BACKWARD_ERROR_BOUND, with ||A|| bounded
+    by the summed row sums of |coef_e| |S| + kappa2 |M|.
 
     The interior DOFs of each element are eliminated against its skeleton
     (vertex and edge) DOFs, once per group of elements that share a shape
@@ -507,13 +530,17 @@ def solve(system: AssembledSystem) -> DiscreteField:
     il, bl = _interior_locals(space.p), _skeleton_locals(space.p)
     skel = dofs[:, bl]
     nel, ni, nb = len(dofs), len(il), len(bl)
-    rhs = system.lifted_rhs()
+    full = kernels.full_index(dofs.shape[1])
+    rhs = _lifted_rhs(system, full)
     r_i = rhs[dofs[:, il]]
+    # The packed positions of the interior and skeleton blocks.
+    ii, ib, bi, bb = (full[a[:, None], b] for a, b in ((il, il), (il, bl), (bl, il), (bl, bl)))
 
-    # One matrix per group: A_ii^-1 [A_ib | r_i of every member] and the
-    # Schur complement on the skeleton, shared by the members. A real
-    # coefficient keeps the matrix real; the members' interior right-hand
-    # sides are then solved as real and imaginary columns.
+    # One matrix per group, formed on the packed entries: A_ii^-1 [A_ib |
+    # r_i of every member] and the Schur complement on the skeleton, shared
+    # by the members. A real coefficient keeps the matrix real; the members'
+    # interior right-hand sides are then solved as real and imaginary
+    # columns.
     keys = np.column_stack([space.elem_shape, system.coef.real, system.coef.imag])
     group = _first_appearance(keys, axis=0)[0]
     groups = _members(group)
@@ -526,13 +553,13 @@ def solve(system: AssembledSystem) -> DiscreteField:
         A = (c if c.imag else c.real) * system.stiffness[k] - system.kappa2 * system.mass[k]
         r = r_i[idx].T if c.imag else np.hstack([r_i[idx].real.T, r_i[idx].imag.T])
         try:
-            X = np.linalg.solve(A[il[:, None], il], np.hstack([A[il[:, None], bl], r]))
+            X = np.linalg.solve(A[ii], np.hstack([A[ib], r]))
         except np.linalg.LinAlgError:
             raise AssemblyError(f"singular interior block in element {e}") from None
         X_b.append(X[:, :nb])
         x_r[idx] = X[:, nb:].T if c.imag else (X[:, nb : nb + m] + 1j * X[:, nb + m :]).T
-        A_bi = A[bl[:, None], il]
-        schur[g] = A[bl[:, None], bl] - A_bi @ X[:, :nb]
+        A_bi = A[bi]
+        schur[g] = A[bb] - A_bi @ X[:, :nb]
         A_bi_x[idx] = x_r[idx] @ A_bi.T
 
     # Constrained skeleton rows and columns are dropped: rhs carries -A g.
@@ -544,13 +571,16 @@ def solve(system: AssembledSystem) -> DiscreteField:
         raise AssemblyError("non-finite solution")
 
     free = space.free
-    b_f = rhs[free]
-    scale = np.max(np.abs(b_f)) if len(b_f) else 1.0
+    products, rowsum = _element_products(system, y, full)
+    r = _scatter(dofs, products, space.n_dofs)[free] - rhs[free]
+    norm_a = np.max(np.bincount(dofs.ravel(), rowsum.ravel(), space.n_dofs)[free], initial=0.0)
+    scale = norm_a * np.max(np.abs(y)) + np.max(np.abs(rhs[free]), initial=0.0)
     if scale > 0:
-        Ay = _scatter(dofs, _element_products(system, y), space.n_dofs)
-        res = np.max(np.abs(Ay[free] - b_f)) / scale
-        if not res <= 1e-10:
-            raise AssemblyError(f"solver residual {res:.3e} exceeds 1e-10")
+        err = np.max(np.abs(r)) / scale
+        if not err <= BACKWARD_ERROR_BOUND:
+            raise AssemblyError(
+                f"solver residual: backward error {err:.3e} exceeds {BACKWARD_ERROR_BOUND:.0e}"
+            )
     return DiscreteField(space=space, coeffs=system.gvec + y)
 
 
@@ -569,8 +599,9 @@ def _eliminate(tree, schur, group, b) -> np.ndarray:
     for k, (dofs, n, children, lowest, keep) in enumerate(tree):
         if children:
             F = np.zeros((len(dofs),) * 2, dtype=np.complex128)
-            for c, pos in children:
-                F[pos[:, None], pos] += updates.pop(c)
+            for c, pos in children:  # F[pos[:, None], pos] += update, on flat indices
+                flat = (pos[:, None] * len(dofs) + pos).ravel()
+                np.add.at(F.reshape(-1), flat, updates.pop(c).ravel())
         else:
             F = schur[group[lowest]][keep[:, None], keep]
         try:
@@ -589,16 +620,17 @@ def _eliminate(tree, schur, group, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Point evaluation
 
-def inverse_map(mesh: QuadMesh, elems, points):
+def inverse_map(mesh: QuadMesh, elems, points, start=(0.5, 0.5)):
     """Reference coordinates of points[k] in element elems[k]: damped Newton
-    from (0.5, 0.5), batched over k.
+    from start, (u, v) for all k or an (n, 2) array, batched over k.
 
     Returns an (n, 2) array of (u, v), with NaN rows where the iteration
     leaves [-0.5, 1.5]^2, meets a singular Jacobian or stalls.
     """
     elems = np.asarray(elems, dtype=np.int64)
     target = np.asarray(points, dtype=float).reshape(-1, 2)
-    uv = np.full((len(elems), 2), 0.5)
+    uv = np.empty((len(elems), 2))
+    uv[:] = start
     if not len(elems):
         return uv
     X = mesh.nodes[mesh.elem_nodes[elems]]
@@ -631,6 +663,11 @@ def locate(mesh: QuadMesh, points):
     1e-9 of [0, 1]^2 wins; failing that, the one with the smallest miss if
     it is at most 1e-6. elem is -1 where no candidate qualifies; (u, v) is
     clamped to [0, 1]^2.
+
+    `inverse_map` starts from (0.5, 0.5). On a thin curved element that run
+    can leave the element for a point inside it, so the candidates of a
+    point that none qualifies for are mapped again, each from the
+    reference coordinates of its geometry node nearest to the point.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     X = mesh.nodes[mesh.elem_nodes]
@@ -639,9 +676,20 @@ def locate(mesh: QuadMesh, points):
     inbox = np.all((lo - pad <= pts[:, None]) & (pts[:, None] <= hi + pad), axis=2)
     k, e = np.nonzero(inbox)  # candidate pairs
 
+    def misses(uv):
+        miss = np.max(np.maximum(-uv, uv - 1.0), axis=1).clip(min=0.0)
+        miss[np.isnan(miss)] = np.inf
+        return miss
+
     uv = inverse_map(mesh, e, pts[k])
-    miss = np.max(np.maximum(-uv, uv - 1.0), axis=1).clip(min=0.0)
-    miss[np.isnan(miss)] = np.inf
+    miss = misses(uv)
+    again = np.flatnonzero(~np.isin(k, k[miss <= 1e-6]))
+    if len(again):
+        near = np.argmin(np.sum((X[e[again]] - pts[k[again], None]) ** 2, axis=2), axis=1)
+        g = basis.gll_points(mesh.geomdeg)
+        start = np.column_stack([g[near % len(g)], g[near // len(g)]])
+        uv[again] = inverse_map(mesh, e[again], pts[k[again]], start)
+        miss[again] = misses(uv[again])
     # Per point: the first within tolerance by element, else the smallest miss.
     within = miss <= 1e-9
     order = np.lexsort((e, np.where(within, 0.0, miss), ~within, k))

@@ -2,7 +2,9 @@
 
 The element matrices are sum-factorized (Melenk, Gerdes & Schwab, CMAME 190,
 2001): one contraction over the u points, then one over the v points, each
-a matrix product on 1D tables. They come out bitwise symmetric.
+a matrix product on 1D tables. They come out bitwise symmetric, so each is
+kept as its packed upper triangle (Anderson et al., LAPACK Users' Guide,
+3rd ed., 1999, sec. 5.3.2); `full_index` reads it back as a full matrix.
 """
 
 from __future__ import annotations
@@ -11,23 +13,36 @@ import numpy as np
 
 from .basis import _row_kron
 
-__all__ = ["element_matrix", "element_load"]
+__all__ = ["element_matrix", "element_load", "full_index"]
 
 # Index pairs (a, b), a <= b, of the basis factors (phi, du phi, dv phi)
 # in the stiffness terms.
 _PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]
 
 
-def _add_transpose(R, n1, out):
-    """out[(j, i), (l, k)] = R[(j, l), (i, k)] + R[(l, j), (k, i)].
+def _transpose_pairs(n1):
+    """Flat positions in an (n, n) array R, n = n1^2, of the two terms of
+    each packed entry of out[(j, i), (l, k)] = R[(j, l), (i, k)] + R[(l, j),
+    (k, i)].
 
     R holds the v indices (j, l) in its rows and the u indices (i, k) in
     its columns, each running to n1; out is in the local tensor order, v
-    index slow. The two sums are the same floating-point additions, so out
-    is bitwise symmetric.
+    index slow. Its entries (m, m') and (m', m) are the same two terms, so
+    out is symmetric and its upper triangle holds all of it.
     """
-    R4 = R.reshape((n1,) * 4)
-    np.add(R4.transpose(0, 2, 1, 3), R4.transpose(1, 3, 0, 2), out=out.reshape((n1,) * 4))
+    n = n1 * n1
+    (j, i), (l, k) = (np.divmod(m, n1) for m in np.triu_indices(n))
+    return (j * n1 + l) * n + i * n1 + k, (l * n1 + j) * n + k * n1 + i
+
+
+def full_index(n: int) -> np.ndarray:
+    """(n, n) positions of the entries of a symmetric matrix in its packed
+    upper triangle, whose order is `np.triu_indices(n)`'s: packed[...,
+    full_index(n)] is the full matrix, and entry (i, j) is read from the
+    same position as (j, i)."""
+    k = np.arange(n)
+    upper = (k * (2 * n - 1 - k) // 2)[:, None] + k  # (i, j) for i <= j
+    return np.minimum(upper, upper.T)
 
 
 def element_matrix(V, D, rq, wq, xu, xv, yu, yv, det):
@@ -41,8 +56,10 @@ def element_matrix(V, D, rq, wq, xu, xv, yu, yv, det):
     V and D are the 1D GLL-Lagrange values and derivatives at the nq points,
     (nq, p+1); basis function j * (p+1) + i is L_i(u) L_j(v). rq, the
     weights wq (Jacobian included), the Jacobian entries and det are
-    (k, nq^2), one row per element. Returns S and M, each (k, n, n) with
-    n = (p+1)^2.
+    (k, nq^2), one row per element. Returns S and M, each (k, n(n+1)/2)
+    with n = (p+1)^2: the packed upper triangles (`full_index`). Each
+    element's products are formed in one reused (n, n) buffer, and its
+    packed entries are summed straight from it.
 
     With the factors f = (phi, du phi, dv phi), (dr + 1/r) phi = c_r . f and
     dz phi = c_z . f, where c_r = (1/r, yv/det, -yu/det) and
@@ -67,12 +84,15 @@ def element_matrix(V, D, rq, wq, xu, xv, yu, yv, det):
     ).reshape(len(rq), len(_PAIRS), nq, nq)
     half_wr = 0.5 * wr.reshape(len(rq), nq, nq)
 
-    S, M = np.empty((len(rq), n, n)), np.empty((len(rq), n, n))
+    one, other = _transpose_pairs(n1)
+    S, M = np.empty((len(rq), len(one))), np.empty((len(rq), len(one)))
     R = np.empty((n, n))
     for e in range(len(rq)):
         T = np.matmul(G[e], P).reshape(-1, n)  # (6 nq, n): the u sums of all terms
-        _add_transpose(np.matmul(Qt, T, out=R), n1, S[e])
-        _add_transpose(np.matmul(Qt[:, :nq], half_wr[e] @ P[0], out=R), n1, M[e])
+        np.matmul(Qt, T, out=R)
+        np.add(R.take(one), R.take(other), out=S[e])
+        np.matmul(Qt[:, :nq], half_wr[e] @ P[0], out=R)
+        np.add(R.take(one), R.take(other), out=M[e])
     return S, M
 
 

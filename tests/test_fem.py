@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from scipy.spatial import cKDTree
-from skinfem import fem, kernels, mesh, physics, postprocess
+from skinfem import fem, geometry, kernels, mesh, physics, postprocess
 from skinfem.basis import (
     gll_points,
     lagrange_deriv_matrix,
@@ -30,7 +31,7 @@ from skinfem.fem import (
     locate,
     solve,
 )
-from test_kernels import dense_element_matrix
+from test_kernels import dense_element_matrix, unpacked
 from test_mesh import face_node_ids, facet_adjacency
 
 
@@ -49,7 +50,8 @@ def global_matrix(system):
     n = system.space.n_dofs
     rows, cols = _element_triplets(system.space.class_dofs)  # class order
     k = system.space.elem_shape
-    vals = system.coef[:, None, None] * system.stiffness[k] - system.kappa2 * system.mass[k]
+    S, M = unpacked(system.stiffness), unpacked(system.mass)
+    vals = system.coef[:, None, None] * S[k] - system.kappa2 * M[k]
     keys = cols * np.int64(n) + rows
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
@@ -365,7 +367,8 @@ class TestCondensation:
         rows = np.repeat(dofs, n2, axis=1).ravel()
         cols = np.tile(dofs, (1, n2)).ravel()
         k = space.elem_shape
-        Ae = sys_.coef[:, None, None] * sys_.stiffness[k] - sys_.kappa2 * sys_.mass[k]
+        S, M = unpacked(sys_.stiffness), unpacked(sys_.mass)
+        Ae = sys_.coef[:, None, None] * S[k] - sys_.kappa2 * M[k]
         A = sparse.csr_matrix((Ae.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2)
         free = space.free
         ref = sys_.gvec.copy()
@@ -379,8 +382,9 @@ class TestCondensation:
         sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
         il = fem._interior_locals(3)
         k = sys_.space.elem_shape[5]
-        sys_.stiffness[k][np.ix_(il, il)] = 0.0
-        sys_.mass[k][np.ix_(il, il)] = 0.0
+        full = kernels.full_index(16)
+        sys_.stiffness[k][full[np.ix_(il, il)]] = 0.0
+        sys_.mass[k][full[np.ix_(il, il)]] = 0.0
         lowest = np.flatnonzero(sys_.space.elem_shape == k)[0]
         assert lowest < 5
         with pytest.raises(AssemblyError, match=rf"element {lowest}\b"):
@@ -392,9 +396,10 @@ class TestCondensation:
         space = FeSpace(mesh_a2, 3)
         sys_ = assemble(space, params5, SourceSpec.dirichlet_radius())
         bl = fem._skeleton_locals(3)
+        full = kernels.full_index(16)
         for a in (sys_.stiffness, sys_.mass):
-            a[:, bl, :] = 0.0
-            a[:, :, bl] = 0.0
+            a[:, full[bl, :]] = 0.0
+            a[:, full[:, bl]] = 0.0
         lowest = next(node[3] for node in space.tree if node[1])  # first front with eliminations
         with pytest.raises(AssemblyError, match=rf"singular front at element {lowest}\b"):
             solve(sys_)
@@ -404,7 +409,7 @@ class TestCondensation:
         sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec())
         assert not np.any(sys_.lifted_rhs())
         bl = fem._skeleton_locals(3)
-        sys_.stiffness[:, bl[0], bl[0]] = np.nan
+        sys_.stiffness[:, kernels.full_index(16)[bl[0], bl[0]]] = np.nan
         with pytest.raises(AssemblyError, match="non-finite"):
             solve(sys_)
 
@@ -430,6 +435,15 @@ class TestCondensation:
         monkeypatch.setattr(fem, "_eliminate", lambda *args: eliminate(*args) * (1 + 1e-6))
         with pytest.raises(AssemblyError, match="residual"):
             solve(sys_)
+
+    def test_interior_source_at_p20_passes(self):
+        # Zero Dirichlet data and an interior source: max|b| over the free
+        # rows is far below ||A|| ||y||. max|A y - b| / max|b| read 1.22e-10
+        # here, over its former bound of 1e-10; the backward error reads
+        # 1.8e-16.
+        space = FeSpace(mesh.mesh_for("C2", "M2", sigma_max=80.0), 20)
+        system = assemble(space, physics.PhysicalParams(sigma=80.0), SourceSpec.config_C1())
+        assert np.all(np.isfinite(solve(system).coeffs))
 
 
 class TestSigmaReuse:
@@ -526,19 +540,20 @@ def _perm(space):
 
 
 def _in_element_order(space, mats):
-    """mats[elem_shape[e]], the class matrices, in element e's own local
-    order, for every element e."""
+    """mats[elem_shape[e]], the packed class matrices, expanded in element
+    e's own local order, for every element e."""
     inv = np.argsort(_perm(space), axis=1)
-    return mats[space.elem_shape[:, None, None], inv[:, :, None], inv[:, None, :]]
+    return unpacked(mats)[space.elem_shape[:, None, None], inv[:, :, None], inv[:, None, :]]
 
 
 def _kernel_matrices(m, p, elems):
-    """S and M of the elements elems from the kernel on their own geometry."""
+    """S and M, (len(elems), n, n), of the elements elems from the kernel on
+    their own geometry."""
     xq, w2 = fem._quad_points(p + 3)
     X = m.nodes[m.elem_nodes[elems]]
     rq, _, xu, xv, yu, yv, det = fem._geometry_eval(X, *tensor_lagrange_grid(m.geomdeg, xq))
     V, D = lagrange_matrix(gll_points(p), xq), lagrange_deriv_matrix(gll_points(p), xq)
-    return kernels.element_matrix(V, D, rq, w2 * det, xu, xv, yu, yv, det)
+    return [unpacked(a) for a in kernels.element_matrix(V, D, rq, w2 * det, xu, xv, yu, yv, det)]
 
 
 class TestShapeClasses:
@@ -573,6 +588,27 @@ class TestShapeClasses:
             err = np.max(np.abs(_in_element_order(space, got) - want), axis=(1, 2))
             assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=(1, 2)))
         assert np.max(np.abs(system.loads - be)) <= 1e-13 * max(np.max(np.abs(be)), 1e-300)
+
+    def test_packed_class_matrices_only(self):
+        # The sweep-b1 system: S and M keep one triangle per class, and
+        # neither assemble nor solve allocates a full (73, n, n) stack of
+        # either (48.8 MB; solve's own peak is 40.9 MB).
+        space = FeSpace(mesh.mesh_for("B1", "M3", sigma_max=400.0), 16)
+        n = 17**2
+        params, src = physics.PhysicalParams(sigma=80.0), SourceSpec.dirichlet_radius()
+        tracemalloc.start()
+        try:
+            system = assemble(space, params, src)
+            packed = system.stiffness.nbytes + system.mass.nbytes
+            assemble_peak = tracemalloc.get_traced_memory()[1] - packed
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            solve(system)
+            solve_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert system.stiffness.shape == system.mass.shape == (73, n * (n + 1) // 2)
+        assert assemble_peak < packed / 2 and solve_peak < packed
 
     def test_solve_matches_per_element_condensation(self, case):
         system, (S, M, _) = case
@@ -795,6 +831,36 @@ class TestEvaluation:
         f = solve(assemble(sp, params5, SourceSpec.dirichlet_radius()))
         with pytest.raises(PointLocationError):
             f.evaluate(np.array([3.5, 0.0]))
+
+
+def band_points(config, sigma, n=4000, seed=0):
+    """n random points of the conductor within 3 ell of the B/C interface."""
+    g = geometry.CONFIG_PARAMS[config]
+    rng = np.random.default_rng(seed)
+    phi, h = np.pi * rng.random(n), 3.0 * physics.PhysicalParams(sigma=sigma).ell * rng.random(n)
+    inner = geometry.Ellipse(g["a"], g["c"])
+    (r, z), (nr, nz) = inner.point(phi), inner.inward_normal(phi)
+    side = -1.0 if config.startswith("C") else 1.0  # the C conductor is the shell
+    return np.column_stack([r + side * h * nr, z + side * h * nz])
+
+
+class TestBandLocation:
+    """Points inside the thin curved elements of the skin band, where
+    Newton from the element's centre can leave the element."""
+
+    def test_point_in_band_element(self):
+        m = mesh.mesh_for("B1", "M3", sigma_max=80.0)
+        pt = np.array([1.99326, 0.00032])
+        elem, u, v = locate(m, pt[None])
+        assert elem[0] == 4
+        back = tensor_lagrange(m.geomdeg, u, v)[0] @ m.nodes[m.elem_nodes[4]]
+        assert np.max(np.abs(back - pt)) <= 1e-12
+
+    @pytest.mark.parametrize("config", ["B1", "B2", "C1", "C2"])
+    def test_band_points_located(self, config):
+        # At the parent commit 92, 218, 135 and 320 of these were missed.
+        m = mesh.mesh_for(config, "M3", sigma_max=400.0)
+        assert np.all(locate(m, band_points(config, 400.0))[0] >= 0)
 
 
 # TestBatchedLocation checks the batched locator against the per-point

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,12 @@ def dense_element_matrix(p, rq, wq, xu, xv, yu, yv, det):
     return 0.5 * (S + S.T), 0.5 * (M + M.T)
 
 
+def unpacked(packed):
+    """Full matrices (..., n, n) from packed upper triangles (..., n(n+1)/2)."""
+    n = math.isqrt(8 * packed.shape[-1] + 1) // 2
+    return packed[..., kernels.full_index(n)]
+
+
 def single_call_element_matrix(p, geometry, inv_eps, kappa2):
     """The matrix of the form from the dense kernel in one call."""
     S, M = dense_element_matrix(p, *geometry)
@@ -65,16 +72,26 @@ def single_call_element_matrix(p, geometry, inv_eps, kappa2):
 def test_matches_dense_reference(p):
     tables, geometry = make_inputs(p, seed=p)
     S, M = kernels.element_matrix(*tables, *geometry)
-    assert S.shape == M.shape == (3, (p + 1) ** 2, (p + 1) ** 2)
+    n = (p + 1) ** 2
+    assert S.shape == M.shape == (3, n * (n + 1) // 2)
+    S, M = unpacked(S), unpacked(M)
     for e in range(3):
         for got, want in zip((S[e], M[e]), dense_element_matrix(p, *(a[e] for a in geometry))):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 289])
+def test_full_index_reads_the_packed_upper_triangle(n):
+    i, j = np.triu_indices(n)
+    idx = kernels.full_index(n)
+    assert np.array_equal(idx[i, j], np.arange(n * (n + 1) // 2))
+    assert np.array_equal(idx, idx.T)
+
+
 @pytest.mark.parametrize("p", [2, 6, 12])
 def test_matrix_bitwise_symmetric(p):
     S, M = kernels.element_matrix(*(a for part in make_inputs(p) for a in part))
-    for s, m in zip(S, M):
+    for s, m in zip(unpacked(S), unpacked(M)):
         A = np.complex128(1.0 / (1 + 2j)) * s - 0.3 * m
         assert np.array_equal(s, s.T)
         assert np.array_equal(m, m.T)
@@ -84,7 +101,7 @@ def test_matrix_bitwise_symmetric(p):
 def test_positive_definite_stiffness_part():
     # the stiffness part alone is an SPD gramian
     S, _ = kernels.element_matrix(*(a for part in make_inputs(4) for a in part))
-    for s in S:
+    for s in unpacked(S):
         w = np.linalg.eigvalsh(s)
         assert w.min() > -1e-10 * w.max()
 
@@ -92,7 +109,8 @@ def test_positive_definite_stiffness_part():
 @pytest.mark.parametrize("p", [1, 2, 8, 16])
 @pytest.mark.parametrize("inv_eps", [1.0 / (1 + 2.5e3j), 1.0], ids=["conductor", "dielectric"])
 def test_recombined_matrix_bitwise_equals_single_call(p, inv_eps):
-    # fem.solve forms coef * S - kappa2 * M, with a real coef kept real. The
+    # fem.solve forms coef * S - kappa2 * M on the packed entries, with a
+    # real coef kept real, and then reads the blocks it needs. The
     # sum-factorized kernel adds in another order than the dense one, so
     # the values agree to rounding and the dtype exactly.
     tables, geometry = make_inputs(p, n_elements=1, seed=p)
@@ -101,7 +119,7 @@ def test_recombined_matrix_bitwise_equals_single_call(p, inv_eps):
     coef = np.ones(1, dtype=np.complex128)
     coef[0] = inv_eps
     c = coef[0] if coef[0].imag else coef[0].real
-    got = c * S[0] - kappa2 * M[0]
+    got = unpacked(c * S[0] - kappa2 * M[0])
     ref = single_call_element_matrix(p, [a[0] for a in geometry], inv_eps, kappa2)
     assert got.dtype == ref.dtype
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
