@@ -185,9 +185,26 @@ class FeSpace:
         """Binary tree of the elements by recursive spectral bisection;
         pairs is an (n, 2) array of the elements that share a facet.
 
-        A set of elements is split in halves by a stable sort of the Fiedler
-        vector of its facet-adjacency Laplacian; a leaf is one element. A
-        free skeleton DOF is eliminated at the first node that holds every
+        A set of elements is split in halves at the median of a split
+        vector. The vector lies in the eigenspace of the second-smallest
+        eigenvalue of the set's facet-adjacency Laplacian (Pothen, Simon &
+        Liou, SIAM J. Matrix Anal. Appl. 11, 1990), taken whole: every
+        eigenvector whose eigenvalue is within 1e-8 times the largest of it.
+        On a square block of elements that eigenvalue is repeated, and
+        LAPACK may return any vector of the space, so no single eigenvector
+        is used. The two candidates are the projections onto the space of
+        the elements' centroid r and z (corner means, less their mean): a
+        function of the mesh alone, oriented by its coordinate. A projection
+        shorter than 1e-6 times its coordinate is dropped; if both are, the
+        coordinates themselves are the candidates. The elements are sorted
+        by a candidate, values within 1e-6 of its largest magnitude taken as
+        equal (`_tie_ranks`), then by the coordinate, then by number. The
+        split kept is the one whose larger half shares fewer free skeleton
+        DOFs with the elements outside it, then the one whose smaller half
+        does, then r's. A pair is sorted by r, then z, as the rule sorts it.
+        A leaf is one element.
+
+        A free skeleton DOF is eliminated at the first node that holds every
         element it belongs to, and passed up from the nodes below that,
         with the number of elements below that hold it.
         `tree` lists the nodes in postorder, the root last, each as
@@ -202,17 +219,43 @@ class FeSpace:
         adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1.0
         skel = self.class_dofs[:, _skeleton_locals(self.p)]
         count = np.bincount(skel.ravel(), minlength=self.n_skeleton)
+        centroid = self.mesh.nodes[self.mesh.corners].mean(axis=1)
         tree, passed, where = [], [], np.empty(self.n_skeleton, dtype=np.int64)
+
+        def bisect(elems):
+            """elems ordered by the split vector: halves at the median."""
+            if len(elems) == 2:  # the rule below orders a pair by r, then z
+                return elems[np.lexsort((elems, *centroid[elems, ::-1].T))]
+            A = adj[np.ix_(elems, elems)]
+            lam, vec = np.linalg.eigh(np.diag(A.sum(axis=1)) - A)
+            space = vec[:, np.abs(lam - lam[1]) <= 1e-8 * lam[-1]]
+            c = centroid[elems] - centroid[elems].mean(axis=0)
+            v = space @ (space.T @ c)
+            kept = np.linalg.norm(v, axis=0) > 1e-6 * np.linalg.norm(c, axis=0)
+            if not kept.any():
+                v, kept = c, np.ones(2, dtype=bool)
+            # Per DOF of these elements: how many of them hold it, and how
+            # many elements in all if it is free (0 if constrained).
+            dofs, at = np.unique(skel[elems], return_inverse=True)
+            at = at.reshape(len(elems), -1)
+            here = np.bincount(at.ravel(), minlength=len(dofs))
+            total = np.where(self.constrained[dofs], 0, count[dofs])
+
+            def split(k):
+                order = np.lexsort((elems, c[:, k], _tie_ranks(v[:, k])))
+                held = np.bincount(at[order[: (len(elems) + 1) // 2]].ravel(), minlength=len(dofs))
+                sizes = [np.count_nonzero((0 < n) & (n < total)) for n in (held, here - held)]
+                return sorted(sizes, reverse=True), k, order
+
+            return elems[min(map(split, np.flatnonzero(kept)))[-1]]
 
         def build(elems):
             if len(elems) == 1:
                 children, keep = (), np.flatnonzero(~self.constrained[skel[elems[0]]])
                 dofs, below = skel[elems[0], keep], np.ones(len(keep))
             else:
-                A = adj[np.ix_(elems, elems)]
-                fiedler = np.linalg.eigh(np.diag(A.sum(axis=1)) - A)[1][:, 1]
-                halves = np.array_split(elems[np.argsort(fiedler, kind="stable")], 2)
-                children = [build(half) for half in halves]
+                order, h = bisect(elems), (len(elems) + 1) // 2
+                children = [build(order[:h]), build(order[h:])]
                 up = np.concatenate([passed[c][0] for c in children])
                 keep = dofs = np.unique(up)
                 below = np.bincount(
@@ -231,6 +274,17 @@ class FeSpace:
 
         build(np.arange(nel))
         self.tree = tree
+
+
+def _tie_ranks(v) -> np.ndarray:
+    """Rank of each value of v among the runs of its sorted values that lie
+    within 1e-6 * max|v| of their neighbours: values that rounding alone
+    tells apart share a rank."""
+    order = np.argsort(v, kind="stable")
+    step = np.diff(v[order]) > 1e-6 * np.max(np.abs(v))
+    ranks = np.empty(len(v), dtype=np.int64)
+    ranks[order] = np.concatenate([[0], np.cumsum(step)])
+    return ranks
 
 
 def _quantized(x, scale: float) -> np.ndarray:
@@ -295,7 +349,8 @@ class AssembledSystem:
 
     The members of a shape class share S and M in the class's local order,
     each kept as its packed upper triangle (`kernels.full_index` reads it
-    back): element e, of class k = space.elem_shape[e], has the matrix
+    back), with the row sums of |S| and |M| for `solve`'s bound on ||A||:
+    element e, of class k = space.elem_shape[e], has the matrix
     coef[e] * stiffness[k] - kappa2 * mass[k] over the DOFs
     space.class_dofs[e]; its load vector loads[e] is in element order. coef
     is 1/eps_conductor in the conductor and 1 in the dielectric (or
@@ -308,6 +363,8 @@ class AssembledSystem:
     space: FeSpace
     stiffness: np.ndarray  # (n_shapes, n (n+1) / 2) real, n = (p+1)^2, packed
     mass: np.ndarray  # (n_shapes, n (n+1) / 2) real, packed
+    stiffness_rowsum: np.ndarray  # (n_shapes, n) row sums of |S|
+    mass_rowsum: np.ndarray  # (n_shapes, n) row sums of |M|
     loads: np.ndarray  # (n_elements, (p+1)^2) real element loads
     gvec: np.ndarray  # prescribed values at constrained dofs, 0 elsewhere
     kappa2: float
@@ -413,6 +470,8 @@ def assemble(
         basis.lagrange_deriv_matrix(basis.gll_points(p), xq),
         *(a[first] for a in (rq, wq, xu, xv, yu, yv, det)),
     )
+    full = kernels.full_index((p + 1) ** 2)
+    S_rowsum, M_rowsum = (np.array([np.abs(a)[full].sum(axis=1) for a in A]) for A in (S, M))
 
     be = np.zeros((mesh.n_elements, (p + 1) ** 2))
     if source.interior_f is not None:
@@ -443,6 +502,8 @@ def assemble(
         space=space,
         stiffness=S,
         mass=M,
+        stiffness_rowsum=S_rowsum,
+        mass_rowsum=M_rowsum,
         loads=be,
         gvec=gvec,
         kappa2=params.kappa**2,
@@ -455,24 +516,23 @@ def _lifted_rhs(system: AssembledSystem, full) -> np.ndarray:
     """b - A g over all dofs; full is `kernels.full_index` of the element size."""
     space = system.space
     loads = np.take_along_axis(system.loads, _flips(space.p)[space.elem_flip], axis=1)
-    products = _element_products(system, system.gvec, full)[0]
+    products = _element_products(system, system.gvec, full)
     return _scatter(space.class_dofs, loads - products, space.n_dofs)
 
 
 def _element_products(system: AssembledSystem, v, full):
-    """A_e v_e for every element and the row sums of |coef_e| |S| + kappa2
-    |M|, which bound those of |A_e|: two (n_elements, (p+1)^2) arrays, the
-    first complex, in class order. full is `kernels.full_index((p+1)^2)`.
+    """A_e v_e for every element, an (n_elements, (p+1)^2) complex array in
+    class order. full is `kernels.full_index((p+1)^2)`.
 
     One real product per shape class, with its S and M expanded once: they
     multiply the real and the imaginary parts of all its members' vectors at
     once (S and M are symmetric, so v_e S = S v_e). No complex element
     matrix is formed. A class whose members' v_e are all zero is skipped,
-    and their rows of both arrays are zero. (A class is multiplied whole:
-    the BLAS product's rounding depends on its number of rows.)
+    and their rows are zero. (A class is multiplied whole: the BLAS
+    product's rounding depends on its number of rows.)
     """
     ve = np.asarray(v, dtype=np.complex128)[system.space.class_dofs]
-    out, rowsum = np.zeros_like(ve), np.zeros(ve.shape)
+    out = np.zeros_like(ve)
     nonzero = ve.any(axis=1)
     for k, idx in enumerate(_members(system.space.elem_shape)):
         if not nonzero[idx].any():
@@ -483,8 +543,7 @@ def _element_products(system: AssembledSystem, v, full):
         m = len(idx)
         coef = system.coef[idx, None]
         out[idx] = coef * (Sv[:m] + 1j * Sv[m:]) - system.kappa2 * (Mv[:m] + 1j * Mv[m:])
-        rowsum[idx] = np.abs(coef) * np.abs(S).sum(axis=1) + system.kappa2 * np.abs(M).sum(axis=1)
-    return out, rowsum
+    return out
 
 
 def _scatter(dofs, vals, n) -> np.ndarray:
@@ -534,7 +593,7 @@ def solve(system: AssembledSystem) -> DiscreteField:
     rhs = _lifted_rhs(system, full)
     r_i = rhs[dofs[:, il]]
     # The packed positions of the interior and skeleton blocks.
-    ii, ib, bi, bb = (full[a[:, None], b] for a, b in ((il, il), (il, bl), (bl, il), (bl, bl)))
+    ii, ib, bb = (full[a[:, None], b] for a, b in ((il, il), (il, bl), (bl, bl)))
 
     # One matrix per group, formed on the packed entries: A_ii^-1 [A_ib |
     # r_i of every member] and the Schur complement on the skeleton, shared
@@ -558,7 +617,8 @@ def solve(system: AssembledSystem) -> DiscreteField:
             raise AssemblyError(f"singular interior block in element {e}") from None
         X_b.append(X[:, :nb])
         x_r[idx] = X[:, nb:].T if c.imag else (X[:, nb : nb + m] + 1j * X[:, nb + m :]).T
-        A_bi = A[bi]
+        # (i, j) and (j, i) share a packed entry: A_bi is A_ib transposed.
+        A_bi = np.ascontiguousarray(A[ib].T)
         schur[g] = A[bb] - A_bi @ X[:, :nb]
         A_bi_x[idx] = x_r[idx] @ A_bi.T
 
@@ -571,8 +631,9 @@ def solve(system: AssembledSystem) -> DiscreteField:
         raise AssemblyError("non-finite solution")
 
     free = space.free
-    products, rowsum = _element_products(system, y, full)
-    r = _scatter(dofs, products, space.n_dofs)[free] - rhs[free]
+    r = _scatter(dofs, _element_products(system, y, full), space.n_dofs)[free] - rhs[free]
+    k = space.elem_shape
+    rowsum = np.abs(system.coef)[:, None] * system.stiffness_rowsum[k] + system.kappa2 * system.mass_rowsum[k]
     norm_a = np.max(np.bincount(dofs.ravel(), rowsum.ravel(), space.n_dofs)[free], initial=0.0)
     scale = norm_a * np.max(np.abs(y)) + np.max(np.abs(rhs[free]), initial=0.0)
     if scale > 0:
@@ -592,7 +653,8 @@ def _eliminate(tree, schur, group, b) -> np.ndarray:
     takes its leaf's block or extend-adds its children's update blocks,
     eliminates its DOFs with one dense solve (partial pivoting within the
     front) and passes the update block of the rest up; b is updated in
-    place of a rhs column. Back-substitution runs from the root down.
+    place of a rhs column. A front that eliminates nothing, as every leaf's,
+    is passed up whole as its update. Back-substitution runs from the root down.
     """
     b = b.copy()
     updates, solved = {}, []
@@ -604,15 +666,18 @@ def _eliminate(tree, schur, group, b) -> np.ndarray:
                 np.add.at(F.reshape(-1), flat, updates.pop(c).ravel())
         else:
             F = schur[group[lowest]][keep[:, None], keep]
+        if not n:
+            updates[k] = F
+            continue
         try:
             X = np.linalg.solve(F[:n, :n], np.column_stack([F[:n, n:], b[dofs[:n]]]))
         except np.linalg.LinAlgError:
             raise AssemblyError(f"singular front at element {lowest}") from None
         b[dofs[n:]] -= F[n:, :n] @ X[:, -1]
         updates[k] = F[n:, n:] - F[n:, :n] @ X[:, :-1]
-        solved.append(X)
+        solved.append((dofs, n, X))
     y = np.zeros_like(b)
-    for (dofs, n, *_), X in zip(reversed(tree), reversed(solved)):
+    for dofs, n, X in reversed(solved):
         y[dofs[:n]] = X[:, -1] - X[:, :-1] @ y[dofs[n:]]
     return y
 

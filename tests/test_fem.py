@@ -1,6 +1,9 @@
 import dataclasses
 import gc
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -253,6 +256,12 @@ class TestAssembly:
         d = (A - A.T).tocoo()
         assert d.nnz == 0 or np.max(np.abs(d.data)) == 0.0
 
+    def test_abs_row_sums_per_class(self, mesh_b1, params5):
+        # solve's bound on ||A|| reads them; they are those of the full S, M.
+        system = assemble(FeSpace(mesh_b1, 3), params5, SourceSpec.dirichlet_radius())
+        for rows, packed in ((system.stiffness_rowsum, system.stiffness), (system.mass_rowsum, system.mass)):
+            np.testing.assert_allclose(rows, np.abs(unpacked(packed)).sum(axis=2), rtol=1e-15)
+
     def test_energy_of_linear_field(self, params5):
         # For H = r on configuration A with uniform eps:
         # x^T A x = int 4 r - kappa^2 int r^3 over [0,2]x[-2,2]
@@ -333,14 +342,59 @@ class TestEliminationTree:
 
     # Three times sum n^3/3 + n^2 m + n m^2 over the fronts (n eliminated,
     # m passed up), as the tree had before it counted over its own DOFs.
+    WORK = [
+        ("A", "M2", 80.0, 16, 19805421),
+        ("A", "M3", 80.0, 16, 100616101),
+        ("B1", "M3", 400.0, 16, 453504171),
+        ("C1", "M3", 80.0, 8, 38653999),
+    ]
+
     @pytest.mark.parametrize(
-        "config, spec, sigma_max, p, work3",
-        [("A", "M2", 80.0, 16, 35112129), ("B1", "M3", 400.0, 16, 452118117)],
+        "config, spec, sigma_max, p, work3", WORK, ids=[f"{c}-{s}-p{p}" for c, s, _, p, _ in WORK]
     )
     def test_front_work(self, config, spec, sigma_max, p, work3):
         space = FeSpace(mesh.mesh_for(config, spec, sigma_max=sigma_max), p)
         fronts = [(n, len(dofs) - n) for dofs, n, *_ in space.tree]
         assert sum(n**3 + 3 * n * n * m + 3 * n * m * m for n, m in fronts) == work3
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_node_eliminates_on_A(self, k):
+        # A square block of elements has a repeated Fiedler eigenvalue; a
+        # cut along any vector of its eigenspace can leave halves that share
+        # no edge.
+        space = FeSpace(mesh.square_mesh_A(k), 2)
+        assert all(n for dofs, n, children, *_ in space.tree if children)
+
+    def test_tree_is_the_same_under_any_blas(self):
+        # The tree's digest from child processes with one and two OpenBLAS
+        # threads and two kernel types, under which LAPACK may return
+        # another vector of a repeated eigenspace and rounds otherwise.
+        cases = ["A:M2:80:16", "A:M8:80:2", "B1:M3:400:16", "C1:M3:80:8", "C2:M2:80:16"]
+        code = (
+            "import hashlib, sys\n"
+            "from skinfem import mesh\n"
+            "from skinfem.fem import FeSpace\n"
+            "for case in sys.argv[1:]:\n"
+            "    config, spec, sigma_max, p = case.split(':')\n"
+            "    m = mesh.mesh_for(config, spec, sigma_max=float(sigma_max))\n"
+            "    tree = [(d.tolist(), n, [(c, pos.tolist()) for c, pos in ch], lo, k.tolist())\n"
+            "            for d, n, ch, lo, k in FeSpace(m, int(p)).tree]\n"
+            "    print(case, hashlib.sha256(repr(tree).encode()).hexdigest())\n"
+        )
+        env = dict(os.environ)
+        pkg_parent = str(Path(fem.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = pkg_parent + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        digests = set()
+        for threads in ("1", "2"):
+            for core in ("Haswell", "Sandybridge"):
+                proc = subprocess.run(
+                    [sys.executable, "-c", code, *cases],
+                    env={**env, "OPENBLAS_NUM_THREADS": threads, "OPENBLAS_CORETYPE": core},
+                    capture_output=True, text=True, timeout=120,
+                )
+                assert proc.returncode == 0 and len(proc.stdout.splitlines()) == len(cases), proc.stderr
+                digests.add(proc.stdout)
+        assert len(digests) == 1, digests
 
 
 class TestCondensation:
