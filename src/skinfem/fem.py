@@ -201,8 +201,7 @@ class FeSpace:
         equal (`_tie_ranks`), then by the coordinate, then by number. The
         split kept is the one whose larger half shares fewer free skeleton
         DOFs with the elements outside it, then the one whose smaller half
-        does, then r's. A pair is sorted by r, then z, as the rule sorts it.
-        A leaf is one element.
+        does, then r's. A leaf is one element.
 
         A free skeleton DOF is eliminated at the first node that holds every
         element it belongs to, and passed up from the nodes below that,
@@ -224,8 +223,6 @@ class FeSpace:
 
         def bisect(elems):
             """elems ordered by the split vector: halves at the median."""
-            if len(elems) == 2:  # the rule below orders a pair by r, then z
-                return elems[np.lexsort((elems, *centroid[elems, ::-1].T))]
             A = adj[np.ix_(elems, elems)]
             lam, vec = np.linalg.eigh(np.diag(A.sum(axis=1)) - A)
             space = vec[:, np.abs(lam - lam[1]) <= 1e-8 * lam[-1]]
@@ -349,8 +346,7 @@ class AssembledSystem:
 
     The members of a shape class share S and M in the class's local order,
     each kept as its packed upper triangle (`kernels.full_index` reads it
-    back), with the row sums of |S| and |M| for `solve`'s bound on ||A||:
-    element e, of class k = space.elem_shape[e], has the matrix
+    back): element e, of class k = space.elem_shape[e], has the matrix
     coef[e] * stiffness[k] - kappa2 * mass[k] over the DOFs
     space.class_dofs[e]; its load vector loads[e] is in element order. coef
     is 1/eps_conductor in the conductor and 1 in the dielectric (or
@@ -363,8 +359,6 @@ class AssembledSystem:
     space: FeSpace
     stiffness: np.ndarray  # (n_shapes, n (n+1) / 2) real, n = (p+1)^2, packed
     mass: np.ndarray  # (n_shapes, n (n+1) / 2) real, packed
-    stiffness_rowsum: np.ndarray  # (n_shapes, n) row sums of |S|
-    mass_rowsum: np.ndarray  # (n_shapes, n) row sums of |M|
     loads: np.ndarray  # (n_elements, (p+1)^2) real element loads
     gvec: np.ndarray  # prescribed values at constrained dofs, 0 elsewhere
     kappa2: float
@@ -470,8 +464,6 @@ def assemble(
         basis.lagrange_deriv_matrix(basis.gll_points(p), xq),
         *(a[first] for a in (rq, wq, xu, xv, yu, yv, det)),
     )
-    full = kernels.full_index((p + 1) ** 2)
-    S_rowsum, M_rowsum = (np.array([np.abs(a)[full].sum(axis=1) for a in A]) for A in (S, M))
 
     be = np.zeros((mesh.n_elements, (p + 1) ** 2))
     if source.interior_f is not None:
@@ -502,8 +494,6 @@ def assemble(
         space=space,
         stiffness=S,
         mass=M,
-        stiffness_rowsum=S_rowsum,
-        mass_rowsum=M_rowsum,
         loads=be,
         gvec=gvec,
         kappa2=params.kappa**2,
@@ -516,23 +506,24 @@ def _lifted_rhs(system: AssembledSystem, full) -> np.ndarray:
     """b - A g over all dofs; full is `kernels.full_index` of the element size."""
     space = system.space
     loads = np.take_along_axis(system.loads, _flips(space.p)[space.elem_flip], axis=1)
-    products = _element_products(system, system.gvec, full)
+    products = _element_products(system, system.gvec, full)[0]
     return _scatter(space.class_dofs, loads - products, space.n_dofs)
 
 
 def _element_products(system: AssembledSystem, v, full):
-    """A_e v_e for every element, an (n_elements, (p+1)^2) complex array in
-    class order. full is `kernels.full_index((p+1)^2)`.
+    """A_e v_e for every element and the row sums of |coef_e| |S| + kappa2
+    |M|, which bound those of |A_e|: two (n_elements, (p+1)^2) arrays, the
+    first complex, in class order. full is `kernels.full_index((p+1)^2)`.
 
     One real product per shape class, with its S and M expanded once: they
     multiply the real and the imaginary parts of all its members' vectors at
     once (S and M are symmetric, so v_e S = S v_e). No complex element
     matrix is formed. A class whose members' v_e are all zero is skipped,
-    and their rows are zero. (A class is multiplied whole: the BLAS
-    product's rounding depends on its number of rows.)
+    and their rows of both arrays are zero. (A class is multiplied whole:
+    the BLAS product's rounding depends on its number of rows.)
     """
     ve = np.asarray(v, dtype=np.complex128)[system.space.class_dofs]
-    out = np.zeros_like(ve)
+    out, rowsum = np.zeros_like(ve), np.zeros(ve.shape)
     nonzero = ve.any(axis=1)
     for k, idx in enumerate(_members(system.space.elem_shape)):
         if not nonzero[idx].any():
@@ -543,7 +534,8 @@ def _element_products(system: AssembledSystem, v, full):
         m = len(idx)
         coef = system.coef[idx, None]
         out[idx] = coef * (Sv[:m] + 1j * Sv[m:]) - system.kappa2 * (Mv[:m] + 1j * Mv[m:])
-    return out
+        rowsum[idx] = np.abs(coef) * np.abs(S).sum(axis=1) + system.kappa2 * np.abs(M).sum(axis=1)
+    return out, rowsum
 
 
 def _scatter(dofs, vals, n) -> np.ndarray:
@@ -631,9 +623,8 @@ def solve(system: AssembledSystem) -> DiscreteField:
         raise AssemblyError("non-finite solution")
 
     free = space.free
-    r = _scatter(dofs, _element_products(system, y, full), space.n_dofs)[free] - rhs[free]
-    k = space.elem_shape
-    rowsum = np.abs(system.coef)[:, None] * system.stiffness_rowsum[k] + system.kappa2 * system.mass_rowsum[k]
+    products, rowsum = _element_products(system, y, full)
+    r = _scatter(dofs, products, space.n_dofs)[free] - rhs[free]
     norm_a = np.max(np.bincount(dofs.ravel(), rowsum.ravel(), space.n_dofs)[free], initial=0.0)
     scale = norm_a * np.max(np.abs(y)) + np.max(np.abs(rhs[free]), initial=0.0)
     if scale > 0:
