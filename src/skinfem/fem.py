@@ -54,8 +54,9 @@ __all__ = [
 ]
 
 MAX_DEGREE = 20
-# `solve`'s bound on its backward error: the largest reading over the test
-# suite's solves and p=20 solves on every configuration is 3.6e-16.
+# `solve`'s bound on its row-scaled backward error: the largest reading over
+# the test suite's solves is 5.7e-16, and over p=20 solves on every
+# configuration 7.1e-16.
 BACKWARD_ERROR_BOUND = 1e-14
 
 
@@ -185,8 +186,8 @@ class FeSpace:
         """Binary tree of the elements by recursive spectral bisection;
         pairs is an (n, 2) array of the elements that share a facet.
 
-        A set of elements is split in halves at the median of a split
-        vector. The vector lies in the eigenspace of the second-smallest
+        A set of elements is cut in two in the order of a split vector.
+        The vector lies in the eigenspace of the second-smallest
         eigenvalue of the set's facet-adjacency Laplacian (Pothen, Simon &
         Liou, SIAM J. Matrix Anal. Appl. 11, 1990), taken whole: every
         eigenvector whose eigenvalue is within 1e-8 times the largest of it.
@@ -198,10 +199,21 @@ class FeSpace:
         shorter than 1e-6 times its coordinate is dropped; if both are, the
         coordinates themselves are the candidates. The elements are sorted
         by a candidate, values within 1e-6 of its largest magnitude taken as
-        equal (`_tie_ranks`), then by the coordinate, then by number. The
-        split kept is the one whose larger half shares fewer free skeleton
-        DOFs with the elements outside it, then the one whose smaller half
-        does, then r's. A leaf is one element.
+        equal (`_tie_ranks`), then by the coordinate, then by number.
+
+        Of n elements, the first h go to one half for every cut h in the
+        middle half of both orders, ceil(n/4) <= h <= n - ceil(n/4). A cut
+        scores the free skeleton DOFs that the half sharing more of them
+        with the elements outside it shares, then the other half's count;
+        the lowest score is kept, then the cut nearer the median (n+1)//2,
+        then the lower cut, then r's. The scores are integers, so the tree
+        is a function of the mesh. They come for all cuts at once from
+        prefix counts of each DOF's first and last holder in the order: a
+        DOF also held outside the set is shared by every half that holds
+        it, one held inside alone by both halves when the cut falls between
+        its holders. (A cut at the median left larger fronts on the curved
+        meshes, and some inner fronts that eliminated nothing: halves of
+        two elements that share no facet.) A leaf is one element.
 
         A free skeleton DOF is eliminated at the first node that holds every
         element it belongs to, and passed up from the nodes below that,
@@ -218,12 +230,13 @@ class FeSpace:
         adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1.0
         skel = self.class_dofs[:, _skeleton_locals(self.p)]
         count = np.bincount(skel.ravel(), minlength=self.n_skeleton)
+        free_count = np.where(self.constrained[: self.n_skeleton], 0, count)
         centroid = self.mesh.nodes[self.mesh.corners].mean(axis=1)
         tree, passed, where = [], [], np.empty(self.n_skeleton, dtype=np.int64)
 
         def bisect(elems):
-            """elems ordered by the split vector: halves at the median."""
-            A = adj[np.ix_(elems, elems)]
+            """elems ordered by the split vector, and the cut kept."""
+            A = adj[elems[:, None], elems]
             lam, vec = np.linalg.eigh(np.diag(A.sum(axis=1)) - A)
             space = vec[:, np.abs(lam - lam[1]) <= 1e-8 * lam[-1]]
             c = centroid[elems] - centroid[elems].mean(axis=0)
@@ -231,27 +244,18 @@ class FeSpace:
             kept = np.linalg.norm(v, axis=0) > 1e-6 * np.linalg.norm(c, axis=0)
             if not kept.any():
                 v, kept = c, np.ones(2, dtype=bool)
-            # Per DOF of these elements: how many of them hold it, and how
-            # many elements in all if it is free (0 if constrained).
-            dofs, at = np.unique(skel[elems], return_inverse=True)
-            at = at.reshape(len(elems), -1)
-            here = np.bincount(at.ravel(), minlength=len(dofs))
-            total = np.where(self.constrained[dofs], 0, count[dofs])
-
-            def split(k):
-                order = np.lexsort((elems, c[:, k], _tie_ranks(v[:, k])))
-                held = np.bincount(at[order[: (len(elems) + 1) // 2]].ravel(), minlength=len(dofs))
-                sizes = [np.count_nonzero((0 < n) & (n < total)) for n in (held, here - held)]
-                return sorted(sizes, reverse=True), k, order
-
-            return elems[min(map(split, np.flatnonzero(kept)))[-1]]
+            orders = np.array([
+                np.lexsort((elems, c[:, k], _tie_ranks(v[:, k]))) for k in np.flatnonzero(kept)
+            ])
+            k, h = _best_cut(orders, skel[elems], free_count)
+            return elems[orders[k]], h
 
         def build(elems):
             if len(elems) == 1:
                 children, keep = (), np.flatnonzero(~self.constrained[skel[elems[0]]])
                 dofs, below = skel[elems[0], keep], np.ones(len(keep))
             else:
-                order, h = bisect(elems), (len(elems) + 1) // 2
+                order, h = bisect(elems)
                 children = [build(order[:h]), build(order[h:])]
                 up = np.concatenate([passed[c][0] for c in children])
                 keep = dofs = np.unique(up)
@@ -271,6 +275,51 @@ class FeSpace:
 
         build(np.arange(nel))
         self.tree = tree
+
+
+def _best_cut(orders, held, free_count):
+    """The candidate k and the cut h of `FeSpace._build_tree`'s rule: the
+    first h elements of the order orders[k] form one half, h in the middle
+    half. orders is (candidates, n), held the (n, w) DOFs of each element,
+    and free_count[d] the number of elements in all that hold DOF d if it
+    is free, else 0.
+    """
+    n_orders, n = orders.shape
+    if n == 2:  # one cut: every order gives the same halves
+        return 0, 1
+    # The incidences grouped by DOF, and the kind of each DOF: 0 if free and
+    # held outside these elements too, so shared by whichever half holds
+    # it; 2 if free and held here alone, so shared if both halves hold it;
+    # 4 if constrained.
+    flat = held.ravel()
+    by = np.argsort(flat, kind="stable")
+    dof = flat[by]
+    starts = np.flatnonzero(np.concatenate([[True], dof[1:] != dof[:-1]]))
+    total = free_count[dof[starts]]
+    here = np.append(starts[1:], len(by)) - starts
+    kind = np.where(total == 0, 4, np.where(here < total, 0, 2))
+    # Per order, each DOF's first and last position among its holders, and
+    # in one bincount the counts at each position of the first and the last
+    # holders of the kind 0 and 2 DOFs.
+    pos = np.empty_like(orders)
+    pos[np.arange(n_orders)[:, None], orders] = np.arange(n)
+    at = pos[:, by // held.shape[1]]
+    first, last = np.minimum.reduceat(at, starts, axis=1), np.maximum.reduceat(at, starts, axis=1)
+    keys = np.concatenate([kind * n + first, (kind + 1) * n + last], axis=1)
+    keys += 6 * n * np.arange(n_orders)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=6 * n * n_orders).reshape(n_orders, 6, n)
+    quarter = -(-n // 4)  # ceil(n/4)
+    cuts = np.arange(quarter, n - quarter + 1)
+    outer_f, outer_l, inner_f, inner_l = counts.cumsum(axis=2)[:, :4, cuts - 1].transpose(1, 0, 2)
+    # The shared DOFs of the half before each cut and of the one after.
+    both = inner_f - inner_l
+    before, after = outer_f + both, np.count_nonzero(kind == 0) - outer_l + both
+    at_cut = cuts[None].repeat(n_orders, axis=0).ravel()
+    best = np.lexsort((
+        at_cut, np.abs(at_cut - (n + 1) // 2),
+        np.minimum(before, after).ravel(), np.maximum(before, after).ravel(),
+    ))[0]
+    return int(best // len(cuts)), int(at_cut[best])
 
 
 def _tie_ranks(v) -> np.ndarray:
@@ -506,24 +555,25 @@ def _lifted_rhs(system: AssembledSystem, full) -> np.ndarray:
     """b - A g over all dofs; full is `kernels.full_index` of the element size."""
     space = system.space
     loads = np.take_along_axis(system.loads, _flips(space.p)[space.elem_flip], axis=1)
-    products = _element_products(system, system.gvec, full)[0]
+    products = _element_products(system, system.gvec, full)
     return _scatter(space.class_dofs, loads - products, space.n_dofs)
 
 
-def _element_products(system: AssembledSystem, v, full):
-    """A_e v_e for every element and the row sums of |coef_e| |S| + kappa2
-    |M|, which bound those of |A_e|: two (n_elements, (p+1)^2) arrays, the
-    first complex, in class order. full is `kernels.full_index((p+1)^2)`.
+def _element_products(system: AssembledSystem, v, full, rowsums=None):
+    """A_e v_e for every element, an (n_elements, (p+1)^2) complex array in
+    class order; full is `kernels.full_index((p+1)^2)`. If given, rowsums,
+    an array of that shape, takes the row sums of |coef_e| |S| + kappa2
+    |M|, which bound those of |A_e|.
 
     One real product per shape class, with its S and M expanded once: they
     multiply the real and the imaginary parts of all its members' vectors at
     once (S and M are symmetric, so v_e S = S v_e). No complex element
-    matrix is formed. A class whose members' v_e are all zero is skipped,
-    and their rows of both arrays are zero. (A class is multiplied whole:
+    matrix is formed. A class whose members' v_e are all zero is skipped:
+    their products are zero, and their rows of rowsums are left as given. (A class is multiplied whole:
     the BLAS product's rounding depends on its number of rows.)
     """
     ve = np.asarray(v, dtype=np.complex128)[system.space.class_dofs]
-    out, rowsum = np.zeros_like(ve), np.zeros(ve.shape)
+    out = np.zeros_like(ve)
     nonzero = ve.any(axis=1)
     for k, idx in enumerate(_members(system.space.elem_shape)):
         if not nonzero[idx].any():
@@ -534,8 +584,9 @@ def _element_products(system: AssembledSystem, v, full):
         m = len(idx)
         coef = system.coef[idx, None]
         out[idx] = coef * (Sv[:m] + 1j * Sv[m:]) - system.kappa2 * (Mv[:m] + 1j * Mv[m:])
-        rowsum[idx] = np.abs(coef) * np.abs(S).sum(axis=1) + system.kappa2 * np.abs(M).sum(axis=1)
-    return out, rowsum
+        if rowsums is not None:
+            rowsums[idx] = np.abs(coef) * np.abs(S).sum(axis=1) + system.kappa2 * np.abs(M).sum(axis=1)
+    return out
 
 
 def _scatter(dofs, vals, n) -> np.ndarray:
@@ -558,18 +609,25 @@ def _skeleton_locals(p: int) -> np.ndarray:
 
 def solve(system: AssembledSystem) -> DiscreteField:
     """Direct solve by static condensation and multifrontal elimination,
-    checked by its normwise backward error over the free rows (Rigal &
-    Gaches, J. ACM 14, 1967; Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2002, sec. 7.1): ||A y - b|| / (||A|| ||y|| +
-    ||b||) in the max norm, at most BACKWARD_ERROR_BOUND, with ||A|| bounded
-    by the summed row sums of |coef_e| |S| + kappa2 |M|.
+    checked by a row-scaled backward error over the free rows (Rigal &
+    Gaches, J. ACM 14, 1967; Oettli & Prager, Numer. Math. 6, 1964; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, sec.
+    7.1): the largest |A y - b|_i / (||A_i|| ||y|| + |b_i|), ||y|| in the
+    max norm, at most BACKWARD_ERROR_BOUND, with the row norm ||A_i|| bounded
+    by the summed row sums of |coef_e| |S| + kappa2 |M|. A row whose
+    denominator is 0 must have no residual. Each row is measured against its
+    own scale, so rows with a tiny coefficient, as a conductor's at high
+    sigma, are not hidden behind the largest row.
 
     The interior DOFs of each element are eliminated against its skeleton
     (vertex and edge) DOFs, once per group of elements that share a shape
     class and a coefficient, and so a matrix; every member reads its DOFs
-    in the class order of `space.class_dofs`. The Schur complements are
-    eliminated front by front over `space.tree` (`_eliminate`); the
-    interiors are then recovered by back-substitution.
+    in the class order of `space.class_dofs`. Each group's Schur complement
+    is kept as its packed upper triangle (`np.triu_indices` of the 4p
+    skeleton DOFs), one stacked array for all groups, and eliminated front
+    by front over `space.tree` (`_eliminate`); the interior right-hand
+    sides are dropped before it, and the interiors are then recovered by
+    back-substitution.
 
     A singular interior block raises AssemblyError naming the
     lowest-numbered element that has one; a singular front, the
@@ -595,7 +653,8 @@ def solve(system: AssembledSystem) -> DiscreteField:
     keys = np.column_stack([space.elem_shape, system.coef.real, system.coef.imag])
     group = _first_appearance(keys, axis=0)[0]
     groups = _members(group)
-    X_b, schur = [], np.empty((len(groups), nb, nb), dtype=np.complex128)
+    upper = np.triu_indices(nb)
+    X_b, schur = [], np.empty((len(groups), len(upper[0])), dtype=np.complex128)
     x_r = np.empty((nel, ni), dtype=np.complex128)
     A_bi_x = np.empty((nel, nb), dtype=np.complex128)
     for g, idx in enumerate(groups):
@@ -607,45 +666,50 @@ def solve(system: AssembledSystem) -> DiscreteField:
             X = np.linalg.solve(A[ii], np.hstack([A[ib], r]))
         except np.linalg.LinAlgError:
             raise AssemblyError(f"singular interior block in element {e}") from None
-        X_b.append(X[:, :nb])
+        X_b.append(X[:, :nb].copy())  # not a view that keeps the r columns
         x_r[idx] = X[:, nb:].T if c.imag else (X[:, nb : nb + m] + 1j * X[:, nb + m :]).T
         # (i, j) and (j, i) share a packed entry: A_bi is A_ib transposed.
         A_bi = np.ascontiguousarray(A[ib].T)
-        schur[g] = A[bb] - A_bi @ X[:, :nb]
+        schur[g] = (A[bb] - A_bi @ X[:, :nb])[upper]
         A_bi_x[idx] = x_r[idx] @ A_bi.T
+    del r_i
 
     # Constrained skeleton rows and columns are dropped: rhs carries -A g.
     y = np.zeros(space.n_dofs, dtype=np.complex128)  # coefficients minus gvec
-    y[:ns] = _eliminate(space.tree, schur, group, rhs[:ns] - _scatter(skel, A_bi_x, ns))
+    b = rhs[:ns] - _scatter(skel, A_bi_x, ns)
+    y[:ns] = _eliminate(space.tree, schur, group, b, kernels.full_index(nb))
     for idx, X in zip(groups, X_b):
         y[dofs[idx[:, None], il]] = x_r[idx] - y[skel[idx]] @ X.T
     if not np.all(np.isfinite(y)):
         raise AssemblyError("non-finite solution")
 
     free = space.free
-    products, rowsum = _element_products(system, y, full)
-    r = _scatter(dofs, products, space.n_dofs)[free] - rhs[free]
-    norm_a = np.max(np.bincount(dofs.ravel(), rowsum.ravel(), space.n_dofs)[free], initial=0.0)
-    scale = norm_a * np.max(np.abs(y)) + np.max(np.abs(rhs[free]), initial=0.0)
-    if scale > 0:
-        err = np.max(np.abs(r)) / scale
-        if not err <= BACKWARD_ERROR_BOUND:
-            raise AssemblyError(
-                f"solver residual: backward error {err:.3e} exceeds {BACKWARD_ERROR_BOUND:.0e}"
-            )
+    rowsum = np.zeros(dofs.shape)
+    products = _element_products(system, y, full, rowsum)
+    r = np.abs(_scatter(dofs, products, space.n_dofs)[free] - rhs[free])
+    norm_a = np.bincount(dofs.ravel(), rowsum.ravel(), space.n_dofs)[free]
+    scale = norm_a * np.max(np.abs(y)) + np.abs(rhs[free])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.max(np.where(r == 0, 0.0, r / scale), initial=0.0)
+    if not err <= BACKWARD_ERROR_BOUND:
+        raise AssemblyError(
+            f"solver residual: backward error {err:.3e} exceeds {BACKWARD_ERROR_BOUND:.0e}"
+        )
     return DiscreteField(space=space, coeffs=system.gvec + y)
 
 
-def _eliminate(tree, schur, group, b) -> np.ndarray:
+def _eliminate(tree, schur, group, b, full) -> np.ndarray:
     """Solution of the summed skeleton system, zero at constrained DOFs.
 
-    Element e's Schur complement over its skeleton is schur[group[e]], and
-    b is the skeleton right-hand side. Each front of `tree`, in postorder,
-    takes its leaf's block or extend-adds its children's update blocks,
-    eliminates its DOFs with one dense solve (partial pivoting within the
-    front) and passes the update block of the rest up; b is updated in
-    place of a rhs column. A front that eliminates nothing, as every leaf's,
-    is passed up whole as its update. Back-substitution runs from the root down.
+    Element e's Schur complement over its skeleton is schur[group[e]], its
+    packed upper triangle, which full (`kernels.full_index` of the skeleton
+    size) reads back; b is the skeleton right-hand side. Each front of
+    `tree`, in postorder, takes its leaf's block or extend-adds its
+    children's update blocks, eliminates its DOFs with one dense solve
+    (partial pivoting within the front) and passes the update block of the
+    rest up; b is updated in place of a rhs column. A front that eliminates
+    nothing, as every leaf's, is passed up whole as its update.
+    Back-substitution runs from the root down.
     """
     b = b.copy()
     updates, solved = {}, []
@@ -656,7 +720,7 @@ def _eliminate(tree, schur, group, b) -> np.ndarray:
                 flat = (pos[:, None] * len(dofs) + pos).ravel()
                 np.add.at(F.reshape(-1), flat, updates.pop(c).ravel())
         else:
-            F = schur[group[lowest]][keep[:, None], keep]
+            F = schur[group[lowest]][full[keep[:, None], keep]]
         if not n:
             updates[k] = F
             continue

@@ -335,12 +335,16 @@ class TestEliminationTree:
         assert np.array_equal(np.sort(free), space.free[space.free < space.n_skeleton])
 
     # Three times sum n^3/3 + n^2 m + n m^2 over the fronts (n eliminated,
-    # m passed up), as the tree had before it counted over its own DOFs.
+    # m passed up), with each cut the best in the middle half of its split
+    # order. The median cut read 19,805,421, 100,616,101, 453,504,171,
+    # 38,653,999, 363,817,989 and 326,090,031.
     WORK = [
-        ("A", "M2", 80.0, 16, 19805421),
-        ("A", "M3", 80.0, 16, 100616101),
-        ("B1", "M3", 400.0, 16, 453504171),
-        ("C1", "M3", 80.0, 8, 38653999),
+        ("A", "M2", 80.0, 16, 18359181),
+        ("A", "M3", 80.0, 16, 80166445),
+        ("B1", "M3", 400.0, 16, 334719801),
+        ("C1", "M3", 80.0, 8, 29182267),
+        ("B2", "M3", 80.0, 16, 278432973),
+        ("C2", "M2", 80.0, 16, 213616977),
     ]
 
     @pytest.mark.parametrize(
@@ -358,6 +362,42 @@ class TestEliminationTree:
         # no edge.
         space = FeSpace(mesh.square_mesh_A(k), 2)
         assert all(n for dofs, n, children, *_ in space.tree if children)
+
+    @pytest.mark.parametrize("config, spec", [("B1", "M3"), ("B2", "M3"), ("C1", "M3"), ("C2", "M2")])
+    def test_every_node_eliminates_on_curved_meshes(self, config, spec):
+        # A cut at the median of a small set could leave as one half two
+        # elements that share no facet, whose front then eliminated nothing
+        # (1 to 4 such fronts per mesh); a cut anywhere in the middle half
+        # scores lower than those.
+        space = FeSpace(mesh.mesh_for(config, spec, sigma_max=80.0), 2)
+        assert all(n for dofs, n, children, *_ in space.tree if children)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_best_cut_against_a_count_per_cut(self, data):
+        # The prefix-count scores of _best_cut against the halves' shared
+        # DOFs counted cut by cut, on random elements, orders and outside
+        # holders.
+        n = data.draw(st.integers(2, 12), label="n")
+        n_dofs = data.draw(st.integers(4, 16), label="n_dofs")
+        w = data.draw(st.integers(1, min(4, n_dofs)), label="w")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        held = np.array([rng.choice(n_dofs, w, replace=False) for _ in range(n)])
+        here = np.bincount(held.ravel(), minlength=n_dofs)
+        free_count = np.where(rng.random(n_dofs) < 0.2, 0, here + rng.integers(0, 3, n_dofs))
+        orders = np.array([rng.permutation(n) for _ in range(data.draw(st.integers(1, 2)))])
+
+        def shared(half):
+            held_half = np.bincount(held[half].ravel(), minlength=n_dofs)
+            return np.count_nonzero((0 < held_half) & (held_half < free_count))
+
+        scores, quarter = [], -(-n // 4)
+        for k, order in enumerate(orders):
+            for h in range(quarter, n - quarter + 1):
+                a, b = shared(order[:h]), shared(order[h:])
+                scores.append((max(a, b), min(a, b), abs(h - (n + 1) // 2), h, k))
+        *_, h, k = min(scores)
+        assert fem._best_cut(orders, held, free_count) == (k, h)
 
     def test_tree_is_the_same_under_any_blas(self):
         # The tree's digest from child processes with one and two OpenBLAS
@@ -501,6 +541,18 @@ class TestCondensation:
         sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
         eliminate = fem._eliminate
         monkeypatch.setattr(fem, "_eliminate", lambda *args: eliminate(*args) * (1 + 1e-6))
+        with pytest.raises(AssemblyError, match="residual"):
+            solve(sys_)
+
+    def test_residual_checked_on_conductor_rows(self, monkeypatch):
+        # C2 at sigma 400: the conductor shell's coefficient, |1/eps| =
+        # 6.6e-7, makes its rows tiny beside the dielectric's. A skeleton
+        # scaled by 1 + 1e-8 read 8e-15 against ||A|| ||y|| + ||b|| over all
+        # rows and passed; against each row's own scale it reads 2.3e-9.
+        space = FeSpace(mesh.mesh_for("C2", "M3", sigma_max=400.0), 8)
+        sys_ = assemble(space, physics.PhysicalParams(sigma=400.0), SourceSpec.dirichlet_radius())
+        eliminate = fem._eliminate
+        monkeypatch.setattr(fem, "_eliminate", lambda *args: eliminate(*args) * (1 + 1e-8))
         with pytest.raises(AssemblyError, match="residual"):
             solve(sys_)
 
@@ -660,7 +712,7 @@ class TestShapeClasses:
     def test_packed_class_matrices_only(self):
         # The sweep-b1 system: S and M keep one triangle per class, and
         # neither assemble nor solve allocates a full (73, n, n) stack of
-        # either (48.8 MB; solve's own peak is 40.9 MB).
+        # either (48.8 MB; solve's own peak is 34.7 MB).
         space = FeSpace(mesh.mesh_for("B1", "M3", sigma_max=400.0), 16)
         n = 17**2
         params, src = physics.PhysicalParams(sigma=80.0), SourceSpec.dirichlet_radius()
@@ -677,6 +729,22 @@ class TestShapeClasses:
             tracemalloc.stop()
         assert system.stiffness.shape == system.mass.shape == (73, n * (n + 1) // 2)
         assert assemble_peak < packed / 2 and solve_peak < packed
+
+    def test_packed_schur_blocks(self):
+        # The sweep-b1 system: each group's Schur complement is kept as its
+        # packed upper triangle, and the tree's fronts are those of the
+        # middle-half cuts. solve's traced peak reads 34.7 MB; with a full
+        # (73, 64, 64) Schur stack and median cuts it read 40.1 MB. The
+        # bound leaves a 5% margin.
+        space = FeSpace(mesh.mesh_for("B1", "M3", sigma_max=400.0), 16)
+        system = assemble(space, physics.PhysicalParams(sigma=80.0), SourceSpec.dirichlet_radius())
+        tracemalloc.start()
+        try:
+            solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36.5e6
 
     def test_solve_matches_per_element_condensation(self, case):
         system, (S, M, _) = case
