@@ -29,6 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,9 +82,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"field 'study': unknown kind {self.study!r} (choose from {', '.join(STUDIES)})"
             )
-        if self.config not in geometry.CONFIG_PARAMS:
+        if self.config not in geometry.CONFIGURATIONS:
             raise ConfigError(f"field 'config': unknown configuration {self.config!r}")
-        if self.study == "corner-study" and self.config != "A":
+        geom = geometry.CONFIGURATIONS[self.config]
+        if self.study == "corner-study" and geom.corner is None:
             raise ConfigError("field 'config': corner-study requires configuration A")
         if not self.sigmas:
             raise ConfigError("field 'sigma': empty conductivity list")
@@ -99,8 +101,8 @@ class ExperimentConfig:
         if self.study == "corner-study":
             # corner_slopes samples the diagonal from (r0, l0/2) inward down to
             # the depth _CORNER_SAMPLES * ell / 4, which must stay off the axis.
-            a, n = geometry.CONFIG_PARAMS["A"], postprocess._CORNER_SAMPLES
-            ell_max = 4.0 * math.sqrt(2.0) * min(a["r0"], (a["l0"] + a["l1"]) / 2.0) / n
+            n = postprocess._CORNER_SAMPLES
+            ell_max = 4.0 * math.sqrt(2.0) * min(geom.r0, (geom.l0 + geom.l1) / 2.0) / n
             if physics.PhysicalParams(sigma=min(self.sigmas), omega=self.omega).ell >= ell_max:
                 raise ConfigError(
                     f"fields 'sigma' and 'omega': sigma {min(self.sigmas)!r} at omega "
@@ -204,28 +206,29 @@ def _post(fn, *args, **kwargs):
         raise PostprocessError(str(exc)) from exc
 
 
-# Mesh and degree of the p-convergence reference norm, per configuration.
-_PCONV_REFERENCE = {
-    "A": ("M3", 16),
-    "B1": ("M6", 20),
-    "B2": ("M6", 20),
-    "C1": ("M6", 20),
-    "C2": ("M6", 20),
+class StudySetup(NamedTuple):
+    """What a configuration's studies solve: the problem data, and the mesh
+    and degree of the p-convergence reference norm."""
+
+    source: fem.SourceSpec
+    pconv_reference: tuple[str, int]
+
+
+STUDY_TABLE = {
+    "A": StudySetup(fem.SourceSpec.dirichlet_radius(), ("M3", 16)),
+    "B1": StudySetup(fem.SourceSpec.dirichlet_radius(), ("M6", 20)),
+    "B2": StudySetup(fem.SourceSpec.dirichlet_radius(), ("M6", 20)),
+    "C1": StudySetup(fem.SourceSpec.config_C1(), ("M6", 20)),
+    "C2": StudySetup(fem.SourceSpec.dirichlet_radius(), ("M6", 20)),
 }
-
-
-def _source_for(config: str) -> fem.SourceSpec:
-    if config == "C1":
-        return fem.SourceSpec.config_C1()
-    return fem.SourceSpec.dirichlet_radius()
 
 
 class _Runner:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.written: list[str] = []
-        self.dom = geometry.meridian_domain(cfg.config)
-        self.source = _source_for(cfg.config)
+        self.geom = geometry.CONFIGURATIONS[cfg.config]
+        self.setup = STUDY_TABLE[cfg.config]
         # The last assembled system and its (spec, p). One slot: a study
         # visits each (spec, p) in one run of consecutive solves.
         self._assembled: tuple[tuple[str, int], fem.AssembledSystem] | None = None
@@ -241,7 +244,7 @@ class _Runner:
         if self._assembled is None or self._assembled[0] != (spec, p):
             self._assembled = None  # free the old system before assembling
             space = fem.FeSpace(self._mesh(spec), p)
-            system = fem.assemble(space, params, self.source)
+            system = fem.assemble(space, params, self.setup.source)
             self._assembled = ((spec, p), system)
         return fem.solve(self._assembled[1].at(params))
 
@@ -279,8 +282,8 @@ class _Runner:
         postprocess.write_csv(self._path("norms.csv"), "sigma,p,A", zip(*rows))
 
     def study_slope_study(self):
-        H = self.dom.equator_mean_curvature()
-        a = self.dom.equator_interface_radius
+        H = self.geom.equator_mean_curvature()
+        a = self.geom.equator_interface_radius
         rows = []
         for sigma, p in self.cfg.paired():
             params = physics.PhysicalParams(sigma=sigma, omega=self.cfg.omega)
@@ -299,7 +302,7 @@ class _Runner:
         )
 
     def study_p_convergence(self):
-        ref_spec, ref_p = _PCONV_REFERENCE[self.cfg.config]
+        ref_spec, ref_p = self.setup.pconv_reference
         # Degree outermost: the solves of one (mesh, p) share an assembly.
         refs = [self._norm(ref_spec, ref_p, sigma) for sigma in self.cfg.sigmas]
         norms = [
@@ -337,9 +340,7 @@ class _Runner:
         for sigma in self.cfg.sigmas:
             params = physics.PhysicalParams(sigma=sigma, omega=self.cfg.omega)
             f = self._solve(self.cfg.mesh_spec, p, sigma)
-            r0 = self.dom.params["r0"]
-            l0 = self.dom.params["l0"]
-            mid, slopes = _post(postprocess.corner_slopes, f, params, corner=(r0, l0 / 2.0))
+            mid, slopes = _post(postprocess.corner_slopes, f, params, corner=self.geom.corner)
             postprocess.write_csv(
                 self._path(f"corner_s{sigma:g}_p{p}.csv"), "rho,slope", (mid, slopes)
             )
@@ -348,12 +349,7 @@ class _Runner:
         (p,) = self.cfg.ps
         (sigma,) = self.cfg.sigmas
         f = self._solve(self.cfg.mesh_spec, p, sigma)
-        if self.cfg.config == "A":
-            rmax = self.dom.params["r1"]
-            zmax = self.dom.params["l1"] / 2.0
-        else:
-            rmax = self.dom.params["b"]
-            zmax = self.dom.params["d"]
+        rmax, zmax = self.geom.extent
         r_axis, z_axis, vals = _post(
             postprocess.imag_field_map, f, (0.0, rmax), (-zmax, zmax), 81, 81
         )

@@ -5,7 +5,9 @@ rectangles), B1/B2 (conducting spheroid inside a spheroid) and C1/C2 (the
 same geometry with the roles of the subdomains swapped). The B/C interface
 is the meridian half ellipse of a spheroid, in the closed-form
 parametrization `Ellipse`; mean curvature is a local quantity and does not
-depend on how the curve is parametrized.
+depend on how the curve is parametrized. `CONFIGURATIONS` maps each name
+to a record of its dimensions, which answers every question about the
+configuration from its fields, so a sphere needs no name of its own.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import numpy as np
 __all__ = [
     "AxisPointError",
     "Ellipse",
-    "MeridianDomain",
-    "meridian_domain",
-    "CONFIG_PARAMS",
+    "Cylinders",
+    "Spheroids",
+    "CONFIGURATIONS",
 ]
 
 
@@ -64,42 +66,71 @@ class Ellipse:
         return 0.5 * (self.curvature(phi) - nr / r)
 
 
-# Benchmark geometry parameters (meters).
-CONFIG_PARAMS = {
-    "A": {"r0": 1.0, "l0": 2.0, "r1": 2.0, "l1": 4.0},
-    "B1": {"a": 2.0, "b": 4.0, "c": 1.0, "d": 2.0},
-    "B2": {"a": 4.0, "b": 8.0, "c": 1.0, "d": 2.0},
-    "C1": {"a": 2.0, "b": 4.0, "c": 1.0, "d": 2.0},
-    "C2": {"a": 4.0, "b": 8.0, "c": 1.0, "d": 2.0},
-}
+@dataclass(frozen=True)
+class Cylinders:
+    """Configuration A: the conducting cylinder r <= r0, |z| <= l0/2 inside
+    the dielectric cylinder r <= r1, |z| <= l1/2 (meters)."""
 
-
-@dataclass
-class MeridianDomain:
-    """One benchmark configuration: its name and geometry parameters."""
-
-    config: str
-    params: dict
+    r0: float
+    l0: float
+    r1: float
+    l1: float
 
     @property
     def equator_interface_radius(self) -> float:
         """Interface radius at z = 0 (where radial extraction starts)."""
-        if self.config == "A":
-            return self.params["r0"]
-        return self.params["a"]
+        return self.r0
 
     def equator_mean_curvature(self) -> float:
-        """Mean curvature of the interface at the equator point z = 0, with
-        respect to the normal into the conductor: 1/(2 r0) on A's lateral
-        wall, and on B/C the spheroid's, negative for the C shells."""
-        if self.config == "A":
-            return 0.5 / self.params["r0"]
-        H = float(Ellipse(self.params["a"], self.params["c"]).mean_curvature(np.pi / 2))
-        return H if self.config.startswith("B") else -H
+        """1/(2 r0) on the lateral wall: meridian curvature 0, parallel 1/r0."""
+        return 0.5 / self.r0
+
+    @property
+    def extent(self) -> tuple[float, float]:
+        """(r_max, z_max) of the meridian box [0, r_max] x [-z_max, z_max]."""
+        return self.r1, self.l1 / 2.0
+
+    @property
+    def corner(self) -> tuple[float, float]:
+        """The reentrant corner (r0, l0/2) of the conductor."""
+        return self.r0, self.l0 / 2.0
 
 
-def meridian_domain(config: str) -> MeridianDomain:
-    """One of the five benchmark configurations (A, B1, B2, C1, C2)."""
-    if config not in CONFIG_PARAMS:
-        raise ValueError(f"unknown configuration {config!r}")
-    return MeridianDomain(config=config, params=CONFIG_PARAMS[config])
+@dataclass(frozen=True)
+class Spheroids:
+    """Configurations B/C: the spheroid with meridian (a sin phi, c cos phi)
+    inside the spheroid (b sin phi, d cos phi) (meters). The conductor is
+    the inner spheroid, or the shell between the two when `shell` is set.
+    The properties mean what they mean on `Cylinders`."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+    shell: bool = False
+
+    corner = None  # a smooth interface has no reentrant corner
+
+    @property
+    def equator_interface_radius(self) -> float:
+        return self.a
+
+    def equator_mean_curvature(self) -> float:
+        """Mean curvature of the interface at the equator, with respect to
+        the normal into the conductor: negative for a shell."""
+        H = float(Ellipse(self.a, self.c).mean_curvature(np.pi / 2))
+        return -H if self.shell else H
+
+    @property
+    def extent(self) -> tuple[float, float]:
+        return self.b, self.d
+
+
+# The five benchmark configurations, by name.
+CONFIGURATIONS = {
+    "A": Cylinders(r0=1.0, l0=2.0, r1=2.0, l1=4.0),
+    "B1": Spheroids(a=2.0, b=4.0, c=1.0, d=2.0),
+    "B2": Spheroids(a=4.0, b=8.0, c=1.0, d=2.0),
+    "C1": Spheroids(a=2.0, b=4.0, c=1.0, d=2.0, shell=True),
+    "C2": Spheroids(a=4.0, b=8.0, c=1.0, d=2.0, shell=True),
+}

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import gll_points
-from .geometry import CONFIG_PARAMS, Ellipse
+from .geometry import CONFIGURATIONS, Cylinders, Ellipse, Spheroids
 from .physics import OMEGA_DEFAULT, PhysicalParams
 
 __all__ = [
@@ -77,7 +77,6 @@ class QuadMesh:
     elem_nodes: np.ndarray  # (n_elements, (geomdeg+1)^2) int64
     geomdeg: int
     conductor: np.ndarray  # (n_elements,) bool
-    name: str = ""
 
     @property
     def n_elements(self) -> int:
@@ -102,10 +101,9 @@ class _MeshBuilder:
     the domain's outer boundary.
     """
 
-    def __init__(self, geomdeg: int, on_outer, name: str = ""):
+    def __init__(self, geomdeg: int, on_outer):
         self.geomdeg = geomdeg
         self.on_outer = on_outer
-        self.name = name
         self.blocks: list[np.ndarray] = []
         self.conductor: list[np.ndarray] = []
 
@@ -135,7 +133,6 @@ class _MeshBuilder:
             elem_nodes=ids.reshape(len(X), -1),
             geomdeg=self.geomdeg,
             conductor=np.concatenate(self.conductor),
-            name=self.name,
         )
         one, two = _facet_owners(mesh)
         _merge_facet_nodes(mesh, two)
@@ -223,14 +220,19 @@ def _check_cracks(mesh: QuadMesh, one, on_outer):
 # Configuration A: uniform square meshes
 
 def square_mesh_A(k: int) -> QuadMesh:
-    """Uniform squares of side 1/k on [0,2]x[-2,2]; conductor [0,1]x[-1,1]."""
+    """Uniform squares of side 1/k on configuration A's box [0, r1] x [-l1/2, l1/2],
+    conductor [0, r0] x [-l0/2, l0/2]; A's sides are whole meters, so M_k fits."""
     if k < 1:
         raise ValueError("refinement index k must be >= 1")
-    # The nodes i/k and j/k - 2 hit the sides r = 2 and z = +-2 exactly.
-    b = _MeshBuilder(1, lambda r, z: (r == 2.0) | (np.abs(z) == 2.0), name=f"A:M{k}")
-    j, i = np.mgrid[: 4 * k, : 2 * k]
-    conductor = (i < k) & (k <= j) & (j < 3 * k)
-    b.add_block(2 * k, 4 * k, lambda i, u, j, v: ((i + u) / k, (j + v) / k - 2.0), conductor)
+    cyl = CONFIGURATIONS["A"]
+    rmax, zmax = cyl.r1, cyl.l1 / 2.0
+    # The nodes i/k and j/k - zmax hit the sides r = rmax and z = +-zmax exactly.
+    b = _MeshBuilder(1, lambda r, z: (r == rmax) | (np.abs(z) == zmax))
+    nr, nz = round(rmax * k), round(2.0 * zmax * k)
+    j, i = np.mgrid[:nz, :nr]
+    # By the cell centres, half a cell away from every side of the conductor.
+    conductor = ((i + 0.5) / k < cyl.r0) & (np.abs((j + 0.5) / k - zmax) < cyl.l0 / 2.0)
+    b.add_block(nr, nz, lambda i, u, j, v: ((i + u) / k, (j + v) / k - zmax), conductor)
     return b.finish()
 
 
@@ -284,25 +286,22 @@ def _geometric_fill(base: float, total: float, max_layers: int = 8) -> list[floa
 
 
 def layered_mesh_B(
-    config: str,
+    spheroids: Spheroids,
     n_layers: int,
     sigma_max: float,
     omega: float = OMEGA_DEFAULT,
 ) -> QuadMesh:
-    """Boundary-layer mesh M_{n_layers} for configs B1/B2/C1/C2.
+    """Boundary-layer mesh M_{n_layers} of a pair of spheroids (B1/B2/C1/C2).
 
     The conductor side of the interface carries `n_layers` quadrilateral
     layers inside a band of total thickness 3*ell(sigma_max), geometrically
     graded toward the interface with ratio 0.5. Every element has geometry
     degree GEOM_DEG_CURVED.
     """
-    if config not in ("B1", "B2", "C1", "C2"):
-        raise ValueError(f"layered_mesh_B does not handle config {config!r}")
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    p = CONFIG_PARAMS[config]
-    a, bb, c, d = p["a"], p["b"], p["c"], p["d"]
-    shell_conductor = config.startswith("C")
+    a, bb, c, d = spheroids.a, spheroids.b, spheroids.c, spheroids.d
+    shell_conductor = spheroids.shell
 
     ell = PhysicalParams(sigma=sigma_max, omega=omega).ell
     t_band = _BAND_FACTOR * ell
@@ -390,7 +389,6 @@ def layered_mesh_B(
     b = _MeshBuilder(
         GEOM_DEG_CURVED,
         lambda r, z: np.abs((r / bb) ** 2 + (z / d) ** 2 - 1.0) < _NODE_TOL,
-        name=f"{config}:M{n_layers}:smax{sigma_max:g}",
     )
     # The band and transition rows inside the inner ellipse, the annulus
     # between the ellipses, the axis rectangle, and the O-grid patch between
@@ -408,12 +406,16 @@ def layered_mesh_B(
 def mesh_for(
     config: str, spec: str, sigma_max: float = 80.0, omega: float = OMEGA_DEFAULT
 ) -> QuadMesh:
-    """Build a mesh from a name like 'M2' (A: square index, B/C: layer count).
-    B/C meshes resolve the skin depth at sigma_max and omega."""
+    """The mesh 'M2' (A: square index, B/C: layer count) of the configuration
+    named `config`: the one lookup of a mesh by configuration name. B/C
+    meshes resolve the skin depth at sigma_max and omega."""
     match = MESH_SPEC.fullmatch(spec)
     if not match:
         raise ValueError(f"mesh spec {spec!r} not understood (expected 'M<k>' with k >= 1)")
     k = int(match[1])
-    if config == "A":
+    geom = CONFIGURATIONS.get(config)
+    if geom is None:
+        raise ValueError(f"unknown configuration {config!r}")
+    if isinstance(geom, Cylinders):
         return square_mesh_A(k)
-    return layered_mesh_B(config, k, sigma_max, omega)
+    return layered_mesh_B(geom, k, sigma_max, omega)

@@ -1,4 +1,4 @@
-"""Physical constants, derived scalar parameters, and boundary-layer profiles.
+"""Physical constants, derived scalar parameters, and the leading boundary-layer profile.
 
 Everything downstream (assembly coefficients, slope predictions, profile
 checks) pulls its scalars from :class:`PhysicalParams` so there is a single
@@ -19,9 +19,7 @@ __all__ = [
     "skin_depth",
     "theoretical_slope",
     "curv_ratio",
-    "skin_depth_first_order",
     "profile_v0",
-    "profile_v1",
 ]
 
 # CODATA vacuum permittivity / permeability, SI units.
@@ -103,16 +101,13 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class ProfileTrace:
-    """Interface traces feeding the boundary-layer profiles.
+    """Interface trace feeding the leading boundary-layer profile.
 
-    h0 is the trace of the leading dielectric term on the interface, h1 the
-    trace of the next term, xi the arc-length position. For real boundary
-    data h0 is real valued.
+    h0 is the trace of the leading dielectric term on the interface. For
+    real boundary data h0 is real valued.
     """
 
     h0: complex
-    h1: complex = 0.0
-    xi: float = 0.0
 
 
 def theoretical_slope(params: PhysicalParams, mean_curv: float) -> float:
@@ -130,12 +125,6 @@ def curv_ratio(params: PhysicalParams, mean_curv: float) -> float:
     return mean_curv / denom
 
 
-def skin_depth_first_order(params: PhysicalParams, mean_curv: float) -> float:
-    """Curvature-corrected skin depth ell*(1 + H*ell), two-term truncation."""
-    ell = params.ell
-    return ell * (1.0 + mean_curv * ell)
-
-
 def profile_v0(params: PhysicalParams, trace: ProfileTrace, Y: float) -> complex:
     """Leading conductor profile exp(-lambda*Y)*h0 in the stretched variable Y."""
     if Y < 0.0:
@@ -144,22 +133,3 @@ def profile_v0(params: PhysicalParams, trace: ProfileTrace, Y: float) -> complex
 
     return cmath.exp(-params.lam * Y) * trace.h0
 
-
-def profile_v1(
-    params: PhysicalParams,
-    trace: ProfileTrace,
-    Y: float,
-    k: float,
-    zprime_over_r: float,
-) -> complex:
-    """First-order conductor profile with the curvature correction term.
-
-    exp(-lambda*Y) * [h1 + (Y/2)*(k + z'/r)*h0].
-    """
-    if Y < 0.0:
-        raise ValueError("stretched coordinate Y must be >= 0")
-    import cmath
-
-    return cmath.exp(-params.lam * Y) * (
-        trace.h1 + 0.5 * Y * (k + zprime_over_r) * trace.h0
-    )

@@ -47,7 +47,7 @@ def b1_m3():
 
 
 def test_criterion_1_analytic_decay_table():
-    H = geometry.meridian_domain("B1").equator_mean_curvature()
+    H = geometry.CONFIGURATIONS["B1"].equator_mean_curvature()
     rows = [
         (5.0, 0.103, 3.67332, 0.148),
         (20.0, 0.0515, 7.88951, 0.069),
@@ -87,7 +87,7 @@ def test_criterion_2_manufactured_exactness():
 
 
 def test_criterion_3_slope_reproduction(b1_m3):
-    dom = geometry.meridian_domain("B1")
+    dom = geometry.CONFIGURATIONS["B1"]
     H = dom.equator_mean_curvature()
     a = dom.equator_interface_radius
     bounds = {5.0: 0.015, 20.0: 0.004, 80.0: 0.0016}

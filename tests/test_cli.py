@@ -225,7 +225,7 @@ class TestRuns:
         m = mesh.mesh_for(config, "M1", sigma_max=5.0)
         space = fem.FeSpace(m, p)
         params = physics.PhysicalParams(sigma=5.0)
-        solved = fem.solve(fem.assemble(space, params, cli._source_for(config)))
+        solved = fem.solve(fem.assemble(space, params, cli.STUDY_TABLE[config].source))
         assert data.shape == (space.n_dofs, 4)
         assert np.array_equal(data[:, :2], space.dof_coords)
         assert np.array_equal(data[:, 2] + 1j * data[:, 3], solved.coeffs)
@@ -294,8 +294,8 @@ class TestRuns:
         )
         assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_OK
         rows = _golden_columns(out / "fieldmap_s400_p4.csv")
-        g = cli.geometry.CONFIG_PARAMS["C2"]
-        inside = (rows["r"] / g["b"]) ** 2 + (rows["z"] / g["d"]) ** 2 < 1.0
+        g = cli.geometry.CONFIGURATIONS["C2"]
+        inside = (rows["r"] / g.b) ** 2 + (rows["z"] / g.d) ** 2 < 1.0
         assert np.count_nonzero(inside) > 81 * 81 / 2
         assert np.all(np.isfinite(rows["imH"][inside]))
 
@@ -509,7 +509,8 @@ class TestPConvergenceReference:
         # B/C meshes depend on max(sigma), so a rerun into the same `out`
         # with another sigma list has another mesh and another reference.
         # A reference on the run's own mesh and degree gives absdiff 0 exactly.
-        monkeypatch.setitem(cli._PCONV_REFERENCE, "B1", ("M1", 2))
+        b1 = cli.STUDY_TABLE["B1"]._replace(pconv_reference=("M1", 2))
+        monkeypatch.setitem(cli.STUDY_TABLE, "B1", b1)
         out = tmp_path / "out"
         for sigmas in ([5.0], [5.0, 80.0]):
             cfg = cli.ExperimentConfig(
@@ -540,8 +541,9 @@ def test_mesh_resolves_the_run_omega():
         study="slope-study", config="B1", sigmas=[80.0, 200.0], ps=[8], omega=3e6
     )
     got = cli._Runner(cfg)._mesh("M2")
-    assert np.array_equal(got.nodes, mesh.layered_mesh_B("B1", 2, 200.0, 3e6).nodes)
-    assert not np.array_equal(got.nodes, mesh.layered_mesh_B("B1", 2, 200.0).nodes)
+    b1 = cli.geometry.CONFIGURATIONS["B1"]
+    assert np.array_equal(got.nodes, mesh.layered_mesh_B(b1, 2, 200.0, 3e6).nodes)
+    assert not np.array_equal(got.nodes, mesh.layered_mesh_B(b1, 2, 200.0).nodes)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

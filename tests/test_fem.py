@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from scipy.spatial import cKDTree
-from skinfem import fem, geometry, kernels, mesh, physics, postprocess
+from skinfem import cli, fem, geometry, kernels, mesh, physics, postprocess
 from skinfem.basis import (
     gll_points,
     lagrange_deriv_matrix,
@@ -466,7 +466,7 @@ class TestCondensation:
         space = FeSpace(m, p)
         if p == 1:
             assert space.n_skeleton == space.n_dofs  # nothing to condense
-        src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
+        src = cli.STUDY_TABLE[config].source
         sys_ = assemble(space, params5, src)
         # Global CSR from the class matrices over the class-order DOF table;
         # scipy sums the duplicates.
@@ -574,7 +574,7 @@ class TestSigmaReuse:
     @pytest.mark.parametrize("p", [2, 8])
     def test_at_matches_fresh_assembly(self, config, p, uniform_eps):
         space = FeSpace(mesh.mesh_for(config, "M1", sigma_max=80.0), p)
-        src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
+        src = cli.STUDY_TABLE[config].source
         pa = physics.PhysicalParams(sigma=5.0)
         pb = physics.PhysicalParams(sigma=80.0)
         sys_a = assemble(space, pa, src, uniform_eps=uniform_eps)
@@ -685,7 +685,7 @@ class TestShapeClasses:
     def case(self, request):
         config, spec, p = request.param
         space = FeSpace(mesh.mesh_for(config, spec, sigma_max=80.0), p)
-        src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
+        src = cli.STUDY_TABLE[config].source
         system = assemble(space, physics.PhysicalParams(sigma=5.0), src)
         return system, _per_element_arrays(space, src)
 
@@ -816,7 +816,7 @@ class TestShapeClasses:
     @pytest.mark.parametrize("config, spec, p", [("B1", "M3", 8), ("B2", "M2", 8), ("C1", "M1", 8)])
     def test_z_even_data_gives_z_even_field(self, config, spec, p):
         space = FeSpace(mesh.mesh_for(config, spec, sigma_max=80.0), p)
-        src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
+        src = cli.STUDY_TABLE[config].source
         h = solve(assemble(space, physics.PhysicalParams(sigma=80.0), src)).coeffs
         x = space.dof_coords
         dist, mirror = cKDTree(x).query(x * [1.0, -1.0])
@@ -971,12 +971,12 @@ class TestEvaluation:
 
 def band_points(config, sigma, n=4000, seed=0):
     """n random points of the conductor within 3 ell of the B/C interface."""
-    g = geometry.CONFIG_PARAMS[config]
+    g = geometry.CONFIGURATIONS[config]
     rng = np.random.default_rng(seed)
     phi, h = np.pi * rng.random(n), 3.0 * physics.PhysicalParams(sigma=sigma).ell * rng.random(n)
-    inner = geometry.Ellipse(g["a"], g["c"])
+    inner = geometry.Ellipse(g.a, g.c)
     (r, z), (nr, nz) = inner.point(phi), inner.inward_normal(phi)
-    side = -1.0 if config.startswith("C") else 1.0  # the C conductor is the shell
+    side = -1.0 if g.shell else 1.0  # a shell conductor lies outside the interface
     return np.column_stack([r + side * h * nr, z + side * h * nz])
 
 
@@ -1023,7 +1023,7 @@ class TestBatchedLocation:
     def case(self, request):
         config, spec = request.param
         m = mesh.mesh_for(config, spec, sigma_max=80.0)
-        src = SourceSpec.config_C1() if config == "C1" else SourceSpec.dirichlet_radius()
+        src = cli.STUDY_TABLE[config].source
         f = solve(assemble(FeSpace(m, 4), physics.PhysicalParams(sigma=20.0), src))
         pts = locate_points(m)
         ref = np.loadtxt(GOLDEN_LOCATE / f"{config}_{spec}.csv", delimiter=",", skiprows=1)

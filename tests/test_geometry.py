@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skinfem.geometry import AxisPointError, Ellipse, meridian_domain
+from skinfem.geometry import CONFIGURATIONS, AxisPointError, Ellipse
+from skinfem.mesh import mesh_for
 
 # Checks against central finite differences of Ellipse.point: none of them
 # reuses the closed forms under test.
@@ -125,7 +126,7 @@ class TestPolyline:
     def test_config_a_lateral_mean_curvature(self):
         # Config A's interface is the polyline of the rectangle's sides; on
         # its lateral wall r = 1: k = 0 and the parallel curvature is 1/r.
-        assert meridian_domain("A").equator_mean_curvature() == 0.5
+        assert CONFIGURATIONS["A"].equator_mean_curvature() == 0.5
 
 
 class TestConfigurations:
@@ -133,13 +134,21 @@ class TestConfigurations:
         expect = {"A": 0.5, "B1": 1.25, "C1": -1.25, "B2": 2.125, "C2": -2.125}
         # B2 interface: a = 4, c = 1: k = 4, parallel curvature 1/4
         for config, H in expect.items():
-            assert meridian_domain(config).equator_mean_curvature() == H
+            assert CONFIGURATIONS[config].equator_mean_curvature() == H
 
     def test_interface_radii(self):
-        assert meridian_domain("A").equator_interface_radius == 1.0
-        assert meridian_domain("B1").equator_interface_radius == 2.0
-        assert meridian_domain("B2").equator_interface_radius == 4.0
+        assert CONFIGURATIONS["A"].equator_interface_radius == 1.0
+        assert CONFIGURATIONS["B1"].equator_interface_radius == 2.0
+        assert CONFIGURATIONS["B2"].equator_interface_radius == 4.0
+
+    def test_extent_and_corner(self):
+        # The meridian box [0, r_max] x [-z_max, z_max]; only A has a corner.
+        expect = {"A": (2.0, 2.0), "B1": (4.0, 2.0), "C1": (4.0, 2.0), "B2": (8.0, 2.0)}
+        for config, extent in expect.items():
+            assert CONFIGURATIONS[config].extent == extent
+        assert CONFIGURATIONS["A"].corner == (1.0, 1.0)
+        assert all(CONFIGURATIONS[c].corner is None for c in ("B1", "B2", "C1", "C2"))
 
     def test_unknown_config(self):
-        with pytest.raises(ValueError):
-            meridian_domain("Z9")
+        with pytest.raises(ValueError, match="unknown configuration 'Z9'"):
+            mesh_for("Z9", "M1")

@@ -8,7 +8,7 @@ import pytest
 from skinfem import cli, mesh
 from skinfem.basis import gauss_rule, gll_points, tensor_lagrange_grid
 from skinfem.fem import FeSpace, _geometry_eval
-from skinfem.geometry import CONFIG_PARAMS
+from skinfem.geometry import CONFIGURATIONS, Cylinders
 from skinfem.mesh import MeshGenerationError, layered_mesh_B, mesh_for, square_mesh_A
 from skinfem.physics import MU0, OMEGA_DEFAULT, skin_depth
 
@@ -91,18 +91,19 @@ def _face_curve(m, e, face, t):
     return lagrange_matrix(gll_points(m.geomdeg), t) @ pts
 
 
-def _on_outer_boundary(m, pts):
-    """Whether each point lies on the outer boundary of m's configuration."""
-    params = CONFIG_PARAMS[m.name.split(":")[0]]
+def _on_outer_boundary(geom, pts):
+    """Whether each point lies on the outer boundary of the configuration
+    record geom: the box of the cylinders, the ellipse of the spheroids."""
     r, z = pts[:, 0], pts[:, 1]
-    if "r1" in params:
-        return np.isclose(r, params["r1"], rtol=0, atol=1e-12) | np.isclose(
-            np.abs(z), params["l1"] / 2, rtol=0, atol=1e-12
+    rmax, zmax = geom.extent
+    if isinstance(geom, Cylinders):
+        return np.isclose(r, rmax, rtol=0, atol=1e-12) | np.isclose(
+            np.abs(z), zmax, rtol=0, atol=1e-12
         )
-    return np.abs((r / params["b"]) ** 2 + (z / params["d"]) ** 2 - 1.0) <= 1e-12
+    return np.abs((r / rmax) ** 2 + (z / zmax) ** 2 - 1.0) <= 1e-12
 
 
-def _check_conforming(m):
+def _check_conforming(m, geom):
     t = np.linspace(0.0, 1.0, 9)
     adj = facet_adjacency(m)
     fc = m.face_corners
@@ -111,7 +112,7 @@ def _check_conforming(m):
         if len(owners) == 1:
             # a facet with one owner is on the axis or the outer boundary
             pts = m.nodes[face_node_ids(m, *owners[0])]
-            assert np.all(pts[:, 0] == 0.0) or np.all(_on_outer_boundary(m, pts)), owners
+            assert np.all(pts[:, 0] == 0.0) or np.all(_on_outer_boundary(geom, pts)), owners
         if len(owners) == 2:
             (e0, f0), (e1, f1) = owners
             assert set(fc[e0, f0]) == set(fc[e1, f1]) == set(key)
@@ -131,7 +132,7 @@ def _check_conforming(m):
 )
 def test_layered_mesh_valid(config, spec):
     m = mesh_for(config, spec, sigma_max=80.0)
-    _check_conforming(m)
+    _check_conforming(m, CONFIGURATIONS[config])
     areas, detmin = element_areas(m)
     assert np.all(detmin > 0.0)
     assert np.all(areas > 0.0)
@@ -139,7 +140,7 @@ def test_layered_mesh_valid(config, spec):
 
 def test_sigma_sweep_mesh_conforming():
     # the mesh of a B1 M3 sweep up to sigma = 400 has a thinner band
-    _check_conforming(mesh_for("B1", "M3", sigma_max=400.0))
+    _check_conforming(mesh_for("B1", "M3", sigma_max=400.0), CONFIGURATIONS["B1"])
 
 
 class TestCoreCrack:
@@ -219,7 +220,7 @@ def test_band_resolves_skin_depth():
 def test_generation_error_when_band_too_thick():
     with pytest.raises(MeshGenerationError):
         # sigma tiny: skin depth comparable to the conductor size
-        layered_mesh_B("B1", 3, 1e-4, 3e7)
+        layered_mesh_B(CONFIGURATIONS["B1"], 3, 1e-4, 3e7)
 
 
 def test_mesh_for_rejects_bad_spec():
@@ -230,7 +231,9 @@ def test_mesh_for_rejects_bad_spec():
 
 
 def test_mesh_for_and_cli_accept_the_same_specs():
-    assert mesh_for("A", " m2 ").name == "A:M2"
+    got, want = mesh_for("A", " m2 "), square_mesh_A(2)
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.elem_nodes, want.elem_nodes)
     cfg = cli.ExperimentConfig(study="solve", config="A", sigmas=[5.0], ps=[2], mesh_spec="M 2")
     with pytest.raises(cli.ConfigError, match="field 'mesh'"):
         cfg.validate()
@@ -240,18 +243,18 @@ def test_mesh_for_and_cli_accept_the_same_specs():
 # The scalar mesh builder that `_MeshBuilder.add_block` replaced: a dict
 # registry of exact node coordinates, one `gen(u, v)` call per node, and a
 # hand-numbered node grid for config A. Kept verbatim apart from names, the
-# dropped argument checks and a conductor flag in place of an element tag,
-# as the reference for the array builder.
+# dropped argument checks and mesh name, a conductor flag in place of an
+# element tag and a configuration record in place of its name, as the
+# reference for the array builder.
 
 
 class _RefBuilder:
-    def __init__(self, geomdeg, on_outer, name=""):
+    def __init__(self, geomdeg, on_outer):
         self.coords, self._index = [], {}
         self.geomdeg = geomdeg
         self._pts = gll_points(geomdeg).tolist()
         self.on_outer = on_outer
         self.elem_nodes, self.conductor = [], []
-        self.name = name
 
     def add(self, r, z):
         if abs(r) < 1e-12:
@@ -275,7 +278,6 @@ class _RefBuilder:
             elem_nodes=np.array(self.elem_nodes, dtype=np.int64).reshape(-1, n_geom),
             geomdeg=self.geomdeg,
             conductor=np.array(self.conductor, dtype=bool),
-            name=self.name,
         )
         one, two = mesh._facet_owners(m)
         mesh._merge_facet_nodes(m, two)
@@ -284,7 +286,7 @@ class _RefBuilder:
 
 
 def _ref_square_mesh_A(k):
-    b = _RefBuilder(1, lambda r, z: (r == 2.0) | (np.abs(z) == 2.0), name=f"A:M{k}")
+    b = _RefBuilder(1, lambda r, z: (r == 2.0) | (np.abs(z) == 2.0))
     nr, nz = 2 * k, 4 * k
     node_id = np.empty((nr + 1, nz + 1), dtype=np.int64)
     for j in range(nz + 1):
@@ -317,10 +319,9 @@ def _ref_inward_normal(a, c, phi):
     return (dz / sp, -dr / sp)
 
 
-def _ref_layered_mesh_B(config, n_layers, sigma_max, omega):
-    p = CONFIG_PARAMS[config]
-    a, bb, c, d = p["a"], p["b"], p["c"], p["d"]
-    shell_conductor = config.startswith("C")
+def _ref_layered_mesh_B(spheroids, n_layers, sigma_max, omega):
+    a, bb, c, d = spheroids.a, spheroids.b, spheroids.c, spheroids.d
+    shell_conductor = spheroids.shell
     ell = skin_depth(omega, MU0, sigma_max)
     t_band = mesh._BAND_FACTOR * ell
     kmax = a / c**2
@@ -386,7 +387,6 @@ def _ref_layered_mesh_B(config, n_layers, sigma_max, omega):
     b = _RefBuilder(
         mesh.GEOM_DEG_CURVED,
         lambda r, z: np.abs((r / bb) ** 2 + (z / d) ** 2 - 1.0) < 1e-12,
-        name=f"{config}:M{n_layers}:smax{sigma_max:g}",
     )
     for j in range(len(inner_h) - 1):
         h_lo, h_hi = inner_h[j], inner_h[j + 1]
@@ -455,10 +455,10 @@ def test_block_builder_matches_scalar_builder(config, k, sigma_max, omega):
         ref, new = _ref_square_mesh_A(k), square_mesh_A(k)
         assert np.array_equal(FeSpace(new, 3).elem_dofs, FeSpace(ref, 3).elem_dofs)
     else:
-        ref = _ref_layered_mesh_B(config, k, sigma_max, omega)
-        new = layered_mesh_B(config, k, sigma_max, omega)
+        ref = _ref_layered_mesh_B(CONFIGURATIONS[config], k, sigma_max, omega)
+        new = layered_mesh_B(CONFIGURATIONS[config], k, sigma_max, omega)
         assert np.array_equal(new.elem_nodes, ref.elem_nodes)
-    assert (new.name, new.geomdeg) == (ref.name, ref.geomdeg)
+    assert new.geomdeg == ref.geomdeg
     assert new.conductor.dtype == bool and np.array_equal(new.conductor, ref.conductor)
     assert new.nodes.shape == ref.nodes.shape
     X, X_ref = new.nodes[new.elem_nodes], ref.nodes[ref.elem_nodes]

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import skinfem
+from skinfem import geometry
 
 MODULES = ["skinfem"] + [
     f"skinfem.{m.name}" for m in pkgutil.iter_modules(skinfem.__path__)
@@ -54,3 +56,62 @@ def test_cli_import_leaves_out_scipy_interpolate():
     child_file, loaded = proc.stdout.splitlines()
     assert Path(child_file).resolve() == Path(skinfem.__file__).resolve(), msg
     assert loaded == "[]", msg
+
+
+CONFIG_NAMES = ("A", "B1", "B2", "C1", "C2")
+
+
+def _names_a_config(node) -> bool:
+    """Whether node is a configuration name, or a tuple, list or set of
+    literals holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_config(x) for x in node.elts)
+    return isinstance(node, ast.Constant) and node.value in CONFIG_NAMES
+
+
+def config_name_checks(source: str) -> list[int]:
+    """Lines of source that decide by a configuration's name: an ==, != or
+    in comparison with a name, or a startswith test of a name's prefix."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            equality = any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+            if equality and any(_names_a_config(x) for x in [node.left, *node.comparators]):
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "startswith"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and any(name.startswith(str(node.args[0].value)) for name in CONFIG_NAMES)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_configurations_are_decided_by_their_records():
+    """No module decides what a configuration is by its name: the names are
+    only the keys of the tables that map them to their records
+    (`geometry.CONFIGURATIONS`) and study set-ups (`cli.STUDY_TABLE`)."""
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(skinfem.__file__).parent.glob("*.py"))
+        for line in config_name_checks(path.read_text())
+    ]
+    assert not sites, f"configuration name checks at {sites}"
+    assert tuple(geometry.CONFIGURATIONS) == CONFIG_NAMES
+
+
+def test_config_name_scan_finds_each_form():
+    found = config_name_checks(
+        'if config == "A": pass\n'
+        'if "C1" != config: pass\n'
+        'if config not in ("B1", "B2"): pass\n'
+        'x = config.startswith("C")\n'
+        'x = CONFIGURATIONS["A"]\n'
+        'x = {"B1": 1}\n'
+        'x = config in CONFIGURATIONS\n'
+        'x = name.startswith("field_")\n'
+    )
+    assert found == [1, 2, 3, 4]

@@ -89,12 +89,6 @@ class TestSlopes:
         with pytest.raises(ValueError):
             physics.curv_ratio(p, 1.0 / p.ell)
 
-    def test_first_order_skin_depth(self):
-        p = table_params(5.0)
-        assert physics.skin_depth_first_order(p, self.H_B1) == pytest.approx(
-            p.ell * (1.0 + self.H_B1 * p.ell), rel=1e-14
-        )
-
 
 def _fd_second(f, y, h=1e-3):
     return (f(y + h) - 2.0 * f(y) + f(y - h)) / h**2
@@ -110,18 +104,6 @@ class TestProfiles:
             rhs = p.lam**2 * physics.profile_v0(p, tr, Y)
             assert lhs == pytest.approx(rhs, rel=1e-5)
 
-    def test_v1_ode_residual(self):
-        # (d^2/dY^2 - lam^2) v1 = -lam (k + z'/r) v0
-        p = table_params(20.0)
-        tr = ProfileTrace(h0=0.8 + 0.2j, h1=0.3 - 0.1j)
-        k, zpr = 2.0, 0.5
-        for Y in [0.1, 0.5, 2.0]:
-            lhs = _fd_second(lambda y: physics.profile_v1(p, tr, y, k, zpr), Y)
-            v1 = physics.profile_v1(p, tr, Y, k, zpr)
-            v0 = physics.profile_v0(p, tr, Y)
-            rhs = p.lam**2 * v1 - p.lam * (k + zpr) * v0
-            assert lhs == pytest.approx(rhs, rel=1e-4)
-
     def test_v0_decay_scale(self):
         # |v0| drops by e over Y = sqrt(2)/kappa (i.e. depth ell in y3 = delta Y)
         p = table_params(5.0)
@@ -135,20 +117,6 @@ class TestProfiles:
         tr = ProfileTrace(h0=1.0)
         with pytest.raises(ValueError):
             physics.profile_v0(p, tr, -0.1)
-        with pytest.raises(ValueError):
-            physics.profile_v1(p, tr, -0.1, 1.0, 1.0)
-
-    def test_two_term_modulus_expansion(self):
-        # |v0 + delta v1|^2 = |v0|^2 (1 + O(delta)); the correction stays
-        # bounded relative to delta.
-        p = table_params(80.0)
-        tr = ProfileTrace(h0=1.0, h1=0.5)
-        Y = 0.7
-        v0 = physics.profile_v0(p, tr, Y)
-        v1 = physics.profile_v1(p, tr, Y, 2.0, 0.5)
-        lhs = abs(v0 + p.delta * v1) ** 2
-        rel = abs(lhs - abs(v0) ** 2) / abs(v0) ** 2
-        assert rel < 10.0 * p.delta
 
 
 def test_lambda_phase():
