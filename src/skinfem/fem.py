@@ -7,13 +7,16 @@ the 1/r factors stay finite. Essential conditions (outer boundary data and
 the homogeneous axis condition) are imposed by interpolation at boundary
 DOF nodes plus right-hand-side lifting.
 
-The form's weights depend on r alone, so elements that differ only by a
-shift in z, or by a reflection z -> -z, have the same stiffness and mass up
-to a flip of the local DOF order. `FeSpace` finds these shape classes once
-(Bossavit, CMAME 56, 1986) and holds its DOF table in each class's order;
-`assemble` computes S and M once per class, with the sum-factorized
-`kernels.element_matrix` on 1D Lagrange tables, and `solve` condenses once
-per class and coefficient.
+The domain and the data are even in z, so H is too: the mesh holds the half
+meridian z >= 0, and the symmetry plane z = 0 carries the natural condition
+dH/dz = 0, which the weak form imposes by leaving its DOFs free (Bossavit,
+CMAME 56, 1986, on reducing a problem with a geometric symmetry to its
+fundamental domain). `assemble` rejects data that is not even in z. The
+form's weights depend on r alone, so elements that differ only by a shift in
+z have the same stiffness and mass in the same local DOF order. `FeSpace`
+finds these shape classes once; `assemble` computes S and M once per class,
+with the sum-factorized `kernels.element_matrix` on 1D Lagrange tables, and
+`solve` condenses once per class and coefficient.
 The skeleton system left by the condensation is solved by multifrontal
 elimination over a nested-dissection tree of the elements (George 1973;
 Duff & Reid 1983), which `FeSpace` builds once; numpy is the only
@@ -35,7 +38,7 @@ from .mesh import (
     _face_locals,
     _facet_owners,
     _first_appearance,
-    _on_axis,
+    _on_line,
 )
 from .physics import PhysicalParams
 
@@ -104,18 +107,18 @@ class FeSpace:
     element interior. The vertex, then the edge (skeleton) DOFs are numbered
     first, each in order of first appearance over the elements, `n_skeleton`
     of them; the interior DOFs follow, element by element.
-    `elem_dofs` is an (n_elements, (p+1)^2) array in local tensor order.
-    The DOFs on the faces that belong to one element are flagged for
-    essential conditions: axis DOFs, on faces with r == 0, are constrained
-    to zero, and the rest are outer-boundary DOFs. `tree` is the
+    `elem_dofs` is an (n_elements, (p+1)^2) array in local tensor order;
+    assembly, the solver and evaluation all read it. The faces that belong
+    to one element lie on the axis (r == 0), on the symmetry plane (z ==
+    0) or on the outer boundary. Axis DOFs are constrained to zero and
+    outer DOFs to the boundary data, the axis winning where the two meet;
+    the symmetry plane's DOFs are free (the natural condition dH/dz = 0)
+    unless they lie on the axis or the outer boundary too. `tree` is the
     elimination tree of the free skeleton DOFs (`_build_tree`).
 
-    Element e has shape class `elem_shape[e]` and flip `elem_flip[e]`
-    (`_shape_classes`): `_flips(p)[elem_flip[e]]` maps the local order of
-    its class's lowest-numbered element to its own, the identity or, for a
-    mirror image, the u or v index reversed. `class_dofs` is `elem_dofs` in
-    that class order; the assembly and the solver read it, while
-    `elem_dofs` serves evaluation.
+    Element e has shape class `elem_shape[e]` (`_shape_classes`): the
+    classes are z-translates of each other, so every member shares the
+    matrices of its class's lowest-numbered element in its own local order.
     """
 
     def __init__(self, mesh: QuadMesh, p: int):
@@ -125,8 +128,7 @@ class FeSpace:
         self.p = p
         one, two = _facet_owners(mesh)
         self._build_numbering()
-        self.elem_shape, self.elem_flip = _shape_classes(mesh)
-        self.class_dofs = np.take_along_axis(self.elem_dofs, _flips(p)[self.elem_flip], axis=1)
+        self.elem_shape = _shape_classes(mesh)
         self._compute_dof_coords()
         self._collect_boundary_dofs(one)
         self._build_tree(two // 4)
@@ -168,12 +170,14 @@ class FeSpace:
     # -- boundary dofs ------------------------------------------------------
 
     def _collect_boundary_dofs(self, one):
-        """Axis and outer DOFs on the one-owner faces `one` (4*e + face)."""
+        """Axis and outer DOFs on the one-owner faces `one` (4*e + face);
+        the symmetry plane's faces add none."""
         ids = self.elem_dofs[one[:, None] // 4, _face_locals(self.p)[one % 4]]
-        axis = _on_axis(self.mesh, one)
+        axis = _on_line(self.mesh, one, 0)
+        outer = ~axis & ~_on_line(self.mesh, one, 1)
         # The axis condition is essential and wins at shared corners.
         self.axis_dofs = np.unique(ids[axis])
-        self.outer_dofs = np.setdiff1d(ids[~axis], self.axis_dofs)
+        self.outer_dofs = np.setdiff1d(ids[outer], self.axis_dofs)
         constrained = np.zeros(self.n_dofs, dtype=bool)
         constrained[self.axis_dofs] = True
         constrained[self.outer_dofs] = True
@@ -223,12 +227,12 @@ class FeSpace:
         DOFs, the n_elim eliminated there first; (node index, positions of
         the node's passed-up DOFs in dofs) per child; the lowest-numbered
         element below it; for a leaf, dofs as indices into its element's
-        skeleton in class order.
+        skeleton.
         """
         nel = self.mesh.n_elements
         adj = np.zeros((nel, nel))
         adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1.0
-        skel = self.class_dofs[:, _skeleton_locals(self.p)]
+        skel = self.elem_dofs[:, _skeleton_locals(self.p)]
         count = np.bincount(skel.ravel(), minlength=self.n_skeleton)
         free_count = np.where(self.constrained[: self.n_skeleton], 0, count)
         centroid = self.mesh.nodes[self.mesh.corners].mean(axis=1)
@@ -343,9 +347,11 @@ def _quantized(x, scale: float) -> np.ndarray:
 class SourceSpec:
     """Problem data: either outer Dirichlet data g(r,z) or interior f(r,z).
 
-    `support` marks a discontinuous indicator inside f: it takes arrays
-    (r, z) and returns a bool array of the same shape. Elements whose
-    corners it splits are integrated on a subdivided quadrature rule.
+    Each function must be even in z, as the half meridian z >= 0 holds the
+    whole problem; `assemble` checks it. `support` marks a discontinuous
+    indicator inside f: it takes arrays (r, z) and returns a bool array of
+    the same shape. Elements whose corners it splits are integrated on a
+    subdivided quadrature rule.
     """
 
     boundary_g: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -393,12 +399,11 @@ class DiscreteField:
 class AssembledSystem:
     """Sigma-independent element pieces plus one coefficient per element.
 
-    The members of a shape class share S and M in the class's local order,
-    each kept as its packed upper triangle (`kernels.full_index` reads it
-    back): element e, of class k = space.elem_shape[e], has the matrix
-    coef[e] * stiffness[k] - kappa2 * mass[k] over the DOFs
-    space.class_dofs[e]; its load vector loads[e] is in element order. coef
-    is 1/eps_conductor in the conductor and 1 in the dielectric (or
+    The members of a shape class share S and M, each kept as its packed
+    upper triangle (`kernels.full_index` reads it back): element e, of class
+    k = space.elem_shape[e], has the matrix coef[e] * stiffness[k] - kappa2
+    * mass[k] and the load vector loads[e] over the DOFs space.elem_dofs[e].
+    coef is 1/eps_conductor in the conductor and 1 in the dielectric (or
     everywhere under `uniform_eps`). Sigma enters only through coef, so `at`
     re-targets the system to another conductivity without recomputing an
     element matrix. No global matrix is formed: `solve` condenses once per
@@ -427,10 +432,6 @@ class AssembledSystem:
         coef = _coefficients(self.space.mesh, params, self.uniform_eps)
         return dataclasses.replace(self, coef=coef)
 
-    def lifted_rhs(self) -> np.ndarray:
-        """b - A g over all dofs."""
-        return _lifted_rhs(self, kernels.full_index((self.space.p + 1) ** 2))
-
 
 # ---------------------------------------------------------------------------
 # Assembly
@@ -443,40 +444,18 @@ def _coefficients(mesh: QuadMesh, params: PhysicalParams, uniform_eps: bool):
     return coef
 
 
-def _shape_classes(mesh: QuadMesh):
-    """Shape class of each element, numbered in order of first appearance,
-    and its flip from the class's lowest-numbered element, the class's
-    representative: 0 for none, 1 or 2 for a mirror image z -> -z with the
-    local u or v index reversed.
+def _shape_classes(mesh: QuadMesh) -> np.ndarray:
+    """Shape class of each element, numbered in order of first appearance.
 
     An element is keyed by its geometry nodes shifted so that the first node
-    has z = 0, on the `_quantized` grid of 1e-13 * max|nodes|; so are its
-    mirror image with u reversed and with v reversed. It joins the earliest
-    class whose representative's own key equals one of its three keys, by
-    that flip (no flip first), or else starts a class.
+    has z = 0, on the `_quantized` grid of 1e-13 * max|nodes|; elements
+    with equal keys share a class, whose representative is its
+    lowest-numbered element.
     """
-    g1 = mesh.geomdeg + 1
-    X = mesh.nodes[mesh.elem_nodes].reshape(-1, g1, g1, 2)
-    R = X * [1.0, -1.0]
-    keys = []
-    for Y in (X, R[:, :, ::-1], R[:, ::-1]):
-        rel = Y.reshape(len(X), -1, 2).copy()
-        rel[..., 1] -= rel[:, :1, 1]
-        keys.append(_quantized(rel, np.max(np.abs(mesh.nodes))).reshape(len(X), -1))
-    ids = _first_appearance(np.concatenate(keys), axis=0)[0].reshape(3, -1)
-    shape, flip = np.empty((2, len(X)), dtype=np.int64)
-    classes = {}  # representative's own key -> class
-    for e, own in enumerate(ids.T.tolist()):
-        hits = [(classes[k], f) for f, k in enumerate(own) if k in classes]
-        shape[e], flip[e] = min(hits) if hits else (classes.setdefault(own[0], len(classes)), 0)
-    return shape, flip
-
-
-def _flips(p: int) -> np.ndarray:
-    """(3, (p+1)^2) local tensor indices under flip 0 (none), 1 (u index
-    reversed) and 2 (v index reversed)."""
-    idx = np.arange((p + 1) ** 2).reshape(p + 1, p + 1)
-    return np.stack([idx, idx[:, ::-1], idx[::-1]]).reshape(3, -1)
+    rel = mesh.nodes[mesh.elem_nodes]
+    rel[..., 1] -= rel[:, :1, 1]
+    keys = _quantized(rel, np.max(np.abs(mesh.nodes))).reshape(len(rel), -1)
+    return _first_appearance(keys, axis=0)[0]
 
 
 def _members(labels) -> list:
@@ -493,7 +472,12 @@ def assemble(
 ) -> AssembledSystem:
     """Stiffness and mass per shape class and loads per element, with
     params' coefficients. The matrices of a class are those of its
-    lowest-numbered element."""
+    lowest-numbered element.
+
+    Raises ValueError naming the field of `source` (boundary_g, interior_f
+    or support) that is not even in z (`_even`) where it is read: g at the
+    outer DOFs, f at the quadrature points, support at the element corners.
+    """
     mesh, p = space.mesh, space.p
     nq1 = p + 3
 
@@ -517,11 +501,12 @@ def assemble(
     be = np.zeros((mesh.n_elements, (p + 1) ** 2))
     if source.interior_f is not None:
         phi = basis.tensor_lagrange_grid(p, xq)[0]
-        be = kernels.element_load(phi, rq, wq, np.asarray(source.interior_f(rq, zq), dtype=float))
+        fq = _even(source.interior_f, "interior_f", rq, zq).astype(float)
+        be = kernels.element_load(phi, rq, wq, fq)
         cut = []
         if source.support is not None:
             C = mesh.nodes[mesh.corners]
-            inside = np.asarray(source.support(C[..., 0], C[..., 1]), dtype=bool)
+            inside = _even(source.support, "support", C[..., 0], C[..., 1]).astype(bool)
             cut = np.flatnonzero(inside.any(axis=1) & ~inside.all(axis=1))
         if len(cut):
             sxq, sw2 = _quad_points(nq1, 4)
@@ -535,9 +520,7 @@ def assemble(
     gvec = np.zeros(space.n_dofs, dtype=np.complex128)
     if source.boundary_g is not None and len(space.outer_dofs):
         pts = space.dof_coords[space.outer_dofs]
-        gvec[space.outer_dofs] = np.asarray(
-            source.boundary_g(pts[:, 0], pts[:, 1]), dtype=np.complex128
-        )
+        gvec[space.outer_dofs] = _even(source.boundary_g, "boundary_g", pts[:, 0], pts[:, 1])
     # axis dofs stay 0
     return AssembledSystem(
         space=space,
@@ -551,19 +534,28 @@ def assemble(
     )
 
 
+def _even(fn, name: str, r, z) -> np.ndarray:
+    """fn(r, z), checked against fn(r, -z): the half meridian z >= 0 holds
+    the problem only for data even in z. Raises ValueError naming the field
+    `name` where the two differ by more than 1e-14 of max|fn(r, z)|."""
+    values = np.asarray(fn(r, z))
+    gap = np.abs(np.asarray(fn(r, -z), dtype=np.complex128) - values)
+    if np.any(gap > 1e-14 * np.max(np.abs(values), initial=0.0)):
+        raise ValueError(f"source field {name} is not even in z, as the half meridian z >= 0 needs")
+    return values
+
+
 def _lifted_rhs(system: AssembledSystem, full) -> np.ndarray:
     """b - A g over all dofs; full is `kernels.full_index` of the element size."""
-    space = system.space
-    loads = np.take_along_axis(system.loads, _flips(space.p)[space.elem_flip], axis=1)
     products = _element_products(system, system.gvec, full)
-    return _scatter(space.class_dofs, loads - products, space.n_dofs)
+    return _scatter(system.space.elem_dofs, system.loads - products, system.space.n_dofs)
 
 
 def _element_products(system: AssembledSystem, v, full, rowsums=None):
-    """A_e v_e for every element, an (n_elements, (p+1)^2) complex array in
-    class order; full is `kernels.full_index((p+1)^2)`. If given, rowsums,
-    an array of that shape, takes the row sums of |coef_e| |S| + kappa2
-    |M|, which bound those of |A_e|.
+    """A_e v_e for every element, an (n_elements, (p+1)^2) complex array;
+    full is `kernels.full_index((p+1)^2)`. If given, rowsums, an array of
+    that shape, takes the row sums of |coef_e| |S| + kappa2 |M|, which bound
+    those of |A_e|.
 
     One real product per shape class, with its S and M expanded once: they
     multiply the real and the imaginary parts of all its members' vectors at
@@ -572,7 +564,7 @@ def _element_products(system: AssembledSystem, v, full, rowsums=None):
     their products are zero, and their rows of rowsums are left as given. (A class is multiplied whole:
     the BLAS product's rounding depends on its number of rows.)
     """
-    ve = np.asarray(v, dtype=np.complex128)[system.space.class_dofs]
+    ve = np.asarray(v, dtype=np.complex128)[system.space.elem_dofs]
     out = np.zeros_like(ve)
     nonzero = ve.any(axis=1)
     for k, idx in enumerate(_members(system.space.elem_shape)):
@@ -621,8 +613,7 @@ def solve(system: AssembledSystem) -> DiscreteField:
 
     The interior DOFs of each element are eliminated against its skeleton
     (vertex and edge) DOFs, once per group of elements that share a shape
-    class and a coefficient, and so a matrix; every member reads its DOFs
-    in the class order of `space.class_dofs`. Each group's Schur complement
+    class and a coefficient, and so a matrix. Each group's Schur complement
     is kept as its packed upper triangle (`np.triu_indices` of the 4p
     skeleton DOFs), one stacked array for all groups, and eliminated front
     by front over `space.tree` (`_eliminate`); the interior right-hand
@@ -634,7 +625,7 @@ def solve(system: AssembledSystem) -> DiscreteField:
     lowest-numbered element below it.
     """
     space = system.space
-    dofs = space.class_dofs
+    dofs = space.elem_dofs
     ns = space.n_skeleton
     il, bl = _interior_locals(space.p), _skeleton_locals(space.p)
     skel = dofs[:, bl]
@@ -708,7 +699,8 @@ def _eliminate(tree, schur, group, b, full) -> np.ndarray:
     children's update blocks, eliminates its DOFs with one dense solve
     (partial pivoting within the front) and passes the update block of the
     rest up; b is updated in place of a rhs column. A front that eliminates
-    nothing, as every leaf's, is passed up whole as its update.
+    nothing, as a leaf's whose skeleton DOFs are all shared, is passed up
+    whole as its update.
     Back-substitution runs from the root down.
     """
     b = b.copy()
@@ -776,7 +768,8 @@ def inverse_map(mesh: QuadMesh, elems, points, start=(0.5, 0.5)):
 
 
 def locate(mesh: QuadMesh, points):
-    """Element and reference coordinates (elem, u, v) of each point (n, 2).
+    """Element and reference coordinates (elem, u, v) of each point (n, 2),
+    at its image (r, |z|) in the half meridian z >= 0 that the mesh holds.
 
     Candidates are the elements whose bounding box, padded by 10%, holds
     the point. The lowest-numbered candidate whose inverse map lies within
@@ -789,7 +782,8 @@ def locate(mesh: QuadMesh, points):
     point that none qualifies for are mapped again, each from the
     reference coordinates of its geometry node nearest to the point.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    pts[:, 1] = np.abs(pts[:, 1])
     X = mesh.nodes[mesh.elem_nodes]
     lo, hi = X.min(axis=1), X.max(axis=1)
     pad = (0.1 * np.max(hi - lo, axis=1) + 1e-12)[:, None]
@@ -831,7 +825,8 @@ def _values_at(field: DiscreteField, elem, u, v) -> np.ndarray:
 
 
 def evaluate(field: DiscreteField, points) -> np.ndarray:
-    """Evaluate the discrete field at physical points (n, 2) -> complex (n,).
+    """Evaluate the discrete field at physical points (n, 2) -> complex (n,);
+    the field is even in z, so (r, z) reads the half meridian at (r, |z|).
 
     Raises PointLocationError naming the first point outside the mesh.
     """

@@ -1,5 +1,8 @@
 """Curved quadrilateral meshes for the benchmark configurations.
 
+Every configuration is symmetric under z -> -z, and so is every field
+solved on it, so a mesh covers the half meridian z >= 0 only; the
+symmetry plane z = 0 is a boundary with the natural condition dH/dz = 0.
 Config A gets uniform square meshes M_k (h = 1/k). Configs B/C get
 structured meshes built from four blocks: a graded boundary-layer band on
 the conductor side of the interface, a geometric transition shell, a core
@@ -62,15 +65,16 @@ _FACE_CORNERS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
 
 @dataclass
 class QuadMesh:
-    """Conforming curved quad mesh of the meridian domain.
+    """Conforming curved quad mesh of the half meridian domain z >= 0.
 
     Every element has geometry degree `geomdeg`. Its geometry nodes are the
     row of `elem_nodes` in tensor order (index j*(g+1)+i for local
     coordinates (u_i, v_j)); the four corners are the tensor corners.
     `conductor` marks the conductor's elements. The boundary is not stored:
     a facet with one element lies on the axis r = 0 when all its nodes have
-    r == 0.0, and on the outer boundary otherwise (`_MeshBuilder.finish`
-    checks that no other kind exists).
+    r == 0.0, on the symmetry plane z = 0 when all have z == 0.0, and on
+    the outer boundary otherwise (`_MeshBuilder.finish` checks that no
+    other kind exists).
     """
 
     nodes: np.ndarray  # (n_nodes, 2)
@@ -120,13 +124,14 @@ class _MeshBuilder:
         self.conductor.append(np.broadcast_to(np.asarray(conductor, dtype=bool), (nv, nu)).ravel())
 
     def finish(self) -> QuadMesh:
-        """Snap |r| < _AXIS_TOL to the axis and number the nodes by exact
-        coordinates, in order of first appearance. Corners shared across
-        blocks come from the same expressions and collide bitwise; nodes
-        inside a facet that its two sides parametrize in opposite directions
-        can differ in the last bit and are merged by `_merge_facet_nodes`."""
+        """Snap |r| and |z| < _AXIS_TOL to the axis and the symmetry plane,
+        and number the nodes by exact coordinates, in order of first
+        appearance. Corners shared across blocks come from the same
+        expressions and collide bitwise; nodes inside a facet that its two
+        sides parametrize in opposite directions can differ in the last bit
+        and are merged by `_merge_facet_nodes`."""
         X = np.concatenate(self.blocks)
-        X[..., 0][np.abs(X[..., 0]) < _AXIS_TOL] = 0.0
+        X[np.abs(X) < _AXIS_TOL] = 0.0
         ids, first = _first_appearance(X.reshape(-1, 2), axis=0)
         mesh = QuadMesh(
             nodes=X.reshape(-1, 2)[first],
@@ -200,18 +205,19 @@ def _merge_facet_nodes(mesh: QuadMesh, two):
     mesh.nodes = mesh.nodes[keep]
 
 
-def _on_axis(mesh: QuadMesh, faces) -> np.ndarray:
-    """Whether each of the flat faces 4*e + face lies on the axis: all its
-    nodes have r == 0.0, as `_MeshBuilder.finish` snaps them."""
-    return np.all(mesh.nodes[_face_nodes(mesh, faces), 0] == 0.0, axis=1)
+def _on_line(mesh: QuadMesh, faces, k: int) -> np.ndarray:
+    """Whether each of the flat faces 4*e + face lies on the axis (k = 0:
+    all its nodes have r == 0.0) or on the symmetry plane (k = 1: z ==
+    0.0), as `_MeshBuilder.finish` snaps them."""
+    return np.all(mesh.nodes[_face_nodes(mesh, faces), k] == 0.0, axis=1)
 
 
 def _check_cracks(mesh: QuadMesh, one, on_outer):
     """Raise MeshGenerationError for a facet with one owner, one of the
-    faces `one`, that lies neither on the axis nor on the outer boundary
-    (on_outer): a crack in the mesh."""
+    faces `one`, that lies neither on the axis, nor on the symmetry plane,
+    nor on the outer boundary (on_outer): a crack in the mesh."""
     r, z = np.moveaxis(mesh.nodes[_face_nodes(mesh, one)], -1, 0)
-    inside = ~_on_axis(mesh, one) & ~np.all(on_outer(r, z), axis=1)
+    inside = ~_on_line(mesh, one, 0) & ~_on_line(mesh, one, 1) & ~np.all(on_outer(r, z), axis=1)
     if np.any(inside):
         raise _facet_error(one[np.argmax(inside)], "facet has one owner but lies inside the domain")
 
@@ -220,19 +226,20 @@ def _check_cracks(mesh: QuadMesh, one, on_outer):
 # Configuration A: uniform square meshes
 
 def square_mesh_A(k: int) -> QuadMesh:
-    """Uniform squares of side 1/k on configuration A's box [0, r1] x [-l1/2, l1/2],
-    conductor [0, r0] x [-l0/2, l0/2]; A's sides are whole meters, so M_k fits."""
+    """Uniform squares of side 1/k on the half z >= 0 of configuration A's
+    box, [0, r1] x [0, l1/2], conductor [0, r0] x [0, l0/2]; A's sides are
+    whole meters, so M_k fits."""
     if k < 1:
         raise ValueError("refinement index k must be >= 1")
     cyl = CONFIGURATIONS["A"]
     rmax, zmax = cyl.r1, cyl.l1 / 2.0
-    # The nodes i/k and j/k - zmax hit the sides r = rmax and z = +-zmax exactly.
-    b = _MeshBuilder(1, lambda r, z: (r == rmax) | (np.abs(z) == zmax))
-    nr, nz = round(rmax * k), round(2.0 * zmax * k)
+    # The nodes i/k and j/k hit the sides r = rmax and z = zmax exactly.
+    b = _MeshBuilder(1, lambda r, z: (r == rmax) | (z == zmax))
+    nr, nz = round(rmax * k), round(zmax * k)
     j, i = np.mgrid[:nz, :nr]
     # By the cell centres, half a cell away from every side of the conductor.
-    conductor = ((i + 0.5) / k < cyl.r0) & (np.abs((j + 0.5) / k - zmax) < cyl.l0 / 2.0)
-    b.add_block(nr, nz, lambda i, u, j, v: ((i + u) / k, (j + v) / k - zmax), conductor)
+    conductor = ((i + 0.5) / k < cyl.r0) & ((j + 0.5) / k < cyl.l0 / 2.0)
+    b.add_block(nr, nz, lambda i, u, j, v: ((i + u) / k, (j + v) / k), conductor)
     return b.finish()
 
 
@@ -240,8 +247,8 @@ def square_mesh_A(k: int) -> QuadMesh:
 # Configurations B/C: layered spheroidal meshes
 
 GEOM_DEG_CURVED = 4
-_NR_CORE = 3      # radial cells of the axis rectangle (top/bottom path cells)
-_NZ_CORE = 4      # vertical cells of the axis rectangle (even: z=0 grid line)
+_NR_CORE = 3      # radial cells of the axis rectangle (top path cells)
+_NZ_CORE = 2      # vertical cells of the axis rectangle, on z >= 0
 _NS_OGRID = 3     # rows of the O-grid patch between rectangle and core curve
 _GRADING_RATIO = 0.5
 _BAND_FACTOR = 3.0  # band total thickness = 3 * ell(sigma_max)
@@ -291,7 +298,8 @@ def layered_mesh_B(
     sigma_max: float,
     omega: float = OMEGA_DEFAULT,
 ) -> QuadMesh:
-    """Boundary-layer mesh M_{n_layers} of a pair of spheroids (B1/B2/C1/C2).
+    """Boundary-layer mesh M_{n_layers} of a pair of spheroids (B1/B2/C1/C2),
+    on the quarter phi in [0, pi/2] of the meridian ellipses, z >= 0.
 
     The conductor side of the interface carries `n_layers` quadrilateral
     layers inside a band of total thickness 3*ell(sigma_max), geometrically
@@ -345,24 +353,17 @@ def layered_mesh_B(
     nr, nz, ns = _NR_CORE, _NZ_CORE, _NS_OGRID
 
     phi_nodes = np.concatenate(
-        [
-            np.linspace(0.0, phi_c1, nr + 1),
-            np.linspace(phi_c1, math.pi - phi_c1, nz + 1)[1:],
-            np.linspace(math.pi - phi_c1, math.pi, nr + 1)[1:],
-        ]
+        [np.linspace(0.0, phi_c1, nr + 1), np.linspace(phi_c1, math.pi / 2.0, nz + 1)[1:]]
     )
-    n_phi = len(phi_nodes) - 1  # = 2*nr + nz
+    n_phi = len(phi_nodes) - 1  # = nr + nz
 
-    # Inner path around the axis rectangle (top, side, bottom), matched
-    # node-for-node to phi_nodes, as (r levels, z levels). Rectangle grid
-    # levels are shared with the path so coordinates coincide bitwise where
-    # the blocks meet.
+    # Inner path around the axis rectangle (top, then side down to z = 0),
+    # matched node-for-node to phi_nodes, as (r levels, z levels). Rectangle
+    # grid levels are shared with the path so coordinates coincide bitwise
+    # where the blocks meet.
     rlev = np.asarray(_levels(0.0, w, nr))
-    zlev = np.asarray(_levels(zq, -zq, nz))  # descending
-    path = np.array([
-        np.r_[rlev, np.full(nz, w), rlev[-2::-1]],
-        np.r_[np.full(nr + 1, zq), zlev[1:], np.full(nr, zlev[-1])],
-    ])
+    zlev = np.asarray(_levels(zq, 0.0, nz))  # descending
+    path = np.array([np.r_[rlev, np.full(nz, w)], np.r_[np.full(nr + 1, zq), zlev[1:]]])
 
     def arc(i, u):
         return _lin(phi_nodes[i], phi_nodes[i + 1], u)

@@ -34,7 +34,9 @@ _CORNER_SAMPLES = 11  # corner-study depths ell/4 .. 11 ell/4
 
 
 def conductor_norm(field: DiscreteField) -> float:
-    """Weighted L2 norm sqrt(int_conductor |H|^2 r dr dz)."""
+    """Weighted L2 norm sqrt(int_conductor |H|^2 r dr dz) over the whole
+    conductor: twice the integral over the half z >= 0 that the mesh holds,
+    as H is even in z."""
     space = field.space
     mesh, p = space.mesh, space.p
     xq, w2 = _quad_points(p + 3)
@@ -48,7 +50,7 @@ def conductor_norm(field: DiscreteField) -> float:
     X = mesh.nodes[mesh.elem_nodes[cond]]
     rq, _, _, _, _, _, det = _geometry_eval(X, *tensor_lagrange_grid(mesh.geomdeg, xq))
     wdr = (w2 * det * rq).T
-    return float(np.sqrt(np.sum(wdr * abs2)))
+    return float(np.sqrt(2.0 * np.sum(wdr * abs2)))
 
 
 def scaling_exponent(sigmas, norms) -> float:
@@ -67,11 +69,11 @@ def extract_radial(field: DiscreteField, interface_radius: float):
     """Nodal trace of the field on the conductor part of the equator z = 0.
 
     Collects the degree-p nodal values on conductor-element edges lying on
-    z = 0 and returns (y3, values) with the depth coordinate
-    y3 = |interface_radius - r| on the conductor's side (r below the
-    interface for A and B, above it for the C shells), sorted by increasing
-    depth. The interface sample y3 = 0 is dropped (it anchors the boundary
-    data, not the decay).
+    z = 0, the symmetry plane that bounds the half meridian, and returns
+    (y3, values) with the depth coordinate y3 = |interface_radius - r| on
+    the conductor's side (r below the interface for A and B, above it for
+    the C shells), sorted by increasing depth. The interface sample y3 = 0
+    is dropped (it anchors the boundary data, not the decay).
     """
     space = field.space
     dofs = space.elem_dofs[space.mesh.conductor].ravel()

@@ -5,8 +5,9 @@
 A name is a study of `TestGoldenRuns.CASES` in tests/test_cli.py, whose
 CLI artifacts (all but the manifest) replace tests/golden/<study>, or
 `locate`, which rewrites tests/golden/locate/<config>_<mesh>.csv: the
-(elem, u, v) of every point of `TestBatchedLocation`, from the per-point
-scalar locator below (elem -1 and u, v nan outside the mesh). With no
+(elem, u, v) of every point (r, z) of `TestBatchedLocation`, from the
+per-point scalar locator below at (r, |z|), as the mesh holds the half
+meridian z >= 0 (elem -1 and u, v nan outside the mesh). With no
 name, everything is regenerated. pytest does not collect this file.
 """
 
@@ -94,7 +95,7 @@ def write_locations():
     for config, spec in LOCATE_CASES:
         m = mesh.mesh_for(config, spec, sigma_max=80.0)
         boxes = _ref_boxes(m)
-        ref = [_ref_locate(m, boxes, r, z) for r, z in locate_points(m)]
+        ref = [_ref_locate(m, boxes, r, abs(z)) for r, z in locate_points(m)]
         rows = [(-1, np.nan, np.nan) if x is None else x for x in ref]
         postprocess.write_csv(HERE / "locate" / f"{config}_{spec}.csv", "elem,u,v", zip(*rows))
 

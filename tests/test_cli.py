@@ -561,9 +561,11 @@ def _golden_columns(path):
 class TestGoldenRuns:
     """CLI runs of every study against outputs committed under tests/golden,
     which `python tests/golden/generate.py <study>` rewrites from CASES.
-    The B/C studies (field-map, sigma-scaling, slope-study, solve) were
-    written on the conforming B/C core; the A studies (corner-study,
-    h-stability, p-convergence) by earlier code that agrees to 1e-10."""
+    The B/C studies (field-map, sigma-scaling, slope-study) were written on
+    the conforming B/C core of the whole meridian, and the A studies
+    (corner-study, h-stability, p-convergence) by earlier code; the half
+    meridian agrees with both to 1e-10. solve, whose field file has one row
+    per DOF, was rewritten on the half meridian z >= 0."""
 
     CASES = {
         "field-map": "config = B1\nsigma = 20\np = 2\nmesh = M1\n",

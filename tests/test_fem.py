@@ -44,6 +44,11 @@ def _element_triplets(dofs):
     return np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
 
 
+def lifted_rhs(system):
+    """b - A g over all dofs, from the solver's own lifting."""
+    return fem._lifted_rhs(system, kernels.full_index((system.space.p + 1) ** 2))
+
+
 def global_matrix(system):
     """The assembled n_dofs x n_dofs matrix in CSC, constrained rows included.
 
@@ -51,7 +56,7 @@ def global_matrix(system):
     of the element matrices is kept.
     """
     n = system.space.n_dofs
-    rows, cols = _element_triplets(system.space.class_dofs)  # class order
+    rows, cols = _element_triplets(system.space.elem_dofs)
     k = system.space.elem_shape
     S, M = unpacked(system.stiffness), unpacked(system.mass)
     vals = system.coef[:, None, None] * S[k] - system.kappa2 * M[k]
@@ -109,8 +114,8 @@ class TestSpace:
         nv = len(np.unique(mesh_a2.corners))
         ne_edges = sp.n_dofs - nv - mesh_a2.n_elements * (p - 1) ** 2
         assert ne_edges % (p - 1) == 0
-        # Euler check on a structured 4x8 grid: 40 edges
-        assert ne_edges // (p - 1) == 76
+        # Euler check on a structured 4x4 grid: 40 edges
+        assert ne_edges // (p - 1) == 40
 
     def test_shared_edge_dof_coords_consistent(self, mesh_b1):
         sp = FeSpace(mesh_b1, 5)
@@ -189,7 +194,9 @@ def _ref_numbering(mesh, p):
 
 def _ref_boundary_dofs(mesh, p, elem_dofs):
     """(axis_dofs, outer_dofs) on the facets with one owner, the axis where
-    every geometry node has r == 0, the axis winning at corners."""
+    every geometry node has r == 0, the axis winning at corners; a facet
+    whose every geometry node has z == 0 lies on the symmetry plane and
+    adds neither."""
     from skinfem.mesh import _face_locals
 
     outer, axis = set(), set()
@@ -197,8 +204,9 @@ def _ref_boundary_dofs(mesh, p, elem_dofs):
         if len(owners) == 1:
             e, face = owners[0]
             ids = elem_dofs[e][_face_locals(p)[face]]
-            on_axis = np.all(mesh.nodes[face_node_ids(mesh, e, face), 0] == 0.0)
-            (axis if on_axis else outer).update(int(i) for i in ids)
+            on_axis, on_plane = np.all(mesh.nodes[face_node_ids(mesh, e, face)] == 0.0, axis=0)
+            if on_axis or not on_plane:
+                (axis if on_axis else outer).update(int(i) for i in ids)
     return sorted(axis), sorted(outer - axis)
 
 
@@ -258,13 +266,13 @@ class TestAssembly:
 
     def test_energy_of_linear_field(self, params5):
         # For H = r on configuration A with uniform eps:
-        # x^T A x = int 4 r - kappa^2 int r^3 over [0,2]x[-2,2]
+        # x^T A x = int 4 r - kappa^2 int r^3 over the half box [0,2]x[0,2]
         m = mesh.square_mesh_A(2)
         sp = FeSpace(m, 3)
         sys_ = assemble(sp, params5, SourceSpec(), uniform_eps=True)
         x = sp.dof_coords[:, 0].astype(np.complex128)
         k2 = params5.kappa**2
-        expect = 32.0 - 16.0 * k2
+        expect = 16.0 - 8.0 * k2
         assert x @ (global_matrix(sys_) @ x) == pytest.approx(expect, rel=1e-12)
 
     def test_element_order_invariance(self, params5):
@@ -288,13 +296,13 @@ class TestAssembly:
             assemble(FeSpace(m, 2), params5, SourceSpec.dirichlet_radius())
 
     def test_quadrature_point_off_axis_names_element(self, params5):
-        # Element 5 gets its own corner nodes, moved from r in [1, 2] to
+        # Element 3 gets its own corner nodes, moved from r in [1, 2] to
         # [-1.5, -0.5]; its Jacobian stays positive.
         m = mesh.square_mesh_A(1)
-        moved = m.nodes[m.elem_nodes[5]] - [2.5, 0.0]
-        m.elem_nodes[5] = len(m.nodes) + np.arange(4)
+        moved = m.nodes[m.elem_nodes[3]] - [2.5, 0.0]
+        m.elem_nodes[3] = len(m.nodes) + np.arange(4)
         m.nodes = np.vstack([m.nodes, moved])
-        with pytest.raises(AssemblyError, match=r"r <= 0 in element 5\b"):
+        with pytest.raises(AssemblyError, match=r"r <= 0 in element 3\b"):
             assemble(FeSpace(m, 2), params5, SourceSpec.dirichlet_radius())
 
     def test_galerkin_residual(self, mesh_b1, params5):
@@ -303,7 +311,7 @@ class TestAssembly:
         f = solve(sys_)
         A = global_matrix(sys_)
         free = sp.free
-        rhs = sys_.lifted_rhs()
+        rhs = lifted_rhs(sys_)
         # rhs already contains -A g; full residual on free rows:
         r = (A @ f.coeffs)[free] - (rhs + A @ sys_.gvec)[free]
         scale = np.max(np.abs(rhs[free])) or 1.0
@@ -318,7 +326,7 @@ class TestEliminationTree:
     )
     def test_eliminates_where_every_element_is_below(self, config, spec, p):
         space = FeSpace(mesh.mesh_for(config, spec, sigma_max=80.0), p)
-        skel = space.class_dofs[:, fem._skeleton_locals(p)]
+        skel = space.elem_dofs[:, fem._skeleton_locals(p)]
         count = np.bincount(skel.ravel(), minlength=space.n_skeleton)
         below = []
         for dofs, n, children, lowest, keep in space.tree:
@@ -336,15 +344,15 @@ class TestEliminationTree:
 
     # Three times sum n^3/3 + n^2 m + n m^2 over the fronts (n eliminated,
     # m passed up), with each cut the best in the middle half of its split
-    # order. The median cut read 19,805,421, 100,616,101, 453,504,171,
-    # 38,653,999, 363,817,989 and 326,090,031.
+    # order, on the half meridian. The full meridian read 18,359,181,
+    # 80,166,445, 334,719,801, 29,182,267, 278,432,973 and 213,616,977.
     WORK = [
-        ("A", "M2", 80.0, 16, 18359181),
-        ("A", "M3", 80.0, 16, 80166445),
-        ("B1", "M3", 400.0, 16, 334719801),
-        ("C1", "M3", 80.0, 8, 29182267),
-        ("B2", "M3", 80.0, 16, 278432973),
-        ("C2", "M2", 80.0, 16, 213616977),
+        ("A", "M2", 80.0, 16, 5923152),
+        ("A", "M3", 80.0, 16, 26519736),
+        ("B1", "M3", 400.0, 16, 90077966),
+        ("C1", "M3", 80.0, 8, 8055059),
+        ("B2", "M3", 80.0, 16, 75391996),
+        ("C2", "M2", 80.0, 16, 60235962),
     ]
 
     @pytest.mark.parametrize(
@@ -468,9 +476,9 @@ class TestCondensation:
             assert space.n_skeleton == space.n_dofs  # nothing to condense
         src = cli.STUDY_TABLE[config].source
         sys_ = assemble(space, params5, src)
-        # Global CSR from the class matrices over the class-order DOF table;
-        # scipy sums the duplicates.
-        dofs = space.class_dofs
+        # Global CSR from the class matrices over the DOF table; scipy sums
+        # the duplicates.
+        dofs = space.elem_dofs
         n2 = dofs.shape[1]
         rows = np.repeat(dofs, n2, axis=1).ravel()
         cols = np.tile(dofs, (1, n2)).ravel()
@@ -480,7 +488,7 @@ class TestCondensation:
         A = sparse.csr_matrix((Ae.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2)
         free = space.free
         ref = sys_.gvec.copy()
-        ref[free] = spla.spsolve(A[free][:, free].tocsc(), sys_.lifted_rhs()[free])
+        ref[free] = spla.spsolve(A[free][:, free].tocsc(), lifted_rhs(sys_)[free])
         got = solve(sys_).coeffs
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -515,17 +523,18 @@ class TestCondensation:
     def test_non_finite_solution_raises_without_rhs(self, mesh_a2, params5):
         # No source: the free rhs is zero and the residual check is skipped.
         sys_ = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec())
-        assert not np.any(sys_.lifted_rhs())
+        assert not np.any(lifted_rhs(sys_))
         bl = fem._skeleton_locals(3)
         sys_.stiffness[:, kernels.full_index(16)[bl[0], bl[0]]] = np.nan
         with pytest.raises(AssemblyError, match="non-finite"):
             solve(sys_)
 
     def test_all_skeleton_dofs_prescribed(self, params5):
-        # One element with four outer facets: the free skeleton is empty and
-        # only the interior is solved for. H = r is exact in Q_3.
+        # One element with four outer facets, off the symmetry plane: the
+        # free skeleton is empty and only the interior is solved for. H = r
+        # is exact in Q_3.
         m = mesh.QuadMesh(
-            nodes=np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [2.0, 1.0]]),
+            nodes=np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [2.0, 2.0]]),
             elem_nodes=np.array([[0, 1, 2, 3]]),
             geomdeg=1,
             conductor=np.array([True]),
@@ -654,16 +663,10 @@ def _condensed_per_element(system, S, M):
     return system.gvec + y
 
 
-def _perm(space):
-    """Local order of each element's class representative in its own."""
-    return fem._flips(space.p)[space.elem_flip]
-
-
-def _in_element_order(space, mats):
-    """mats[elem_shape[e]], the packed class matrices, expanded in element
-    e's own local order, for every element e."""
-    inv = np.argsort(_perm(space), axis=1)
-    return unpacked(mats)[space.elem_shape[:, None, None], inv[:, :, None], inv[:, None, :]]
+def _per_element(space, mats):
+    """mats[elem_shape[e]], the packed class matrices, expanded for every
+    element e."""
+    return unpacked(mats)[space.elem_shape]
 
 
 def _kernel_matrices(m, p, elems):
@@ -690,22 +693,14 @@ class TestShapeClasses:
         return system, _per_element_arrays(space, src)
 
     def test_element_matrices_and_loads(self, case):
-        # A member with the identity permutation is checked against its own
-        # dense matrices; a mirrored member against its representative's,
-        # both read in its own order, since mirrored geometry puts the
-        # kernel's floor above 1e-13 (test_member_matrices_match_representative).
+        # Every member's class matrices against its own dense matrices.
         system, (S, M, be) = case
         space = system.space
         k = space.elem_shape
         assert k.shape == (space.mesh.n_elements,) and k.dtype == np.int64
         assert len(system.stiffness) == len(system.mass) == k.max() + 1
-        first = np.unique(k, return_index=True)[1]
-        inv = np.argsort(_perm(space), axis=1)
-        mirrored = np.any(inv != np.arange(inv.shape[1]), axis=1)
-        ref = np.where(mirrored, first[k], np.arange(len(k)))
         for got, want in ((system.stiffness, S), (system.mass, M)):
-            want = want[ref[:, None, None], inv[:, :, None], inv[:, None, :]]
-            err = np.max(np.abs(_in_element_order(space, got) - want), axis=(1, 2))
+            err = np.max(np.abs(_per_element(space, got) - want), axis=(1, 2))
             assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=(1, 2)))
         assert np.max(np.abs(system.loads - be)) <= 1e-13 * max(np.max(np.abs(be)), 1e-300)
 
@@ -756,34 +751,33 @@ class TestShapeClasses:
     def test_class_counts_on_A(self, spec, n_shapes):
         # One class per column of squares: z-translates share a class.
         m = mesh.mesh_for("A", spec)
-        k, flip = fem._shape_classes(m)
-        assert not np.any(flip)
+        k = fem._shape_classes(m)
         column = np.unique(m.nodes[m.corners[:, 0], 0], return_inverse=True)[1]
         assert np.array_equal(k, column)
         assert np.array_equal(np.unique(k, return_index=True)[1], np.arange(n_shapes))
 
-    # Classes and u-flipped members; with z-translates alone the B/C meshes
-    # had 143, 163 and 113 classes, A M4 the same 8.
+    # Classes of z-translates on the half meridian. The full meridian had
+    # 143, 163 and 113 such classes on B1 M3, B1 M6 and C1 M3, and its keys
+    # up to a mirror image z -> -z gave 73, 84, 60, 58 and 62.
     @pytest.mark.parametrize(
-        "config, spec, sigma_max, n_shapes, n_flipped",
+        "config, spec, sigma_max, n_shapes",
         [
-            ("A", "M4", 80.0, 8, 0),
-            ("B1", "M3", 400.0, 73, 70),
-            ("B1", "M6", 80.0, 84, 79),
-            ("B2", "M2", 80.0, 60, 53),
-            ("C1", "M3", 80.0, 58, 55),
-            ("C2", "M3", 80.0, 62, 51),
+            ("A", "M4", 80.0, 8),
+            ("B1", "M3", 400.0, 73),
+            ("B1", "M6", 80.0, 83),
+            ("B2", "M2", 80.0, 58),
+            ("C1", "M3", 80.0, 58),
+            ("C2", "M3", 80.0, 58),
         ],
     )
-    def test_class_counts_up_to_mirror(self, config, spec, sigma_max, n_shapes, n_flipped):
-        k, flip = fem._shape_classes(mesh.mesh_for(config, spec, sigma_max=sigma_max))
+    def test_class_counts(self, config, spec, sigma_max, n_shapes):
+        k = fem._shape_classes(mesh.mesh_for(config, spec, sigma_max=sigma_max))
         assert k.max() + 1 == n_shapes
-        assert np.count_nonzero(flip == 1) == n_flipped and not np.any(flip == 2)
 
-    # Over every member of these meshes at p in 2..20 the kernel's floor
-    # under a mirror is at most 4.2e-12 relative (B1 M6 p=20; B2 M2 p=8:
-    # 2.3e-13); it grows with p and on the finer B1 mesh. z-translates agree
-    # to 1.2e-14. The bound leaves a factor of 2.4.
+    # Members are z-translates of their representative: they agree to
+    # 4.6e-15 relative at most here (C2 M3 p=20). The mirror images that the
+    # whole meridian's classes held read up to 4.2e-12 (B1 M6 p=20), under
+    # a bound of 1e-11.
     @pytest.mark.parametrize("p", [4, 20])
     @pytest.mark.parametrize(
         "config, spec, sigma_max",
@@ -792,36 +786,17 @@ class TestShapeClasses:
     )
     def test_member_matrices_match_representative(self, config, spec, sigma_max, p):
         # Each member's S and M from the kernel on its own geometry, without
-        # the class table, against its representative's read in its order.
+        # the class table, against its representative's.
         m = mesh.mesh_for(config, spec, sigma_max=sigma_max)
         space = FeSpace(m, p)
         k = space.elem_shape
         first = np.unique(k, return_index=True)[1]
         members = np.flatnonzero(first[k] != np.arange(m.n_elements))
-        if p == 20:
-            members = members[::8]  # every eighth, for time
         mine = _kernel_matrices(m, p, members)
         theirs = _kernel_matrices(m, p, first[k[members]])
-        inv = np.argsort(_perm(space)[members], axis=1)
-        rows = np.arange(len(members))[:, None, None]
         for own, rep in zip(mine, theirs):
-            rep = rep[rows, inv[:, :, None], inv[:, None, :]]
             err = np.max(np.abs(own - rep), axis=(1, 2))
-            assert np.all(err <= 1e-11 * np.max(np.abs(own), axis=(1, 2)))
-
-    # With g = r (B) or the C1 source, the data and the domain are even in
-    # z. Mirrored elements share their representative's matrices exactly,
-    # so H is even to rounding: at most 3.1e-15 relative here, where
-    # matrices computed per element gave up to 5.5e-14.
-    @pytest.mark.parametrize("config, spec, p", [("B1", "M3", 8), ("B2", "M2", 8), ("C1", "M1", 8)])
-    def test_z_even_data_gives_z_even_field(self, config, spec, p):
-        space = FeSpace(mesh.mesh_for(config, spec, sigma_max=80.0), p)
-        src = cli.STUDY_TABLE[config].source
-        h = solve(assemble(space, physics.PhysicalParams(sigma=80.0), src)).coeffs
-        x = space.dof_coords
-        dist, mirror = cKDTree(x).query(x * [1.0, -1.0])
-        assert np.max(dist) <= 1e-12
-        assert np.max(np.abs(h - h[mirror])) <= 1e-14 * np.max(np.abs(h))
+            assert np.all(err <= 1e-13 * np.max(np.abs(own), axis=(1, 2)))
 
     # Shifts of the order of the mesh size: a much larger shift rounds the
     # nodes of the thin boundary-layer elements by more than 1e-13 of their
@@ -834,7 +809,7 @@ class TestShapeClasses:
         src = SourceSpec.dirichlet_radius()
         a, b = (assemble(FeSpace(x, 4), physics.PhysicalParams(sigma=5.0), src) for x in (m, moved))
         for x, y in ((a.stiffness, b.stiffness), (a.mass, b.mass)):
-            err = np.max(np.abs(_in_element_order(a.space, x) - _in_element_order(b.space, y)))
+            err = np.max(np.abs(_per_element(a.space, x) - _per_element(b.space, y)))
             assert err <= 1e-13 * np.max(np.abs(x))
 
     @settings(max_examples=25, deadline=None)
@@ -851,22 +826,22 @@ class TestShapeClasses:
         pairs = np.unique(np.column_stack([a.space.elem_shape, b.space.elem_shape]), axis=0)
         assert len(np.unique(pairs[:, 1])) == len(pairs)  # refines a's classes
         for x, y in ((a.stiffness, b.stiffness), (a.mass, b.mass)):
-            err = np.max(np.abs(_in_element_order(a.space, x) - _in_element_order(b.space, y)))
+            err = np.max(np.abs(_per_element(a.space, x) - _per_element(b.space, y)))
             assert err <= 1e-13 * np.max(np.abs(x))
 
     def test_moved_node_splits_its_element_off(self):
-        # Element 13 of A M2 gets its own copy of its corners, and its corner
+        # Element 9 of A M2 gets its own copy of its corners, and its corner
         # at (u, v) = (1, 1), an interior mesh node, moves by 1e-9 in r.
         m = mesh.square_mesh_A(2)
-        before = fem._shape_classes(m)[0]
-        nodes = m.nodes[m.elem_nodes[13]]
+        before = fem._shape_classes(m)
+        nodes = m.nodes[m.elem_nodes[9]]
         nodes[3, 0] += 1e-9
-        m.elem_nodes[13] = len(m.nodes) + np.arange(4)
+        m.elem_nodes[9] = len(m.nodes) + np.arange(4)
         m.nodes = np.vstack([m.nodes, nodes])
-        after = fem._shape_classes(m)[0]
+        after = fem._shape_classes(m)
         assert after.max() + 1 == before.max() + 2
-        assert np.sum(after == after[13]) == 1
-        others = np.arange(m.n_elements) != 13
+        assert np.sum(after == after[9]) == 1
+        others = np.arange(m.n_elements) != 9
         pairs = np.unique(np.column_stack([before[others], after[others]]), axis=0)
         assert len(pairs) == before.max() + 1  # the others keep their classes
 
@@ -1087,3 +1062,100 @@ class TestSources:
         assert np.max(np.abs(f.coeffs)) > 0
         # outer boundary is homogeneous
         assert np.max(np.abs(f.coeffs[sp.outer_dofs])) == 0.0
+
+    @pytest.mark.parametrize(
+        "name, source",
+        [
+            ("boundary_g", SourceSpec(boundary_g=lambda r, z: r + z)),
+            ("interior_f", SourceSpec(interior_f=lambda r, z: r * z)),
+            ("support", SourceSpec(interior_f=lambda r, z: np.ones_like(r), support=lambda r, z: z > 0.3)),
+        ],
+        ids=["g", "f", "support"],
+    )
+    def test_source_odd_in_z_rejected(self, params5, name, source):
+        # The half meridian holds the problem only for data even in z; an
+        # odd part would be solved as if it were even.
+        space = FeSpace(mesh.mesh_for("B1", "M1", sigma_max=80.0), 2)
+        with pytest.raises(ValueError, match=rf"source field {name} is not even in z"):
+            assemble(space, params5, source)
+
+
+def reflected(m):
+    """The whole meridian: the half mesh m and its mirror image z -> -z,
+    whose elements have the v index reversed so that they stay
+    counterclockwise; the nodes on z = 0 are shared."""
+    g1 = m.geomdeg + 1
+    upper = m.nodes[:, 1] > 0.0
+    image = np.arange(len(m.nodes))
+    image[upper] = len(m.nodes) + np.arange(np.count_nonzero(upper))
+    below = image[m.elem_nodes.reshape(-1, g1, g1)[:, ::-1]].reshape(m.n_elements, -1)
+    return mesh.QuadMesh(
+        nodes=np.vstack([m.nodes, m.nodes[upper] * [1.0, -1.0]]),
+        elem_nodes=np.vstack([m.elem_nodes, below]),
+        geomdeg=m.geomdeg,
+        conductor=np.tile(m.conductor, 2),
+    )
+
+
+REFLECTED_CASES = [
+    ("A", "M2", 80.0, 16, 80.0),
+    ("A", "M3", 80.0, 16, 80.0),
+    ("B1", "M3", 400.0, 16, 80.0),
+    ("B1", "M3", 400.0, 16, 200.0),
+    ("B1", "M3", 400.0, 16, 400.0),
+    ("C1", "M3", 80.0, 20, 80.0),
+    ("C2", "M2", 80.0, 8, 80.0),
+]
+
+
+class TestReflectedMeridian:
+    """The half meridian's solution against the whole meridian's: the half
+    mesh reflected in z = 0 (`reflected`) and solved through the same code,
+    with its own shape classes, z-translates only. Measured largest
+    differences, relative: coefficients 1.1e-13 (C1 M3 p=20), conductor
+    norms 1.2e-13 (C1) and equator traces 1.1e-13 (B1 M3 p=16)."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        return {}  # the assembled half and whole systems of one (mesh, p)
+
+    @pytest.fixture(
+        scope="class", params=REFLECTED_CASES, ids=[f"{c}-{s}-p{p}-s{g:g}" for c, s, _, p, g in REFLECTED_CASES]
+    )
+    def fields(self, request, systems):
+        config, spec, sigma_max, p, sigma = request.param
+        params = physics.PhysicalParams(sigma=sigma)
+        if (config, spec, p) not in systems:
+            systems.clear()
+            m = mesh.mesh_for(config, spec, sigma_max=sigma_max)
+            src = cli.STUDY_TABLE[config].source
+            systems[config, spec, p] = [assemble(FeSpace(x, p), params, src) for x in (m, reflected(m))]
+        half, whole = (solve(s.at(params)) for s in systems[config, spec, p])
+        return config, half, whole
+
+    def test_coefficients_at_shared_nodes(self, fields):
+        _, half, whole = fields
+        dist, at = cKDTree(whole.space.dof_coords).query(half.space.dof_coords)
+        assert np.max(dist) <= 1e-12
+        assert np.max(np.abs(half.coeffs - whole.coeffs[at])) <= 1e-12 * np.max(np.abs(whole.coeffs))
+
+    def test_conductor_norm(self, fields):
+        # conductor_norm doubles its mesh's integral, and the whole
+        # meridian's integral is twice the half's.
+        _, half, whole = fields
+        want = postprocess.conductor_norm(whole) / np.sqrt(2.0)
+        assert postprocess.conductor_norm(half) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_equator_trace(self, fields):
+        config, half, whole = fields
+        a = geometry.CONFIGURATIONS[config].equator_interface_radius
+        (y_half, v_half), (y_whole, v_whole) = (postprocess.extract_radial(f, a) for f in (half, whole))
+        assert len(y_half) == len(y_whole) and np.max(np.abs(y_half - y_whole)) <= 1e-12
+        assert np.max(np.abs(v_half - v_whole)) <= 1e-12 * np.max(np.abs(v_whole))
+
+
+def test_reflected_mesh_has_translation_classes_only():
+    # The whole B1 M3 meridian, keyed by z-translation alone, has about
+    # twice the half's 73 classes: a mirror image is no translate.
+    m = reflected(mesh.mesh_for("B1", "M3", sigma_max=400.0))
+    assert fem._shape_classes(m).max() + 1 == 143

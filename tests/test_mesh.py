@@ -31,11 +31,11 @@ def element_areas(m):
 class TestSquareMeshA:
     def test_counts(self):
         m1 = square_mesh_A(1)
-        assert m1.n_elements == 8
-        assert m1.conductor.dtype == bool and m1.conductor.sum() == 2
+        assert m1.n_elements == 4
+        assert m1.conductor.dtype == bool and m1.conductor.sum() == 1
         m2 = square_mesh_A(2)
-        assert m2.n_elements == 32
-        assert m2.conductor.sum() == 8
+        assert m2.n_elements == 16
+        assert m2.conductor.sum() == 4
 
     def test_nesting(self):
         coarse = square_mesh_A(2)
@@ -47,19 +47,21 @@ class TestSquareMeshA:
     def test_domain_extent(self):
         m = square_mesh_A(3)
         assert m.nodes[:, 0].min() == 0.0 and m.nodes[:, 0].max() == 2.0
-        assert m.nodes[:, 1].min() == -2.0 and m.nodes[:, 1].max() == 2.0
+        assert m.nodes[:, 1].min() == 0.0 and m.nodes[:, 1].max() == 2.0
 
     def test_facet_kinds(self):
-        # M1: the axis side r = 0 has 4 facets, the outer sides r = 2 and
-        # z = +-2 have 8, and the conductor [0,1]x[-1,1] meets the dielectric
-        # along 4 (r = 1 and z = +-1).
+        # M1: the axis side r = 0 has 2 facets, the symmetry plane z = 0 2,
+        # the outer sides r = 2 and z = 2 have 4, and the conductor
+        # [0,1]x[0,1] meets the dielectric along 2 (r = 1 and z = 1).
         m = square_mesh_A(1)
         owners = list(facet_adjacency(m).values())
         one = [o[0] for o in owners if len(o) == 1]
-        on_axis = [np.all(m.nodes[face_node_ids(m, *o), 0] == 0.0) for o in one]
+        on_axis, on_plane = np.array(
+            [np.all(m.nodes[face_node_ids(m, *o)] == 0.0, axis=0) for o in one]
+        ).sum(axis=0)
         cond = [[m.conductor[e] for e, _ in o] for o in owners]
         interface = [c for c in cond if len(c) == 2 and c[0] != c[1]]
-        assert (sum(on_axis), len(one) - sum(on_axis), len(interface)) == (4, 8, 4)
+        assert (on_axis, on_plane, len(one) - on_axis - on_plane, len(interface)) == (2, 2, 4, 2)
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -110,9 +112,11 @@ def _check_conforming(m, geom):
     for key, owners in adj.items():
         assert len(owners) <= 2
         if len(owners) == 1:
-            # a facet with one owner is on the axis or the outer boundary
+            # a facet with one owner is on the axis, the symmetry plane or
+            # the outer boundary
             pts = m.nodes[face_node_ids(m, *owners[0])]
-            assert np.all(pts[:, 0] == 0.0) or np.all(_on_outer_boundary(geom, pts)), owners
+            on_line = np.any(np.all(pts == 0.0, axis=0))
+            assert on_line or np.all(_on_outer_boundary(geom, pts)), owners
         if len(owners) == 2:
             (e0, f0), (e1, f1) = owners
             assert set(fc[e0, f0]) == set(fc[e1, f1]) == set(key)
@@ -173,8 +177,9 @@ class TestCoreCrack:
 def test_b1_areas():
     m = mesh_for("B1", "M3", sigma_max=80.0)
     areas, _ = element_areas(m)
-    assert areas[m.conductor].sum() == pytest.approx(np.pi * 2.0 * 1.0 / 2.0, abs=1e-6)
-    assert areas.sum() == pytest.approx(np.pi * 4.0 * 2.0 / 2.0, abs=1e-6)
+    # A quarter of each ellipse: the half meridian z >= 0.
+    assert areas[m.conductor].sum() == pytest.approx(np.pi * 2.0 * 1.0 / 4.0, abs=1e-6)
+    assert areas.sum() == pytest.approx(np.pi * 4.0 * 2.0 / 4.0, abs=1e-6)
 
 
 def test_b1_layer_count_refines():
@@ -244,8 +249,9 @@ def test_mesh_for_and_cli_accept_the_same_specs():
 # registry of exact node coordinates, one `gen(u, v)` call per node, and a
 # hand-numbered node grid for config A. Kept verbatim apart from names, the
 # dropped argument checks and mesh name, a conductor flag in place of an
-# element tag and a configuration record in place of its name, as the
-# reference for the array builder.
+# element tag, a configuration record in place of its name, and the half
+# meridian z >= 0 in place of the whole, as the reference for the array
+# builder.
 
 
 class _RefBuilder:
@@ -259,6 +265,8 @@ class _RefBuilder:
     def add(self, r, z):
         if abs(r) < 1e-12:
             r = 0.0
+        if abs(z) < 1e-12:
+            z = 0.0
         key = (r, z)
         idx = self._index.get(key)
         if idx is None:
@@ -286,18 +294,18 @@ class _RefBuilder:
 
 
 def _ref_square_mesh_A(k):
-    b = _RefBuilder(1, lambda r, z: (r == 2.0) | (np.abs(z) == 2.0))
-    nr, nz = 2 * k, 4 * k
+    b = _RefBuilder(1, lambda r, z: (r == 2.0) | (z == 2.0))
+    nr, nz = 2 * k, 2 * k
     node_id = np.empty((nr + 1, nz + 1), dtype=np.int64)
     for j in range(nz + 1):
         for i in range(nr + 1):
-            node_id[i, j] = b.add(i / k, j / k - 2.0)
+            node_id[i, j] = b.add(i / k, j / k)
     for j in range(nz):
         for i in range(nr):
             b.elem_nodes.append(
                 [node_id[i, j], node_id[i + 1, j], node_id[i, j + 1], node_id[i + 1, j + 1]]
             )
-            b.conductor.append(i < k and k <= j < 3 * k)
+            b.conductor.append(i < k and j < k)
     return b.finish()
 
 
@@ -357,20 +365,17 @@ def _ref_layered_mesh_B(spheroids, n_layers, sigma_max, omega):
     phi_nodes = np.concatenate(
         [
             np.linspace(0.0, phi_c1, nr + 1),
-            np.linspace(phi_c1, math.pi - phi_c1, nz + 1)[1:],
-            np.linspace(math.pi - phi_c1, math.pi, nr + 1)[1:],
+            np.linspace(phi_c1, math.pi / 2.0, nz + 1)[1:],
         ]
     )
     n_phi = len(phi_nodes) - 1
     rlev = [_ref_lin(0.0, w, i / nr) for i in range(nr + 1)]
-    zlev_desc = [_ref_lin(zq, -zq, i / nz) for i in range(nz + 1)]
+    zlev_desc = [_ref_lin(zq, 0.0, i / nz) for i in range(nz + 1)]
     path = []
     for i in range(nr + 1):
         path.append((rlev[i], zq))
     for j in range(1, nz + 1):
         path.append((w, zlev_desc[j]))
-    for i in range(1, nr + 1):
-        path.append((rlev[nr - i], zlev_desc[nz]))
     path = np.asarray(path)
 
     def offset(phi, h):
@@ -463,3 +468,58 @@ def test_block_builder_matches_scalar_builder(config, k, sigma_max, omega):
     assert new.nodes.shape == ref.nodes.shape
     X, X_ref = new.nodes[new.elem_nodes], ref.nodes[ref.elem_nodes]
     assert np.max(np.abs(X - X_ref)) <= 1e-15 * np.max(np.abs(ref.nodes))
+
+
+# Elements of the whole meridian's meshes, before they were cut to z >= 0:
+# A M1-M8, then per configuration and sigma_max M1-M6.
+FULL_COUNTS = {
+    ("A", 80.0): [8, 32, 72, 128, 200, 288, 392, 512],
+    ("B1", 20.0): [112, 122, 132, 142, 152, 162],
+    ("B1", 80.0): [112, 122, 142, 152, 162, 172],
+    ("B1", 400.0): [122, 132, 152, 162, 172, 182],
+    ("B2", 20.0): [102, 112, 122, 132, 142, 152],
+    ("B2", 80.0): [112, 122, 132, 142, 152, 162],
+    ("B2", 400.0): [112, 132, 142, 152, 162, 172],
+    **{(c, s): [102, 112, 122, 132, 142, 152] for c in ("C1", "C2") for s in (20.0, 80.0, 400.0)},
+}
+HALF_CASES = [(c, k + 1, s) for (c, s), counts in FULL_COUNTS.items() for k in range(len(counts))]
+
+
+@pytest.mark.parametrize("config,k,sigma_max", HALF_CASES, ids=str)
+def test_mesh_holds_the_half_meridian(config, k, sigma_max):
+    # Every node at z >= 0, those within 1e-12 of the symmetry plane
+    # exactly on it, some facets on it, and half the whole meridian's
+    # elements.
+    m = mesh_for(config, f"M{k}", sigma_max=sigma_max)
+    z = m.nodes[:, 1]
+    assert np.all(z >= 0.0) and np.all(z[z < 1e-12] == 0.0)
+    one, _ = mesh._facet_owners(m)
+    assert np.any(mesh._on_line(m, one, 1))
+    assert 2 * m.n_elements == FULL_COUNTS[config, sigma_max][k - 1]
+
+
+def test_crack_off_the_symmetry_plane_is_rejected():
+    # A M2 without its bottom row of elements: the facets at z = 0.5 then
+    # have one owner and lie on no boundary.
+    m = square_mesh_A(2)
+    assert mesh._check_cracks(m, mesh._facet_owners(m)[0], lambda r, z: (r == 2.0) | (z == 2.0)) is None
+    keep = m.nodes[m.corners].min(axis=1)[:, 1] >= 0.5
+    cut = mesh.QuadMesh(m.nodes, m.elem_nodes[keep], m.geomdeg, m.conductor[keep])
+    with pytest.raises(MeshGenerationError, match="facet has one owner but lies inside"):
+        mesh._check_cracks(cut, mesh._facet_owners(cut)[0], lambda r, z: (r == 2.0) | (z == 2.0))
+
+
+@pytest.mark.parametrize("config,spec", [("A", "M2"), ("B1", "M2"), ("C1", "M1"), ("C2", "M2")])
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_symmetry_plane_dofs_are_free(config, spec, p):
+    # The DOFs on z = 0 off the axis and the outer boundary are neither
+    # axis nor outer DOFs; the two at its ends are, the axis one axis.
+    m = mesh_for(config, spec, sigma_max=80.0)
+    space = FeSpace(m, p)
+    r, z = space.dof_coords.T
+    on_plane = np.flatnonzero(z == 0.0)
+    ends = on_plane[[np.argmin(r[on_plane]), np.argmax(r[on_plane])]]
+    inner = np.setdiff1d(on_plane, ends)
+    assert len(inner) and not np.any(space.constrained[inner])
+    assert not np.intersect1d(inner, np.r_[space.axis_dofs, space.outer_dofs]).size
+    assert ends[0] in space.axis_dofs and ends[1] in space.outer_dofs

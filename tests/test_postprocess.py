@@ -83,7 +83,8 @@ class TestConductorNorm:
 
 
 def _conductor_norm_per_element(field):
-    """The element-by-element conductor norm: the reference for the batched one."""
+    """The element-by-element conductor norm, twice the half meridian's
+    integral: the reference for the batched one."""
     from skinfem.basis import tensor_lagrange_grid
     from skinfem.fem import _geometry_eval, _quad_points
 
@@ -99,7 +100,7 @@ def _conductor_norm_per_element(field):
         rq, _, _, _, _, _, det = _geometry_eval(X, *tensor_lagrange_grid(m.geomdeg, xq))
         hq = phi @ field.coeffs[space.elem_dofs[e]]
         total += np.sum(w2 * det * rq * np.abs(hq) ** 2)
-    return float(np.sqrt(total))
+    return float(np.sqrt(2.0 * total))
 
 
 @pytest.mark.parametrize(
