@@ -6,7 +6,7 @@ curvature-corrected decay slopes, and corner profiles.
 """
 
 from .physics import PhysicalParams, skin_depth, theoretical_slope, curv_ratio
-from .fem import FeSpace, SourceSpec, assemble, solve, evaluate
+from .fem import FeSpace, SourceSpec, assemble, solve, solve_all, evaluate
 from .mesh import mesh_for, square_mesh_A, layered_mesh_B
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "SourceSpec",
     "assemble",
     "solve",
+    "solve_all",
     "evaluate",
     "mesh_for",
     "square_mesh_A",

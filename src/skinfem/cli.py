@@ -119,6 +119,18 @@ class ExperimentConfig:
             raise ConfigError(f"field 'p': {self.study} takes exactly one degree")
         if self.study == "field-map" and len(self.sigmas) != 1:
             raise ConfigError("field 'sigma': field-map takes exactly one conductivity")
+        if self.study != "sigma-scaling":
+            # A study's artifacts are named by sigma's %g, and by p but for
+            # p-convergence's; sigma-scaling writes none per sigma.
+            named = {}
+            for sigma, p in self.paired():
+                name = f"s{sigma:g}" + ("" if self.study == "p-convergence" else f"_p{p}")
+                if name in named:
+                    raise ConfigError(
+                        f"field 'sigma': {named[name]!r} and {sigma!r} give the same "
+                        f"artifact name ({name})"
+                    )
+                named[name] = sigma
         specs = self.mesh_spec.split("+") if self.study == "h-stability" else [self.mesh_spec]
         if not all(mesh.MESH_SPEC.fullmatch(s) for s in specs):
             raise ConfigError(
@@ -229,27 +241,31 @@ class _Runner:
         self.written: list[str] = []
         self.geom = geometry.CONFIGURATIONS[cfg.config]
         self.setup = STUDY_TABLE[cfg.config]
-        # The last assembled system and its (spec, p). One slot: a study
-        # visits each (spec, p) in one run of consecutive solves.
-        self._assembled: tuple[tuple[str, int], fem.AssembledSystem] | None = None
 
     # -- helpers ------------------------------------------------------------
 
     def _mesh(self, spec: str):
         return mesh.mesh_for(self.cfg.config, spec, max(self.cfg.sigmas), self.cfg.omega)
 
-    def _solve(self, spec: str, p: int, sigma: float) -> fem.DiscreteField:
-        """Solve at sigma, assembling only when (spec, p) changes."""
-        params = physics.PhysicalParams(sigma=sigma, omega=self.cfg.omega)
-        if self._assembled is None or self._assembled[0] != (spec, p):
-            self._assembled = None  # free the old system before assembling
-            space = fem.FeSpace(self._mesh(spec), p)
-            system = fem.assemble(space, params, self.setup.source)
-            self._assembled = ((spec, p), system)
-        return fem.solve(self._assembled[1].at(params))
+    def _fields(self, spec: str, p: int, sigmas) -> list:
+        """The fields at sigmas on mesh spec and degree p, in their order,
+        from one assembly and one `fem.solve_all`."""
+        params = [physics.PhysicalParams(sigma=s, omega=self.cfg.omega) for s in sigmas]
+        system = fem.assemble(fem.FeSpace(self._mesh(spec), p), params[0], self.setup.source)
+        return fem.solve_all([system.at(q) for q in params])
 
-    def _norm(self, spec: str, p: int, sigma: float) -> float:
-        return _post(postprocess.conductor_norm, self._solve(spec, p, sigma))
+    def _norms(self, spec: str, p: int, sigmas) -> list:
+        return [_post(postprocess.conductor_norm, f) for f in self._fields(spec, p, sigmas)]
+
+    def _paired_fields(self) -> list:
+        """((sigma, p), field) for each of the run's (sigma, p) pairs, in
+        their order: the sigmas of one degree are solved together."""
+        pairs = self.cfg.paired()
+        fields = {}
+        for p in dict.fromkeys(p for _, p in pairs):
+            sigmas = [s for s, q in pairs if q == p]
+            fields.update(zip([(s, p) for s in sigmas], self._fields(self.cfg.mesh_spec, p, sigmas)))
+        return [(pair, fields[pair]) for pair in pairs]
 
     def _path(self, name: str) -> str:
         path = os.path.join(self.cfg.out, name)
@@ -270,8 +286,7 @@ class _Runner:
 
     def study_solve(self):
         rows = []
-        for sigma, p in self.cfg.paired():
-            f = self._solve(self.cfg.mesh_spec, p, sigma)
+        for (sigma, p), f in self._paired_fields():
             r, z = f.space.dof_coords.T
             postprocess.write_csv(
                 self._path(f"field_s{sigma:g}_p{p}.csv"),
@@ -285,9 +300,8 @@ class _Runner:
         H = self.geom.equator_mean_curvature()
         a = self.geom.equator_interface_radius
         rows = []
-        for sigma, p in self.cfg.paired():
+        for (sigma, p), f in self._paired_fields():
             params = physics.PhysicalParams(sigma=sigma, omega=self.cfg.omega)
-            f = self._solve(self.cfg.mesh_spec, p, sigma)
             y3, vals = _post(postprocess.extract_radial, f, a)
             rep = _post(postprocess.slope_report, y3, vals, params, H)
             postprocess.write_profile_csv(
@@ -303,10 +317,11 @@ class _Runner:
 
     def study_p_convergence(self):
         ref_spec, ref_p = self.setup.pconv_reference
-        # Degree outermost: the solves of one (mesh, p) share an assembly.
-        refs = [self._norm(ref_spec, ref_p, sigma) for sigma in self.cfg.sigmas]
+        refs = self._norms(ref_spec, ref_p, self.cfg.sigmas)
+        # A degree on the reference's mesh and degree is the reference.
         norms = [
-            [self._norm(self.cfg.mesh_spec, p, sigma) for sigma in self.cfg.sigmas]
+            refs if (self.cfg.mesh_spec, p) == (ref_spec, ref_p)
+            else self._norms(self.cfg.mesh_spec, p, self.cfg.sigmas)
             for p in self.cfg.ps
         ]
         for k, (sigma, ref) in enumerate(zip(self.cfg.sigmas, refs)):
@@ -319,8 +334,7 @@ class _Runner:
     def study_h_stability(self):
         specs = [s.strip() for s in self.cfg.mesh_spec.split("+")]
         (p,) = self.cfg.ps
-        # Mesh outermost: the solves on one mesh share an assembly.
-        norms = [[self._norm(spec, p, sigma) for sigma in self.cfg.sigmas] for spec in specs]
+        norms = [self._norms(spec, p, self.cfg.sigmas) for spec in specs]
         ks = [int(spec[1:]) for spec in specs]
         for k, sigma in enumerate(self.cfg.sigmas):
             postprocess.write_csv(
@@ -329,7 +343,7 @@ class _Runner:
 
     def study_sigma_scaling(self):
         (p,) = self.cfg.ps
-        norms = [self._norm(self.cfg.mesh_spec, p, s) for s in self.cfg.sigmas]
+        norms = self._norms(self.cfg.mesh_spec, p, self.cfg.sigmas)
         postprocess.write_csv(self._path("scaling.csv"), "sigma,A", (self.cfg.sigmas, norms))
         t = _post(postprocess.scaling_exponent, self.cfg.sigmas, norms)
         with open(self._path("scaling_exponent.txt"), "w") as f:
@@ -337,9 +351,8 @@ class _Runner:
 
     def study_corner_study(self):
         (p,) = self.cfg.ps
-        for sigma in self.cfg.sigmas:
+        for sigma, f in zip(self.cfg.sigmas, self._fields(self.cfg.mesh_spec, p, self.cfg.sigmas)):
             params = physics.PhysicalParams(sigma=sigma, omega=self.cfg.omega)
-            f = self._solve(self.cfg.mesh_spec, p, sigma)
             mid, slopes = _post(postprocess.corner_slopes, f, params, corner=self.geom.corner)
             postprocess.write_csv(
                 self._path(f"corner_s{sigma:g}_p{p}.csv"), "rho,slope", (mid, slopes)
@@ -348,7 +361,7 @@ class _Runner:
     def study_field_map(self):
         (p,) = self.cfg.ps
         (sigma,) = self.cfg.sigmas
-        f = self._solve(self.cfg.mesh_spec, p, sigma)
+        (f,) = self._fields(self.cfg.mesh_spec, p, [sigma])
         rmax, zmax = self.geom.extent
         r_axis, z_axis, vals = _post(
             postprocess.imag_field_map, f, (0.0, rmax), (-zmax, zmax), 81, 81

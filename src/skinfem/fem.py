@@ -16,7 +16,8 @@ form's weights depend on r alone, so elements that differ only by a shift in
 z have the same stiffness and mass in the same local DOF order. `FeSpace`
 finds these shape classes once; `assemble` computes S and M once per class,
 with the sum-factorized `kernels.element_matrix` on 1D Lagrange tables, and
-`solve` condenses once per class and coefficient.
+`solve_all` condenses once per class and coefficient, once for all the
+sigmas of one assembly where the coefficient does not depend on sigma.
 The skeleton system left by the condensation is solved by multifrontal
 elimination over a nested-dissection tree of the elements (George 1973;
 Duff & Reid 1983), which `FeSpace` builds once; numpy is the only
@@ -51,6 +52,7 @@ __all__ = [
     "PointLocationError",
     "assemble",
     "solve",
+    "solve_all",
     "locate",
     "inverse_map",
     "evaluate",
@@ -406,8 +408,9 @@ class AssembledSystem:
     coef is 1/eps_conductor in the conductor and 1 in the dielectric (or
     everywhere under `uniform_eps`). Sigma enters only through coef, so `at`
     re-targets the system to another conductivity without recomputing an
-    element matrix. No global matrix is formed: `solve` condenses once per
-    (shape, coef) group and eliminates the skeleton front by front.
+    element matrix, and `solve_all` solves such systems together. No global
+    matrix is formed: `solve_all` condenses once per (shape, coef) group and
+    eliminates the skeleton front by front.
     """
 
     space: FeSpace
@@ -545,39 +548,52 @@ def _even(fn, name: str, r, z) -> np.ndarray:
     return values
 
 
-def _lifted_rhs(system: AssembledSystem, full) -> np.ndarray:
-    """b - A g over all dofs; full is `kernels.full_index` of the element size."""
-    products = _element_products(system, system.gvec, full)
-    return _scatter(system.space.elem_dofs, system.loads - products, system.space.n_dofs)
+def _lifted_rhs(systems, full) -> np.ndarray:
+    """b - A g over all dofs, one row per system of `solve_all`'s kind,
+    which share loads and g; full is `kernels.full_index` of the element
+    size."""
+    first = systems[0]
+    space = first.space
+    products = _element_products(systems, first.gvec[None], full)
+    return np.array([_scatter(space.elem_dofs, first.loads - a, space.n_dofs) for a in products])
 
 
-def _element_products(system: AssembledSystem, v, full, rowsums=None):
-    """A_e v_e for every element, an (n_elements, (p+1)^2) complex array;
-    full is `kernels.full_index((p+1)^2)`. If given, rowsums, an array of
-    that shape, takes the row sums of |coef_e| |S| + kappa2 |M|, which bound
-    those of |A_e|.
+def _element_products(systems, vs, full, rowsums=None):
+    """A_e v_e for every system and element, an (n_systems, n_elements,
+    (p+1)^2) complex array, for systems of `solve_all`'s kind. vs holds one
+    vector per system, or one that every system multiplies; full is
+    `kernels.full_index((p+1)^2)`. If given, rowsums, an array of that
+    shape, takes each system's row sums of |coef_e| |S| + kappa2 |M|, which
+    bound those of |A_e|.
 
-    One real product per shape class, with its S and M expanded once: they
-    multiply the real and the imaginary parts of all its members' vectors at
-    once (S and M are symmetric, so v_e S = S v_e). No complex element
-    matrix is formed. A class whose members' v_e are all zero is skipped:
-    their products are zero, and their rows of rowsums are left as given. (A class is multiplied whole:
-    the BLAS product's rounding depends on its number of rows.)
+    One real product per shape class, with its S and M expanded and their
+    absolute row sums formed once: they multiply the real and the imaginary
+    parts of all its members' vectors, of every vector at once (S and M are
+    symmetric, so v_e S = S v_e). No complex element matrix is formed. A
+    vector whose members' v_e are all zero in a class is left out of its
+    product: its products there are zero, and its rows of rowsums are left
+    as given. (A class is multiplied whole: the BLAS product's rounding
+    depends on its number of rows, so one vector gives the bits of a
+    single-system call.)
     """
-    ve = np.asarray(v, dtype=np.complex128)[system.space.elem_dofs]
-    out = np.zeros_like(ve)
-    nonzero = ve.any(axis=1)
-    for k, idx in enumerate(_members(system.space.elem_shape)):
-        if not nonzero[idx].any():
+    first = systems[0]
+    ve = np.asarray(vs, dtype=np.complex128)[:, first.space.elem_dofs]
+    coef = np.array([s.coef for s in systems])[..., None]
+    out = np.zeros((len(systems),) + ve.shape[1:], dtype=np.complex128)
+    nonzero = ve.any(axis=2)
+    for k, idx in enumerate(_members(first.space.elem_shape)):
+        on = np.flatnonzero(nonzero[:, idx].any(axis=1))
+        if not len(on):
             continue
-        S, M = system.stiffness[k][full], system.mass[k][full]
-        parts = np.concatenate([ve[idx].real, ve[idx].imag])
-        Sv, Mv = parts @ S, parts @ M
-        m = len(idx)
-        coef = system.coef[idx, None]
-        out[idx] = coef * (Sv[:m] + 1j * Sv[m:]) - system.kappa2 * (Mv[:m] + 1j * Mv[m:])
+        S, M = first.stiffness[k][full], first.mass[k][full]
+        v = ve[np.ix_(on, idx)]
+        parts = np.concatenate([v.real, v.imag]).reshape(-1, v.shape[2])
+        Sv, Mv = ((parts @ A).reshape((2,) + v.shape) for A in (S, M))
+        at = np.ix_(on if len(ve) == len(systems) else np.arange(len(systems)), idx)
+        c = coef[at]
+        out[at] = c * (Sv[0] + 1j * Sv[1]) - first.kappa2 * (Mv[0] + 1j * Mv[1])
         if rowsums is not None:
-            rowsums[idx] = np.abs(coef) * np.abs(S).sum(axis=1) + system.kappa2 * np.abs(M).sum(axis=1)
+            rowsums[at] = np.abs(c) * np.abs(S).sum(axis=1) + first.kappa2 * np.abs(M).sum(axis=1)
     return out
 
 
@@ -600,16 +616,22 @@ def _skeleton_locals(p: int) -> np.ndarray:
 
 
 def solve(system: AssembledSystem) -> DiscreteField:
-    """Direct solve by static condensation and multifrontal elimination,
-    checked by a row-scaled backward error over the free rows (Rigal &
-    Gaches, J. ACM 14, 1967; Oettli & Prager, Numer. Math. 6, 1964; Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, sec.
-    7.1): the largest |A y - b|_i / (||A_i|| ||y|| + |b_i|), ||y|| in the
-    max norm, at most BACKWARD_ERROR_BOUND, with the row norm ||A_i|| bounded
-    by the summed row sums of |coef_e| |S| + kappa2 |M|. A row whose
-    denominator is 0 must have no residual. Each row is measured against its
-    own scale, so rows with a tiny coefficient, as a conductor's at high
-    sigma, are not hidden behind the largest row.
+    """The solution of one system: `solve_all([system])[0]`."""
+    return solve_all([system])[0]
+
+
+def solve_all(systems) -> list:
+    """Solutions of systems made from one assembly by `AssembledSystem.at`,
+    in their order: direct solves by static condensation and multifrontal
+    elimination, each checked by a row-scaled backward error over the free
+    rows (Rigal & Gaches, J. ACM 14, 1967; Oettli & Prager, Numer. Math. 6,
+    1964; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, sec. 7.1): the largest |A y - b|_i / (||A_i|| ||y|| + |b_i|),
+    ||y|| in the max norm, at most BACKWARD_ERROR_BOUND, with the row norm
+    ||A_i|| bounded by the summed row sums of |coef_e| |S| + kappa2 |M|. A
+    row whose denominator is 0 must have no residual. Each row is measured
+    against its own scale, so rows with a tiny coefficient, as a
+    conductor's at high sigma, are not hidden behind the largest row.
 
     The interior DOFs of each element are eliminated against its skeleton
     (vertex and edge) DOFs, once per group of elements that share a shape
@@ -620,73 +642,126 @@ def solve(system: AssembledSystem) -> DiscreteField:
     sides are dropped before it, and the interiors are then recovered by
     back-substitution.
 
-    A singular interior block raises AssemblyError naming the
+    The systems are solved one after another, and only each solution is
+    kept from one to the next. A group with the same members and
+    coefficient in every system (each dielectric group, and every group
+    under `uniform_eps`) is condensed once, in the first system, and its
+    pieces are reused by the others. The backward errors are checked
+    after the last solve, in one pass over the shape classes for all the
+    systems (`_element_products`). Each solution is bitwise that of
+    `solve` on its system alone.
+
+    Raises ValueError naming the first of space, stiffness, mass, loads,
+    gvec and kappa2 that a system does not share with the first. A
+    singular interior block raises AssemblyError naming the
     lowest-numbered element that has one; a singular front, the
-    lowest-numbered element below it.
+    lowest-numbered element below it; a non-finite solution or a backward
+    error over the bound, the system's position, counted from 1. No
+    solution is returned if any system fails.
     """
-    space = system.space
+    systems = list(systems)
+    if not systems:
+        return []
+    first = systems[0]
+    for name in ("space", "stiffness", "mass", "loads", "gvec", "kappa2"):
+        ref = getattr(first, name)
+        for k, system in enumerate(systems[1:], 2):
+            value = getattr(system, name)
+            if value is not ref and (name != "kappa2" or value != ref):
+                raise ValueError(
+                    f"system {k} does not share {name} with system 1: solve_all takes "
+                    "systems made from one assembly by AssembledSystem.at"
+                )
+    space = first.space
     dofs = space.elem_dofs
     ns = space.n_skeleton
     il, bl = _interior_locals(space.p), _skeleton_locals(space.p)
     skel = dofs[:, bl]
     nel, ni, nb = len(dofs), len(il), len(bl)
     full = kernels.full_index(dofs.shape[1])
-    rhs = _lifted_rhs(system, full)
-    r_i = rhs[dofs[:, il]]
+    rhs = _lifted_rhs(systems, full)
     # The packed positions of the interior and skeleton blocks.
     ii, ib, bb = (full[a[:, None], b] for a, b in ((il, il), (il, bl), (bl, bl)))
-
-    # One matrix per group, formed on the packed entries: A_ii^-1 [A_ib |
-    # r_i of every member] and the Schur complement on the skeleton, shared
-    # by the members. A real coefficient keeps the matrix real; the members'
-    # interior right-hand sides are then solved as real and imaginary
-    # columns.
-    keys = np.column_stack([space.elem_shape, system.coef.real, system.coef.imag])
-    group = _first_appearance(keys, axis=0)[0]
-    groups = _members(group)
     upper = np.triu_indices(nb)
-    X_b, schur = [], np.empty((len(groups), len(upper[0])), dtype=np.complex128)
-    x_r = np.empty((nel, ni), dtype=np.complex128)
-    A_bi_x = np.empty((nel, nb), dtype=np.complex128)
-    for g, idx in enumerate(groups):
-        e, m = idx[0], len(idx)
-        c, k = system.coef[e], space.elem_shape[e]
-        A = (c if c.imag else c.real) * system.stiffness[k] - system.kappa2 * system.mass[k]
-        r = r_i[idx].T if c.imag else np.hstack([r_i[idx].real.T, r_i[idx].imag.T])
-        try:
-            X = np.linalg.solve(A[ii], np.hstack([A[ib], r]))
-        except np.linalg.LinAlgError:
-            raise AssemblyError(f"singular interior block in element {e}") from None
-        X_b.append(X[:, :nb].copy())  # not a view that keeps the r columns
-        x_r[idx] = X[:, nb:].T if c.imag else (X[:, nb : nb + m] + 1j * X[:, nb + m :]).T
-        # (i, j) and (j, i) share a packed entry: A_bi is A_ib transposed.
-        A_bi = np.ascontiguousarray(A[ib].T)
-        schur[g] = (A[bb] - A_bi @ X[:, :nb])[upper]
-        A_bi_x[idx] = x_r[idx] @ A_bi.T
-    del r_i
 
-    # Constrained skeleton rows and columns are dropped: rhs carries -A g.
-    y = np.zeros(space.n_dofs, dtype=np.complex128)  # coefficients minus gvec
-    b = rhs[:ns] - _scatter(skel, A_bi_x, ns)
-    y[:ns] = _eliminate(space.tree, schur, group, b, kernels.full_index(nb))
-    for idx, X in zip(groups, X_b):
-        y[dofs[idx[:, None], il]] = x_r[idx] - y[skel[idx]] @ X.T
-    if not np.all(np.isfinite(y)):
-        raise AssemblyError("non-finite solution")
+    coefs = np.array([s.coef for s in systems])
+    labels = [_groups(space, c.real, c.imag) for c in coefs]
+    # The groups condensed once, by their first member: those whose
+    # members and coefficient no later system changes.
+    joint = _groups(space, *coefs.real, *coefs.imag)
+    once = np.all(coefs == coefs[0], axis=0) & (len(systems) > 1)
+    for group in labels:
+        once &= np.bincount(group)[group] == np.bincount(joint)[joint]
+    kept = {}
+    ys = []
+    for n, (system, group) in enumerate(zip(systems, labels), 1):
+        # One matrix per group, formed on the packed entries: A_ii^-1 [A_ib |
+        # r_i of every member] and the Schur complement on the skeleton,
+        # shared by the members. A real coefficient keeps the matrix real;
+        # the members' interior right-hand sides are then solved as real
+        # and imaginary columns.
+        groups = _members(group)
+        X_b, schur = [], np.empty((len(groups), len(upper[0])), dtype=np.complex128)
+        x_r = np.empty((nel, ni), dtype=np.complex128)
+        A_bi_x = np.empty((nel, nb), dtype=np.complex128)
+        r_i = rhs[n - 1][dofs[:, il]]
+        for g, idx in enumerate(groups):
+            e, m = idx[0], len(idx)
+            if e in kept:
+                X, schur[g], x_r[idx], A_bi_x[idx] = kept[e]
+                X_b.append(X)
+                continue
+            c, k = system.coef[e], space.elem_shape[e]
+            A = (c if c.imag else c.real) * system.stiffness[k] - system.kappa2 * system.mass[k]
+            r = r_i[idx].T if c.imag else np.hstack([r_i[idx].real.T, r_i[idx].imag.T])
+            try:
+                X = np.linalg.solve(A[ii], np.hstack([A[ib], r]))
+            except np.linalg.LinAlgError:
+                raise AssemblyError(f"singular interior block in element {e}") from None
+            X_b.append(X[:, :nb].copy())  # not a view that keeps the r columns
+            x_r[idx] = X[:, nb:].T if c.imag else (X[:, nb : nb + m] + 1j * X[:, nb + m :]).T
+            # (i, j) and (j, i) share a packed entry: A_bi is A_ib transposed.
+            A_bi = np.ascontiguousarray(A[ib].T)
+            schur[g] = (A[bb] - A_bi @ X[:, :nb])[upper]
+            A_bi_x[idx] = x_r[idx] @ A_bi.T
+            if once[e]:
+                kept[e] = X_b[-1], schur[g].copy(), x_r[idx], A_bi_x[idx]
+        del r_i
+
+        # Constrained skeleton rows and columns are dropped: rhs carries -A g.
+        y = np.zeros(space.n_dofs, dtype=np.complex128)  # coefficients minus gvec
+        b = rhs[n - 1][:ns] - _scatter(skel, A_bi_x, ns)
+        y[:ns] = _eliminate(space.tree, schur, group, b, kernels.full_index(nb))
+        for idx, X in zip(groups, X_b):
+            y[dofs[idx[:, None], il]] = x_r[idx] - y[skel[idx]] @ X.T
+        if not np.all(np.isfinite(y)):
+            raise AssemblyError(f"non-finite solution of system {n}")
+        ys.append(y)
+        del X_b, schur, x_r, A_bi_x
+    del kept
 
     free = space.free
-    rowsum = np.zeros(dofs.shape)
-    products = _element_products(system, y, full, rowsum)
-    r = np.abs(_scatter(dofs, products, space.n_dofs)[free] - rhs[free])
-    norm_a = np.bincount(dofs.ravel(), rowsum.ravel(), space.n_dofs)[free]
-    scale = norm_a * np.max(np.abs(y)) + np.abs(rhs[free])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.max(np.where(r == 0, 0.0, r / scale), initial=0.0)
-    if not err <= BACKWARD_ERROR_BOUND:
-        raise AssemblyError(
-            f"solver residual: backward error {err:.3e} exceeds {BACKWARD_ERROR_BOUND:.0e}"
-        )
-    return DiscreteField(space=space, coeffs=system.gvec + y)
+    rowsums = np.zeros((len(systems),) + dofs.shape)
+    products = _element_products(systems, ys, full, rowsums)
+    for n, (y, b, a, rowsum) in enumerate(zip(ys, rhs, products, rowsums), 1):
+        r = np.abs(_scatter(dofs, a, space.n_dofs)[free] - b[free])
+        norm_a = np.bincount(dofs.ravel(), rowsum.ravel(), space.n_dofs)[free]
+        scale = norm_a * np.max(np.abs(y)) + np.abs(b[free])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.max(np.where(r == 0, 0.0, r / scale), initial=0.0)
+        if not err <= BACKWARD_ERROR_BOUND:
+            raise AssemblyError(
+                f"solver residual of system {n}: backward error {err:.3e} exceeds "
+                f"{BACKWARD_ERROR_BOUND:.0e}"
+            )
+    return [DiscreteField(space=space, coeffs=s.gvec + y) for s, y in zip(systems, ys)]
+
+
+def _groups(space: FeSpace, *keys) -> np.ndarray:
+    """Group of each element, numbered in order of first appearance: the
+    elements of one shape class whose keys (arrays over the elements) are
+    all equal."""
+    return _first_appearance(np.column_stack([space.elem_shape, *keys]), axis=0)[0]
 
 
 def _eliminate(tree, schur, group, b, full) -> np.ndarray:

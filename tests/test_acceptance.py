@@ -109,11 +109,10 @@ def test_criterion_4_sigma_scaling():
     m = mesh.mesh_for("B1", "M3", sigma_max=max(sigmas))
     space = fem.FeSpace(m, 16)
     # sigma enters only the conductor coefficient: assemble once, re-target
+    # and solve every sigma in one pass
     system = fem.assemble(space, PhysicalParams(sigma=sigmas[0]), fem.SourceSpec.dirichlet_radius())
-    norms = []
-    for sigma in sigmas:
-        f = fem.solve(system.at(PhysicalParams(sigma=sigma)))
-        norms.append(postprocess.conductor_norm(f))
+    fields = fem.solve_all([system.at(PhysicalParams(sigma=sigma)) for sigma in sigmas])
+    norms = [postprocess.conductor_norm(f) for f in fields]
     t = postprocess.scaling_exponent(sigmas, norms)
     report(
         "criterion 4: conductor norm scales like sigma^(-1/4)",
@@ -132,7 +131,8 @@ def test_criterion_5_p_convergence_plateau():
     def norms(space):
         """Conductor norm at every sigma from one assembly of the space."""
         system = fem.assemble(space, params[0], src)
-        return np.array([postprocess.conductor_norm(fem.solve(system.at(q))) for q in params])
+        fields = fem.solve_all([system.at(q) for q in params])
+        return np.array([postprocess.conductor_norm(f) for f in fields])
 
     ref = norms(fem.FeSpace(m_ref, 16))
     worst = np.zeros(len(sigmas))

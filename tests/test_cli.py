@@ -157,6 +157,41 @@ class TestValidation:
         assert f"field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "study, sigma, p",
+        [
+            ("solve", "5, 5", "2"),
+            ("solve", "100, 100.0001", "2"),  # both are s100 under %g
+            ("solve", "5, 20, 5", "2, 3, 2"),
+            ("slope-study", "5, 5.0", "8"),
+            ("h-stability", "5, 5", "2"),
+            ("corner-study", "20, 20.00001", "2"),
+            ("p-convergence", "5, 5", "2, 3"),
+            ("p-convergence", "5, 5.000001", "2"),
+        ],
+    )
+    def test_artifact_name_collision_rejected(self, tmp_path, capsys, study, sigma, p):
+        body = (
+            BASE.format(out=tmp_path / "out")
+            .replace("study = solve", f"study = {study}")
+            .replace("sigma = 5", f"sigma = {sigma}")
+            .replace("p = 2", f"p = {p}")
+        )
+        assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_CONFIG
+        assert "field 'sigma'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "study, sigmas, ps",
+        [
+            ("solve", [5.0, 5.0], [2, 3]),  # field_s5_p2.csv and field_s5_p3.csv
+            ("slope-study", [100.0, 100.001], [8]),  # s100 and s100.001
+            ("sigma-scaling", [5.0, 5.0, 20.0], [2]),  # no file per sigma
+        ],
+    )
+    def test_distinct_artifact_names_accepted(self, study, sigmas, ps):
+        cli.ExperimentConfig(study=study, config="A", sigmas=sigmas, ps=ps).validate()
+
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -327,18 +362,19 @@ class TestRuns:
 TWO_SIGMAS = BASE.replace("sigma = 5", "sigma = 5, 20")
 
 
-def _fail_second_solve(monkeypatch, exc):
-    """Let the first fem.solve through and raise exc from the second."""
-    solve = cli.fem.solve
-    calls = []
+def _fail_second_field(monkeypatch, exc):
+    """Let fem.solve_all solve the run's first field and raise exc from the
+    call that would return its second."""
+    solve_all = cli.fem.solve_all
+    solved = []
 
-    def flaky(system):
-        calls.append(1)
-        if len(calls) > 1:
+    def flaky(systems):
+        solved.extend(systems)
+        if len(solved) > 1:
             raise exc
-        return solve(system)
+        return solve_all(systems)
 
-    monkeypatch.setattr(cli.fem, "solve", flaky)
+    monkeypatch.setattr(cli.fem, "solve_all", flaky)
 
 
 class TestExitCodes:
@@ -353,10 +389,10 @@ class TestExitCodes:
     )
     def test_library_error_exit_code(self, tmp_path, monkeypatch, capsys, exc, code):
         out = tmp_path / "out"
-        _fail_second_solve(monkeypatch, exc)
+        _fail_second_field(monkeypatch, exc)
         assert cli.main(["--config", write_ini(tmp_path, TWO_SIGMAS.format(out=out))]) == code
         assert str(exc) in capsys.readouterr().err
-        assert os.listdir(out) == []  # the first sigma's field file is removed
+        assert os.listdir(out) == []
 
     def test_singular_skeleton_exit_3(self, tmp_path, monkeypatch, capsys):
         # Zero skeleton rows and columns: regular interior blocks, a
@@ -388,7 +424,7 @@ class TestExitCodes:
 
     def test_bug_propagates_without_partial_outputs(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
-        _fail_second_solve(monkeypatch, TypeError("unsupported operand"))
+        _fail_second_field(monkeypatch, TypeError("unsupported operand"))
         with pytest.raises(TypeError, match="unsupported operand"):
             cli.main(["--config", write_ini(tmp_path, TWO_SIGMAS.format(out=out))])
         assert os.listdir(out) == []
@@ -402,7 +438,7 @@ class TestExitCodes:
 
     def test_os_error_elsewhere_propagates(self, tmp_path, monkeypatch):
         elsewhere = str(tmp_path / "elsewhere" / "x.bin")
-        _fail_second_solve(monkeypatch, FileNotFoundError(2, "No such file", elsewhere))
+        _fail_second_field(monkeypatch, FileNotFoundError(2, "No such file", elsewhere))
         path = write_ini(tmp_path, TWO_SIGMAS.format(out=tmp_path / "out"))
         with pytest.raises(FileNotFoundError):
             cli.main(["--config", path])
@@ -523,16 +559,39 @@ class TestPConvergenceReference:
                 assert rows == ["p,absdiff", "2,0"], (sigmas, sigma)
         assert not (out / ".cache").exists()
         norms = [
-            cli._Runner(cli.ExperimentConfig(
+            postprocess.conductor_norm(cli._Runner(cli.ExperimentConfig(
                 study="p-convergence", config="B1", sigmas=sigmas, ps=[2],
                 mesh_spec="M1", out=str(out),
-            ))._norm("M1", 2, 5.0)
+            ))._fields("M1", 2, [5.0])[0])
             for sigmas in ([5.0], [5.0, 80.0])
         ]
         assert norms == [
             pytest.approx(1.3719895303532526, rel=1e-12),
             pytest.approx(1.3640791978794686, rel=1e-12),
         ]
+
+
+def test_p_convergence_solves_each_mesh_and_degree_once(tmp_path, monkeypatch):
+    # With the reference on the run's mesh (A M1 p=2), the listed degree 2
+    # reads the reference's fields: two solve_all calls, not three.
+    monkeypatch.setitem(cli.STUDY_TABLE, "A", cli.STUDY_TABLE["A"]._replace(pconv_reference=("M1", 2)))
+    solve_all = cli.fem.solve_all
+    calls = []
+
+    def counted(systems):
+        calls.append((systems[0].space.mesh.n_elements, systems[0].space.p, len(systems)))
+        return solve_all(systems)
+
+    monkeypatch.setattr(cli.fem, "solve_all", counted)
+    out = tmp_path / "out"
+    cfg = cli.ExperimentConfig(
+        study="p-convergence", config="A", sigmas=[5.0, 20.0], ps=[2, 3], mesh_spec="M1", out=str(out)
+    )
+    assert cli.run(cfg) == cli.EXIT_OK
+    assert calls == [(4, 2, 2), (4, 3, 2)]
+    for sigma in (5, 20):
+        rows = (out / f"pconv_s{sigma}.csv").read_text().splitlines()
+        assert rows[1] == "2,0"
 
 
 def test_mesh_resolves_the_run_omega():

@@ -46,7 +46,7 @@ def _element_triplets(dofs):
 
 def lifted_rhs(system):
     """b - A g over all dofs, from the solver's own lifting."""
-    return fem._lifted_rhs(system, kernels.full_index((system.space.p + 1) ** 2))
+    return fem._lifted_rhs([system], kernels.full_index((system.space.p + 1) ** 2))[0]
 
 
 def global_matrix(system):
@@ -599,6 +599,95 @@ class TestSigmaReuse:
         sys_ = assemble(FeSpace(mesh_a2, 2), params5, SourceSpec.dirichlet_radius())
         with pytest.raises(ValueError, match="kappa"):
             sys_.at(physics.PhysicalParams(sigma=5.0, omega=2.0 * params5.omega))
+
+
+SOLVE_ALL_CASES = [
+    ("B1", "M3", 400.0, 16, (80.0, 200.0, 400.0), False),
+    ("C1", "M3", 80.0, 8, (5.0, 80.0), False),
+    ("A", "M2", 80.0, 12, (5.0, 80.0), True),
+]
+
+
+class TestSolveAll:
+    """Every sigma of one assembly in one `solve_all` call."""
+
+    @pytest.mark.parametrize(
+        "config, spec, sigma_max, p, sigmas, uniform_eps", SOLVE_ALL_CASES,
+        ids=[f"{c}-{s}-p{p}" + ("-uniform" if u else "") for c, s, _, p, _, u in SOLVE_ALL_CASES],
+    )
+    def test_bitwise_equal_to_solve(self, config, spec, sigma_max, p, sigmas, uniform_eps):
+        space = FeSpace(mesh.mesh_for(config, spec, sigma_max=sigma_max), p)
+        params = [physics.PhysicalParams(sigma=s) for s in sigmas]
+        system = assemble(space, params[0], cli.STUDY_TABLE[config].source, uniform_eps=uniform_eps)
+        systems = [system.at(q) for q in params]
+        fields = fem.solve_all(systems)
+        assert len(fields) == len(systems)
+        for s, f in zip(systems, fields):
+            assert f.space is space
+            assert np.array_equal(f.coeffs, solve(s).coeffs)
+
+    def test_sigma_free_groups_condensed_once(self, mesh_a2, monkeypatch):
+        # One interior solve per group and system, but a dielectric group,
+        # whose matrix is the same at every sigma, is solved once.
+        space = FeSpace(mesh_a2, 4)
+        system = assemble(space, physics.PhysicalParams(sigma=5.0), SourceSpec.dirichlet_radius())
+        systems = [system.at(physics.PhysicalParams(sigma=s)) for s in (5.0, 20.0, 80.0)]
+        calls = []
+        linalg_solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return linalg_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        singles = [solve(s) for s in systems]
+        per_system = len(calls)
+        calls.clear()
+        fields = fem.solve_all(systems)
+        dielectric = len(np.unique(space.elem_shape[~mesh_a2.conductor]))
+        assert dielectric > 0
+        assert len(calls) == per_system - 2 * dielectric
+        for a, b in zip(singles, fields):
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_no_systems(self):
+        assert fem.solve_all([]) == []
+
+    @pytest.mark.parametrize("other", ["space", "stiffness"])
+    def test_systems_of_two_assemblies_raise(self, mesh_a2, params5, other):
+        src = SourceSpec.dirichlet_radius()
+        system = assemble(FeSpace(mesh_a2, 3), params5, src)
+        space = FeSpace(mesh_a2, 3) if other == "space" else system.space
+        second = assemble(space, physics.PhysicalParams(sigma=20.0), src)
+        with pytest.raises(ValueError, match=rf"system 3 does not share {other}\b"):
+            fem.solve_all([system, system.at(params5), second])
+
+    def test_other_kappa_raises(self, mesh_a2, params5):
+        system = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
+        other = dataclasses.replace(system, kappa2=2.0 * system.kappa2)
+        with pytest.raises(ValueError, match=r"system 2 does not share kappa2\b"):
+            fem.solve_all([system, other])
+
+    def test_failing_second_system_is_named(self, mesh_a2, params5):
+        system = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
+        second = system.at(physics.PhysicalParams(sigma=20.0))
+        second.coef[5] = np.nan
+        with pytest.raises(AssemblyError, match=r"system 2\b"):
+            fem.solve_all([system, second])
+
+    def test_failing_backward_error_is_named(self, mesh_a2, params5, monkeypatch):
+        # The second system's skeleton scaled by 1 + 1e-6 after its solve.
+        system = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
+        eliminate, calls = fem._eliminate, []
+
+        def scaled(*args):
+            calls.append(1)
+            return eliminate(*args) * (1 + 1e-6 * (len(calls) == 2))
+
+        monkeypatch.setattr(fem, "_eliminate", scaled)
+        systems = [system.at(physics.PhysicalParams(sigma=s)) for s in (5.0, 20.0, 80.0)]
+        with pytest.raises(AssemblyError, match=r"solver residual of system 2\b"):
+            fem.solve_all(systems)
 
 
 def _per_element_arrays(space, source):

@@ -146,10 +146,21 @@ NODAL_ERROR = {
 }
 
 
+@pytest.fixture(scope="module")
+def fields(systems):
+    """The field at each (sigma, p) of NODAL_ERROR, one `solve_all` per p."""
+    out = {}
+    for p, system in systems.items():
+        sigmas = [s for s, q in NODAL_ERROR if q == p]
+        solved = fem.solve_all([system.at(physics.PhysicalParams(sigma=s)) for s in sigmas])
+        out.update(zip([(s, p) for s in sigmas], solved))
+    return out
+
+
 @pytest.mark.parametrize("sigma, p", list(NODAL_ERROR), ids=str)
-def test_nodal_error(systems, sigma, p):
+def test_nodal_error(fields, sigma, p):
     params = physics.PhysicalParams(sigma=sigma)
-    field = fem.solve(systems[p].at(params))
+    field = fields[sigma, p]
     exact = exact_field(params, field.space.dof_coords)
     err = np.max(np.abs(field.coeffs - exact)) / np.max(np.abs(exact))
     assert err <= 2.0 * NODAL_ERROR[sigma, p]
