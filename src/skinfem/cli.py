@@ -78,6 +78,7 @@ class ExperimentConfig:
     omega: float = physics.OMEGA_DEFAULT
 
     def validate(self):
+        """Raise ConfigError naming the first bad field; spell the mesh spec M<k>."""
         if self.study not in STUDIES:
             raise ConfigError(
                 f"field 'study': unknown kind {self.study!r} (choose from {', '.join(STUDIES)})"
@@ -132,10 +133,13 @@ class ExperimentConfig:
                     )
                 named[name] = sigma
         specs = self.mesh_spec.split("+") if self.study == "h-stability" else [self.mesh_spec]
-        if not all(mesh.MESH_SPEC.fullmatch(s) for s in specs):
+        matches = [mesh.MESH_SPEC.fullmatch(s) for s in specs]
+        if not all(matches):
             raise ConfigError(
                 f"field 'mesh': bad spec {self.mesh_spec!r} (expected 'M<k>' with k >= 1)"
             )
+        # One spelling per mesh: the reference reuse and the manifest key compare specs.
+        self.mesh_spec = "+".join(f"M{m[1]}" for m in matches)
         if not self.out:
             raise ConfigError("field 'out': empty output directory")
 
@@ -252,7 +256,7 @@ class _Runner:
         from one assembly and one `fem.solve_all`."""
         params = [physics.PhysicalParams(sigma=s, omega=self.cfg.omega) for s in sigmas]
         system = fem.assemble(fem.FeSpace(self._mesh(spec), p), params[0], self.setup.source)
-        return fem.solve_all([system.at(q) for q in params])
+        return fem.solve_all(system, params)
 
     def _norms(self, spec: str, p: int, sigmas) -> list:
         return [_post(postprocess.conductor_norm, f) for f in self._fields(spec, p, sigmas)]
@@ -332,7 +336,7 @@ class _Runner:
             )
 
     def study_h_stability(self):
-        specs = [s.strip() for s in self.cfg.mesh_spec.split("+")]
+        specs = self.cfg.mesh_spec.split("+")
         (p,) = self.cfg.ps
         norms = [self._norms(spec, p, self.cfg.sigmas) for spec in specs]
         ks = [int(spec[1:]) for spec in specs]

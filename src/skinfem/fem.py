@@ -15,9 +15,10 @@ fundamental domain). `assemble` rejects data that is not even in z. The
 form's weights depend on r alone, so elements that differ only by a shift in
 z have the same stiffness and mass in the same local DOF order. `FeSpace`
 finds these shape classes once; `assemble` computes S and M once per class,
-with the sum-factorized `kernels.element_matrix` on 1D Lagrange tables, and
-`solve_all` condenses once per class and coefficient, once for all the
-sigmas of one assembly where the coefficient does not depend on sigma.
+with the sum-factorized `kernels.element_matrix` on 1D Lagrange tables.
+Sigma enters only the conductor's coefficient 1/eps_conductor, so
+`solve_all` solves one assembly at many sigmas: it condenses a class's
+elements outside the conductor once, and those in it once per sigma.
 The skeleton system left by the condensation is solved by multifrontal
 elimination over a nested-dissection tree of the elements (George 1973;
 Duff & Reid 1983), which `FeSpace` builds once; numpy is the only
@@ -26,7 +27,6 @@ dependency.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -393,23 +393,20 @@ class DiscreteField:
     space: FeSpace
     coeffs: np.ndarray
 
-    def evaluate(self, points) -> np.ndarray:
-        return evaluate(self, points)
-
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Sigma-independent element pieces plus one coefficient per element.
+    """Sigma-independent element pieces of one assembly, at params.
 
     The members of a shape class share S and M, each kept as its packed
     upper triangle (`kernels.full_index` reads it back): element e, of class
-    k = space.elem_shape[e], has the matrix coef[e] * stiffness[k] - kappa2
-    * mass[k] and the load vector loads[e] over the DOFs space.elem_dofs[e].
-    coef is 1/eps_conductor in the conductor and 1 in the dielectric (or
-    everywhere under `uniform_eps`). Sigma enters only through coef, so `at`
-    re-targets the system to another conductivity without recomputing an
-    element matrix, and `solve_all` solves such systems together. No global
-    matrix is formed: `solve_all` condenses once per (shape, coef) group and
+    k = space.elem_shape[e], has the matrix c_e * stiffness[k] - kappa^2 *
+    mass[k] and the load vector loads[e] over the DOFs space.elem_dofs[e],
+    kappa = params.kappa. c_e is 1/eps_conductor at params.sigma in the
+    conductor (`mesh.conductor`) and 1 in the dielectric, or 1 everywhere
+    under `uniform_eps`. Sigma enters only through the conductor's c_e, so
+    `solve_all` solves the system at any sigma of the same omega. No global
+    matrix is formed: `solve_all` condenses once per group of elements and
     eliminates the skeleton front by front.
     """
 
@@ -418,34 +415,12 @@ class AssembledSystem:
     mass: np.ndarray  # (n_shapes, n (n+1) / 2) real, packed
     loads: np.ndarray  # (n_elements, (p+1)^2) real element loads
     gvec: np.ndarray  # prescribed values at constrained dofs, 0 elsewhere
-    kappa2: float
-    coef: np.ndarray  # (n_elements,) complex
+    params: PhysicalParams
     uniform_eps: bool = False
-
-    def at(self, params: PhysicalParams) -> "AssembledSystem":
-        """The same system at params.sigma, sharing every element array.
-
-        Raises ValueError if params.kappa (set by omega) differs from the
-        assembled one: kappa scales the mass part, which is not re-targeted.
-        """
-        if params.kappa**2 != self.kappa2:
-            raise ValueError(
-                f"kappa^2 = {params.kappa**2!r} differs from the assembled {self.kappa2!r}"
-            )
-        coef = _coefficients(self.space.mesh, params, self.uniform_eps)
-        return dataclasses.replace(self, coef=coef)
 
 
 # ---------------------------------------------------------------------------
 # Assembly
-
-def _coefficients(mesh: QuadMesh, params: PhysicalParams, uniform_eps: bool):
-    """Stiffness coefficient per element: 1/eps_conductor in the conductor, else 1."""
-    coef = np.ones(mesh.n_elements, dtype=np.complex128)
-    if not uniform_eps:
-        coef[mesh.conductor] = 1.0 / params.eps_conductor
-    return coef
-
 
 def _shape_classes(mesh: QuadMesh) -> np.ndarray:
     """Shape class of each element, numbered in order of first appearance.
@@ -473,9 +448,8 @@ def assemble(
     source: SourceSpec,
     uniform_eps: bool = False,
 ) -> AssembledSystem:
-    """Stiffness and mass per shape class and loads per element, with
-    params' coefficients. The matrices of a class are those of its
-    lowest-numbered element.
+    """Stiffness and mass per shape class and loads per element, at params.
+    The matrices of a class are those of its lowest-numbered element.
 
     Raises ValueError naming the field of `source` (boundary_g, interior_f
     or support) that is not even in z (`_even`) where it is read: g at the
@@ -531,8 +505,7 @@ def assemble(
         mass=M,
         loads=be,
         gvec=gvec,
-        kappa2=params.kappa**2,
-        coef=_coefficients(mesh, params, uniform_eps),
+        params=params,
         uniform_eps=uniform_eps,
     )
 
@@ -548,23 +521,22 @@ def _even(fn, name: str, r, z) -> np.ndarray:
     return values
 
 
-def _lifted_rhs(systems, full) -> np.ndarray:
-    """b - A g over all dofs, one row per system of `solve_all`'s kind,
-    which share loads and g; full is `kernels.full_index` of the element
-    size."""
-    first = systems[0]
-    space = first.space
-    products = _element_products(systems, first.gvec[None], full)
-    return np.array([_scatter(space.elem_dofs, first.loads - a, space.n_dofs) for a in products])
+def _lifted_rhs(system, coefs, full) -> np.ndarray:
+    """b - A g over all dofs, one row per row of element coefficients in
+    coefs (`_element_products`); full is `kernels.full_index` of the
+    element size."""
+    space = system.space
+    products = _element_products(system, coefs, system.gvec[None], full)
+    return np.array([_scatter(space.elem_dofs, system.loads - a, space.n_dofs) for a in products])
 
 
-def _element_products(systems, vs, full, rowsums=None):
-    """A_e v_e for every system and element, an (n_systems, n_elements,
-    (p+1)^2) complex array, for systems of `solve_all`'s kind. vs holds one
-    vector per system, or one that every system multiplies; full is
-    `kernels.full_index((p+1)^2)`. If given, rowsums, an array of that
-    shape, takes each system's row sums of |coef_e| |S| + kappa2 |M|, which
-    bound those of |A_e|.
+def _element_products(system, coefs, vs, full, rowsums=None):
+    """A_e v_e for every row of coefs and every element, an (n_rows,
+    n_elements, (p+1)^2) complex array: element e's matrix is coefs[n, e] *
+    S - kappa^2 * M in row n. vs holds one vector per row, or one that
+    every row multiplies; full is `kernels.full_index((p+1)^2)`. If given,
+    rowsums, an array of that shape, takes each row's row sums of
+    |coefs[n, e]| |S| + kappa^2 |M|, which bound those of |A_e|.
 
     One real product per shape class, with its S and M expanded and their
     absolute row sums formed once: they multiply the real and the imaginary
@@ -574,26 +546,27 @@ def _element_products(systems, vs, full, rowsums=None):
     product: its products there are zero, and its rows of rowsums are left
     as given. (A class is multiplied whole: the BLAS product's rounding
     depends on its number of rows, so one vector gives the bits of a
-    single-system call.)
+    single-row call.)
     """
-    first = systems[0]
-    ve = np.asarray(vs, dtype=np.complex128)[:, first.space.elem_dofs]
-    coef = np.array([s.coef for s in systems])[..., None]
-    out = np.zeros((len(systems),) + ve.shape[1:], dtype=np.complex128)
+    space = system.space
+    kappa2 = system.params.kappa**2
+    ve = np.asarray(vs, dtype=np.complex128)[:, space.elem_dofs]
+    coef = coefs[..., None]
+    out = np.zeros((len(coefs),) + ve.shape[1:], dtype=np.complex128)
     nonzero = ve.any(axis=2)
-    for k, idx in enumerate(_members(first.space.elem_shape)):
+    for k, idx in enumerate(_members(space.elem_shape)):
         on = np.flatnonzero(nonzero[:, idx].any(axis=1))
         if not len(on):
             continue
-        S, M = first.stiffness[k][full], first.mass[k][full]
+        S, M = system.stiffness[k][full], system.mass[k][full]
         v = ve[np.ix_(on, idx)]
         parts = np.concatenate([v.real, v.imag]).reshape(-1, v.shape[2])
         Sv, Mv = ((parts @ A).reshape((2,) + v.shape) for A in (S, M))
-        at = np.ix_(on if len(ve) == len(systems) else np.arange(len(systems)), idx)
+        at = np.ix_(on if len(ve) == len(coefs) else np.arange(len(coefs)), idx)
         c = coef[at]
-        out[at] = c * (Sv[0] + 1j * Sv[1]) - first.kappa2 * (Mv[0] + 1j * Mv[1])
+        out[at] = c * (Sv[0] + 1j * Sv[1]) - kappa2 * (Mv[0] + 1j * Mv[1])
         if rowsums is not None:
-            rowsums[at] = np.abs(c) * np.abs(S).sum(axis=1) + first.kappa2 * np.abs(M).sum(axis=1)
+            rowsums[at] = np.abs(c) * np.abs(S).sum(axis=1) + kappa2 * np.abs(M).sum(axis=1)
     return out
 
 
@@ -616,103 +589,97 @@ def _skeleton_locals(p: int) -> np.ndarray:
 
 
 def solve(system: AssembledSystem) -> DiscreteField:
-    """The solution of one system: `solve_all([system])[0]`."""
-    return solve_all([system])[0]
+    """The solution of one system: `solve_all(system, [system.params])[0]`."""
+    return solve_all(system, [system.params])[0]
 
 
-def solve_all(systems) -> list:
-    """Solutions of systems made from one assembly by `AssembledSystem.at`,
-    in their order: direct solves by static condensation and multifrontal
-    elimination, each checked by a row-scaled backward error over the free
-    rows (Rigal & Gaches, J. ACM 14, 1967; Oettli & Prager, Numer. Math. 6,
-    1964; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    2002, sec. 7.1): the largest |A y - b|_i / (||A_i|| ||y|| + |b_i|),
-    ||y|| in the max norm, at most BACKWARD_ERROR_BOUND, with the row norm
-    ||A_i|| bounded by the summed row sums of |coef_e| |S| + kappa2 |M|. A
-    row whose denominator is 0 must have no residual. Each row is measured
-    against its own scale, so rows with a tiny coefficient, as a
-    conductor's at high sigma, are not hidden behind the largest row.
+def solve_all(system: AssembledSystem, params) -> list[DiscreteField]:
+    """The solutions of system at each of params, in their order: direct
+    solves by static condensation and multifrontal elimination, each
+    checked by a row-scaled backward error over the free rows (Rigal &
+    Gaches, J. ACM 14, 1967; Oettli & Prager, Numer. Math. 6, 1964; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, sec.
+    7.1): the largest |A y - b|_i / (||A_i|| ||y|| + |b_i|), ||y|| in the
+    max norm, at most BACKWARD_ERROR_BOUND, with the row norm ||A_i||
+    bounded by the summed row sums of |c_e| |S| + kappa^2 |M|. A row whose
+    denominator is 0 must have no residual. Each row is measured against
+    its own scale, so rows with a tiny coefficient, as a conductor's at
+    high sigma, are not hidden behind the largest row.
 
     The interior DOFs of each element are eliminated against its skeleton
-    (vertex and edge) DOFs, once per group of elements that share a shape
-    class and a coefficient, and so a matrix. Each group's Schur complement
-    is kept as its packed upper triangle (`np.triu_indices` of the 4p
-    skeleton DOFs), one stacked array for all groups, and eliminated front
-    by front over `space.tree` (`_eliminate`); the interior right-hand
-    sides are dropped before it, and the interiors are then recovered by
-    back-substitution.
+    (vertex and edge) DOFs, once per group of elements: the members of a
+    shape class in the conductor, whose coefficient c_e depends on sigma,
+    and those outside it, whose c_e is 1 (`AssembledSystem`). Each group's
+    Schur complement is kept as its packed upper triangle
+    (`np.triu_indices` of the 4p skeleton DOFs), one stacked array for all
+    groups, and eliminated front by front over `space.tree`
+    (`_eliminate`); the interior right-hand sides are dropped before it,
+    and the interiors are then recovered by back-substitution.
 
-    The systems are solved one after another, and only each solution is
-    kept from one to the next. A group with the same members and
-    coefficient in every system (each dielectric group, and every group
-    under `uniform_eps`) is condensed once, in the first system, and its
-    pieces are reused by the others. The backward errors are checked
-    after the last solve, in one pass over the shape classes for all the
-    systems (`_element_products`). Each solution is bitwise that of
-    `solve` on its system alone.
+    The params are solved one after another, and only each solution is
+    kept from one to the next. A group outside the conductor, and every
+    group under `uniform_eps`, is condensed once for all the params; a
+    conductor group once per params. The backward errors are checked after
+    the last solve, in one pass over the shape classes for all the params
+    (`_element_products`). Each solution is bitwise that of `solve` on an
+    assembly at its params.
 
-    Raises ValueError naming the first of space, stiffness, mass, loads,
-    gvec and kappa2 that a system does not share with the first. A
-    singular interior block raises AssemblyError naming the
-    lowest-numbered element that has one; a singular front, the
-    lowest-numbered element below it; a non-finite solution or a backward
-    error over the bound, the system's position, counted from 1. No
-    solution is returned if any system fails.
+    Raises ValueError naming the position of the first params, counted
+    from 1, whose kappa (set by omega) differs from the assembled one:
+    kappa scales the mass part, which is assembled once. A singular
+    interior block raises AssemblyError naming the lowest-numbered element
+    that has one; a singular front, the lowest-numbered element below it; a
+    non-finite solution or a backward error over the bound, the position
+    of its params as "system n". No solution is returned if any fails.
     """
-    systems = list(systems)
-    if not systems:
+    params = list(params)
+    kappa2 = system.params.kappa**2
+    for n, q in enumerate(params, 1):
+        if q.kappa**2 != kappa2:
+            raise ValueError(
+                f"params {n}: kappa^2 = {q.kappa**2!r} differs from the assembled {kappa2!r}"
+            )
+    if not params:
         return []
-    first = systems[0]
-    for name in ("space", "stiffness", "mass", "loads", "gvec", "kappa2"):
-        ref = getattr(first, name)
-        for k, system in enumerate(systems[1:], 2):
-            value = getattr(system, name)
-            if value is not ref and (name != "kappa2" or value != ref):
-                raise ValueError(
-                    f"system {k} does not share {name} with system 1: solve_all takes "
-                    "systems made from one assembly by AssembledSystem.at"
-                )
-    space = first.space
+    space = system.space
     dofs = space.elem_dofs
     ns = space.n_skeleton
     il, bl = _interior_locals(space.p), _skeleton_locals(space.p)
     skel = dofs[:, bl]
     nel, ni, nb = len(dofs), len(il), len(bl)
     full = kernels.full_index(dofs.shape[1])
-    rhs = _lifted_rhs(systems, full)
+    # Element coefficients, one row per params: sigma enters only the
+    # conductor's own.
+    own = space.mesh.conductor & (not system.uniform_eps)
+    coefs = np.ones((len(params), nel), dtype=np.complex128)
+    coefs[:, own] = [[1.0 / q.eps_conductor] for q in params]
+    rhs = _lifted_rhs(system, coefs, full)
     # The packed positions of the interior and skeleton blocks.
     ii, ib, bb = (full[a[:, None], b] for a, b in ((il, il), (il, bl), (bl, bl)))
     upper = np.triu_indices(nb)
 
-    coefs = np.array([s.coef for s in systems])
-    labels = [_groups(space, c.real, c.imag) for c in coefs]
-    # The groups condensed once, by their first member: those whose
-    # members and coefficient no later system changes.
-    joint = _groups(space, *coefs.real, *coefs.imag)
-    once = np.all(coefs == coefs[0], axis=0) & (len(systems) > 1)
-    for group in labels:
-        once &= np.bincount(group)[group] == np.bincount(joint)[joint]
-    kept = {}
+    group = _first_appearance(np.column_stack([space.elem_shape, own]), axis=0)[0]
+    groups = _members(group)
+    kept = {}  # the pieces of each group condensed once, by group
     ys = []
-    for n, (system, group) in enumerate(zip(systems, labels), 1):
+    for n, coef in enumerate(coefs, 1):
         # One matrix per group, formed on the packed entries: A_ii^-1 [A_ib |
         # r_i of every member] and the Schur complement on the skeleton,
         # shared by the members. A real coefficient keeps the matrix real;
         # the members' interior right-hand sides are then solved as real
         # and imaginary columns.
-        groups = _members(group)
         X_b, schur = [], np.empty((len(groups), len(upper[0])), dtype=np.complex128)
         x_r = np.empty((nel, ni), dtype=np.complex128)
         A_bi_x = np.empty((nel, nb), dtype=np.complex128)
         r_i = rhs[n - 1][dofs[:, il]]
         for g, idx in enumerate(groups):
             e, m = idx[0], len(idx)
-            if e in kept:
-                X, schur[g], x_r[idx], A_bi_x[idx] = kept[e]
+            if g in kept:
+                X, schur[g], x_r[idx], A_bi_x[idx] = kept[g]
                 X_b.append(X)
                 continue
-            c, k = system.coef[e], space.elem_shape[e]
-            A = (c if c.imag else c.real) * system.stiffness[k] - system.kappa2 * system.mass[k]
+            c, k = coef[e], space.elem_shape[e]
+            A = (c if c.imag else c.real) * system.stiffness[k] - kappa2 * system.mass[k]
             r = r_i[idx].T if c.imag else np.hstack([r_i[idx].real.T, r_i[idx].imag.T])
             try:
                 X = np.linalg.solve(A[ii], np.hstack([A[ib], r]))
@@ -724,8 +691,8 @@ def solve_all(systems) -> list:
             A_bi = np.ascontiguousarray(A[ib].T)
             schur[g] = (A[bb] - A_bi @ X[:, :nb])[upper]
             A_bi_x[idx] = x_r[idx] @ A_bi.T
-            if once[e]:
-                kept[e] = X_b[-1], schur[g].copy(), x_r[idx], A_bi_x[idx]
+            if not own[e] and len(params) > 1:
+                kept[g] = X_b[-1], schur[g].copy(), x_r[idx], A_bi_x[idx]
         del r_i
 
         # Constrained skeleton rows and columns are dropped: rhs carries -A g.
@@ -741,8 +708,8 @@ def solve_all(systems) -> list:
     del kept
 
     free = space.free
-    rowsums = np.zeros((len(systems),) + dofs.shape)
-    products = _element_products(systems, ys, full, rowsums)
+    rowsums = np.zeros((len(params),) + dofs.shape)
+    products = _element_products(system, coefs, ys, full, rowsums)
     for n, (y, b, a, rowsum) in enumerate(zip(ys, rhs, products, rowsums), 1):
         r = np.abs(_scatter(dofs, a, space.n_dofs)[free] - b[free])
         norm_a = np.bincount(dofs.ravel(), rowsum.ravel(), space.n_dofs)[free]
@@ -754,14 +721,7 @@ def solve_all(systems) -> list:
                 f"solver residual of system {n}: backward error {err:.3e} exceeds "
                 f"{BACKWARD_ERROR_BOUND:.0e}"
             )
-    return [DiscreteField(space=space, coeffs=s.gvec + y) for s, y in zip(systems, ys)]
-
-
-def _groups(space: FeSpace, *keys) -> np.ndarray:
-    """Group of each element, numbered in order of first appearance: the
-    elements of one shape class whose keys (arrays over the elements) are
-    all equal."""
-    return _first_appearance(np.column_stack([space.elem_shape, *keys]), axis=0)[0]
+    return [DiscreteField(space=space, coeffs=system.gvec + y) for y in ys]
 
 
 def _eliminate(tree, schur, group, b, full) -> np.ndarray:

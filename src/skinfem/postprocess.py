@@ -57,8 +57,8 @@ def scaling_exponent(sigmas, norms) -> float:
     """Least-squares exponent t in norm ~ C sigma^t (log-log fit)."""
     sigmas = np.asarray(sigmas, dtype=float)
     norms = np.asarray(norms, dtype=float)
-    if len(sigmas) < 3:
-        raise ValueError("scaling fit needs at least 3 (sigma, norm) pairs")
+    if len(np.unique(sigmas)) < 3:
+        raise ValueError("scaling fit needs at least 3 distinct sigmas")
     if np.any(sigmas <= 0) or np.any(norms <= 0):
         raise ValueError("sigma and norm values must be positive")
     t, _ = np.polyfit(np.log(sigmas), np.log(norms), 1)
@@ -150,7 +150,7 @@ def corner_slopes(field: DiscreteField, params: PhysicalParams, corner=(1.0, 1.0
     rho = params.ell / 4.0 * np.arange(1, _CORNER_SAMPLES + 1)
     d = 1.0 / np.sqrt(2.0)
     pts = np.column_stack([corner[0] - rho * d, corner[1] - rho * d])
-    vals = field.evaluate(pts)
+    vals = fem.evaluate(field, pts)
     mag = np.abs(vals)
     if np.any(mag <= 0):
         raise ValueError("zero magnitude along the corner diagonal")

@@ -78,7 +78,7 @@ def test_criterion_2_manufactured_exactness():
         f = fem.solve(
             fem.assemble(space, params, fem.SourceSpec.manufactured(params.kappa), uniform_eps=True)
         )
-        worst = max(worst, float(np.max(np.abs(f.evaluate(pts) - pts[:, 0]))))
+        worst = max(worst, float(np.max(np.abs(fem.evaluate(f, pts) - pts[:, 0]))))
     report(
         "criterion 2: manufactured linear solution exact at p in {1,4,10}",
         worst <= 1e-10,
@@ -108,10 +108,10 @@ def test_criterion_4_sigma_scaling():
     sigmas = [80.0, 100.0, 200.0, 300.0, 400.0]
     m = mesh.mesh_for("B1", "M3", sigma_max=max(sigmas))
     space = fem.FeSpace(m, 16)
-    # sigma enters only the conductor coefficient: assemble once, re-target
-    # and solve every sigma in one pass
+    # sigma enters only the conductor coefficient: assemble once and solve
+    # every sigma in one pass
     system = fem.assemble(space, PhysicalParams(sigma=sigmas[0]), fem.SourceSpec.dirichlet_radius())
-    fields = fem.solve_all([system.at(PhysicalParams(sigma=sigma)) for sigma in sigmas])
+    fields = fem.solve_all(system, [PhysicalParams(sigma=sigma) for sigma in sigmas])
     norms = [postprocess.conductor_norm(f) for f in fields]
     t = postprocess.scaling_exponent(sigmas, norms)
     report(
@@ -131,7 +131,7 @@ def test_criterion_5_p_convergence_plateau():
     def norms(space):
         """Conductor norm at every sigma from one assembly of the space."""
         system = fem.assemble(space, params[0], src)
-        fields = fem.solve_all([system.at(q) for q in params])
+        fields = fem.solve_all(system, params)
         return np.array([postprocess.conductor_norm(f) for f in fields])
 
     ref = norms(fem.FeSpace(m_ref, 16))

@@ -267,7 +267,7 @@ class TestRuns:
         rebuilt = fem.DiscreteField(space, data[:, 2] + 1j * data[:, 3])
         elems = np.random.default_rng(0).choice(m.n_elements, 20)
         points = m.nodes[m.elem_nodes[elems]].mean(axis=1)  # inside each element
-        assert np.array_equal(rebuilt.evaluate(points), solved.evaluate(points))
+        assert np.array_equal(fem.evaluate(rebuilt, points), fem.evaluate(solved, points))
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -368,11 +368,11 @@ def _fail_second_field(monkeypatch, exc):
     solve_all = cli.fem.solve_all
     solved = []
 
-    def flaky(systems):
-        solved.extend(systems)
+    def flaky(system, params):
+        solved.extend(params)
         if len(solved) > 1:
             raise exc
-        return solve_all(systems)
+        return solve_all(system, params)
 
     monkeypatch.setattr(cli.fem, "solve_all", flaky)
 
@@ -412,6 +412,15 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["--config", write_ini(tmp_path, BASE.format(out=out))]) == cli.EXIT_SOLVE
         assert "singular front at element" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_repeated_sigmas_exit_4(self, tmp_path, capsys):
+        # Three copies of one sigma are one point of the scaling fit.
+        out = tmp_path / "out"
+        body = BASE.format(out=out).replace("study = solve", "study = sigma-scaling")
+        body = body.replace("sigma = 5", "sigma = 80, 80, 80")
+        assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_POST
+        assert "3 distinct sigmas" in capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_postprocess_value_error_exit_4(self, tmp_path, monkeypatch):
@@ -578,9 +587,9 @@ def test_p_convergence_solves_each_mesh_and_degree_once(tmp_path, monkeypatch):
     solve_all = cli.fem.solve_all
     calls = []
 
-    def counted(systems):
-        calls.append((systems[0].space.mesh.n_elements, systems[0].space.p, len(systems)))
-        return solve_all(systems)
+    def counted(system, params):
+        calls.append((system.space.mesh.n_elements, system.space.p, len(params)))
+        return solve_all(system, params)
 
     monkeypatch.setattr(cli.fem, "solve_all", counted)
     out = tmp_path / "out"
@@ -592,6 +601,29 @@ def test_p_convergence_solves_each_mesh_and_degree_once(tmp_path, monkeypatch):
     for sigma in (5, 20):
         rows = (out / f"pconv_s{sigma}.csv").read_text().splitlines()
         assert rows[1] == "2,0"
+
+
+def test_mesh_spec_spelling_does_not_change_the_run(tmp_path, monkeypatch):
+    # 'm1' is M1: degree 3, the reference's mesh and degree, reads the
+    # reference's fields, and the artifacts and manifest are the same bytes.
+    monkeypatch.setitem(cli.STUDY_TABLE, "A", cli.STUDY_TABLE["A"]._replace(pconv_reference=("M1", 3)))
+    solve_all = cli.fem.solve_all
+    calls = []
+
+    def counted(system, params):
+        calls.append(system.space.p)
+        return solve_all(system, params)
+
+    monkeypatch.setattr(cli.fem, "solve_all", counted)
+    outputs = []
+    for k, spec in enumerate(("M1", "m1")):
+        calls.clear()
+        out = tmp_path / f"out{k}"
+        body = f"[experiment]\nstudy = p-convergence\nconfig = A\nsigma = 5\np = 2, 3\nmesh = {spec}\nout = {out}\n"
+        assert cli.main(["--config", write_ini(tmp_path, body, f"{k}.ini")]) == cli.EXIT_OK
+        assert calls == [3, 2]
+        outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert outputs[0] == outputs[1]
 
 
 def test_mesh_resolves_the_run_omega():

@@ -44,9 +44,19 @@ def _element_triplets(dofs):
     return np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
 
 
+def coefficients(system):
+    """Each element's stiffness coefficient at the system's params:
+    1/eps_conductor in the conductor, 1 elsewhere or under uniform_eps."""
+    coef = np.ones(system.space.mesh.n_elements, dtype=np.complex128)
+    if not system.uniform_eps:
+        coef[system.space.mesh.conductor] = 1.0 / system.params.eps_conductor
+    return coef
+
+
 def lifted_rhs(system):
     """b - A g over all dofs, from the solver's own lifting."""
-    return fem._lifted_rhs([system], kernels.full_index((system.space.p + 1) ** 2))[0]
+    full = kernels.full_index((system.space.p + 1) ** 2)
+    return fem._lifted_rhs(system, coefficients(system)[None], full)[0]
 
 
 def global_matrix(system):
@@ -59,7 +69,7 @@ def global_matrix(system):
     rows, cols = _element_triplets(system.space.elem_dofs)
     k = system.space.elem_shape
     S, M = unpacked(system.stiffness), unpacked(system.mass)
-    vals = system.coef[:, None, None] * S[k] - system.kappa2 * M[k]
+    vals = coefficients(system)[:, None, None] * S[k] - system.params.kappa**2 * M[k]
     keys = cols * np.int64(n) + rows
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
@@ -287,7 +297,7 @@ class TestAssembly:
         f1 = solve(assemble(FeSpace(m, 4), params5, SourceSpec.dirichlet_radius()))
         f2 = solve(assemble(FeSpace(rev, 4), params5, SourceSpec.dirichlet_radius()))
         pts = np.array([[0.5, 0.25], [1.5, -1.2], [0.9, 1.7]])
-        assert np.max(np.abs(f1.evaluate(pts) - f2.evaluate(pts))) < 1e-10
+        assert np.max(np.abs(evaluate(f1, pts) - evaluate(f2, pts))) < 1e-10
 
     def test_nonpositive_jacobian_names_element(self, params5):
         m = mesh.square_mesh_A(1)
@@ -484,7 +494,7 @@ class TestCondensation:
         cols = np.tile(dofs, (1, n2)).ravel()
         k = space.elem_shape
         S, M = unpacked(sys_.stiffness), unpacked(sys_.mass)
-        Ae = sys_.coef[:, None, None] * S[k] - sys_.kappa2 * M[k]
+        Ae = coefficients(sys_)[:, None, None] * S[k] - sys_.params.kappa**2 * M[k]
         A = sparse.csr_matrix((Ae.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2)
         free = space.free
         ref = sys_.gvec.copy()
@@ -576,7 +586,7 @@ class TestCondensation:
 
 
 class TestSigmaReuse:
-    """One assembly re-targeted by .at() against a fresh assembly per sigma."""
+    """One assembly solved at another sigma against a fresh assembly at it."""
 
     @pytest.mark.parametrize("uniform_eps", [False, True], ids=["eps", "uniform"])
     @pytest.mark.parametrize("config", ["A", "B1", "C1"])
@@ -587,24 +597,18 @@ class TestSigmaReuse:
         pa = physics.PhysicalParams(sigma=5.0)
         pb = physics.PhysicalParams(sigma=80.0)
         sys_a = assemble(space, pa, src, uniform_eps=uniform_eps)
-        moved = sys_a.at(pb)
-        assert moved.stiffness is sys_a.stiffness and moved.mass is sys_a.mass
         ref = solve(assemble(space, pb, src, uniform_eps=uniform_eps)).coeffs
-        got = solve(moved).coeffs
+        got = fem.solve_all(sys_a, [pb])[0].coeffs
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        if uniform_eps:
-            assert np.all(moved.coef == 1.0)
-
-    def test_at_other_omega_raises(self, mesh_a2, params5):
-        sys_ = assemble(FeSpace(mesh_a2, 2), params5, SourceSpec.dirichlet_radius())
-        with pytest.raises(ValueError, match="kappa"):
-            sys_.at(physics.PhysicalParams(sigma=5.0, omega=2.0 * params5.omega))
+        if uniform_eps:  # no coefficient depends on sigma
+            assert np.array_equal(got, solve(sys_a).coeffs)
 
 
 SOLVE_ALL_CASES = [
     ("B1", "M3", 400.0, 16, (80.0, 200.0, 400.0), False),
     ("C1", "M3", 80.0, 8, (5.0, 80.0), False),
     ("A", "M2", 80.0, 12, (5.0, 80.0), True),
+    ("A", "M2", 200.0, 8, (80.0, 80.0, 200.0), False),
 ]
 
 
@@ -617,21 +621,22 @@ class TestSolveAll:
     )
     def test_bitwise_equal_to_solve(self, config, spec, sigma_max, p, sigmas, uniform_eps):
         space = FeSpace(mesh.mesh_for(config, spec, sigma_max=sigma_max), p)
+        src = cli.STUDY_TABLE[config].source
         params = [physics.PhysicalParams(sigma=s) for s in sigmas]
-        system = assemble(space, params[0], cli.STUDY_TABLE[config].source, uniform_eps=uniform_eps)
-        systems = [system.at(q) for q in params]
-        fields = fem.solve_all(systems)
-        assert len(fields) == len(systems)
-        for s, f in zip(systems, fields):
+        system = assemble(space, params[0], src, uniform_eps=uniform_eps)
+        fields = fem.solve_all(system, params)
+        assert len(fields) == len(params)
+        for q, f in zip(params, fields):
             assert f.space is space
-            assert np.array_equal(f.coeffs, solve(s).coeffs)
+            ref = solve(assemble(space, q, src, uniform_eps=uniform_eps))
+            assert np.array_equal(f.coeffs, ref.coeffs)
 
     def test_sigma_free_groups_condensed_once(self, mesh_a2, monkeypatch):
-        # One interior solve per group and system, but a dielectric group,
+        # One interior solve per group and params, but a dielectric group,
         # whose matrix is the same at every sigma, is solved once.
         space = FeSpace(mesh_a2, 4)
         system = assemble(space, physics.PhysicalParams(sigma=5.0), SourceSpec.dirichlet_radius())
-        systems = [system.at(physics.PhysicalParams(sigma=s)) for s in (5.0, 20.0, 80.0)]
+        params = [physics.PhysicalParams(sigma=s) for s in (5.0, 20.0, 80.0)]
         calls = []
         linalg_solve = np.linalg.solve
 
@@ -640,43 +645,45 @@ class TestSolveAll:
             return linalg_solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        singles = [solve(s) for s in systems]
-        per_system = len(calls)
+        singles = [fem.solve_all(system, [q])[0] for q in params]
+        per_params = len(calls)
         calls.clear()
-        fields = fem.solve_all(systems)
+        fields = fem.solve_all(system, params)
         dielectric = len(np.unique(space.elem_shape[~mesh_a2.conductor]))
         assert dielectric > 0
-        assert len(calls) == per_system - 2 * dielectric
+        assert len(calls) == per_params - 2 * dielectric
         for a, b in zip(singles, fields):
             assert np.array_equal(a.coeffs, b.coeffs)
 
-    def test_no_systems(self):
-        assert fem.solve_all([]) == []
-
-    @pytest.mark.parametrize("other", ["space", "stiffness"])
-    def test_systems_of_two_assemblies_raise(self, mesh_a2, params5, other):
-        src = SourceSpec.dirichlet_radius()
-        system = assemble(FeSpace(mesh_a2, 3), params5, src)
-        space = FeSpace(mesh_a2, 3) if other == "space" else system.space
-        second = assemble(space, physics.PhysicalParams(sigma=20.0), src)
-        with pytest.raises(ValueError, match=rf"system 3 does not share {other}\b"):
-            fem.solve_all([system, system.at(params5), second])
+    def test_no_systems(self, mesh_a2, params5):
+        system = assemble(FeSpace(mesh_a2, 2), params5, SourceSpec.dirichlet_radius())
+        assert fem.solve_all(system, []) == []
 
     def test_other_kappa_raises(self, mesh_a2, params5):
+        # kappa, set by omega, scales the mass part, which is assembled once.
         system = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
-        other = dataclasses.replace(system, kappa2=2.0 * system.kappa2)
-        with pytest.raises(ValueError, match=r"system 2 does not share kappa2\b"):
-            fem.solve_all([system, other])
+        other = physics.PhysicalParams(sigma=5.0, omega=2.0 * params5.omega)
+        with pytest.raises(ValueError, match=r"params 2: kappa\^2 = .* differs from the assembled"):
+            fem.solve_all(system, [params5, other, other])
 
-    def test_failing_second_system_is_named(self, mesh_a2, params5):
+    def test_failing_second_system_is_named(self, mesh_a2, params5, monkeypatch):
+        # The second params' skeleton solution gets a NaN.
         system = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
-        second = system.at(physics.PhysicalParams(sigma=20.0))
-        second.coef[5] = np.nan
-        with pytest.raises(AssemblyError, match=r"system 2\b"):
-            fem.solve_all([system, second])
+        eliminate, calls = fem._eliminate, []
+
+        def poisoned(*args):
+            calls.append(1)
+            y = eliminate(*args)
+            if len(calls) == 2:
+                y[5] = np.nan
+            return y
+
+        monkeypatch.setattr(fem, "_eliminate", poisoned)
+        with pytest.raises(AssemblyError, match=r"non-finite solution of system 2\b"):
+            fem.solve_all(system, [params5, physics.PhysicalParams(sigma=20.0)])
 
     def test_failing_backward_error_is_named(self, mesh_a2, params5, monkeypatch):
-        # The second system's skeleton scaled by 1 + 1e-6 after its solve.
+        # The second params' skeleton scaled by 1 + 1e-6 after its solve.
         system = assemble(FeSpace(mesh_a2, 3), params5, SourceSpec.dirichlet_radius())
         eliminate, calls = fem._eliminate, []
 
@@ -685,9 +692,9 @@ class TestSolveAll:
             return eliminate(*args) * (1 + 1e-6 * (len(calls) == 2))
 
         monkeypatch.setattr(fem, "_eliminate", scaled)
-        systems = [system.at(physics.PhysicalParams(sigma=s)) for s in (5.0, 20.0, 80.0)]
+        params = [physics.PhysicalParams(sigma=s) for s in (5.0, 20.0, 80.0)]
         with pytest.raises(AssemblyError, match=r"solver residual of system 2\b"):
-            fem.solve_all(systems)
+            fem.solve_all(system, params)
 
 
 def _per_element_arrays(space, source):
@@ -732,7 +739,7 @@ def _condensed_per_element(system, S, M):
     dofs, n, ns = space.elem_dofs, space.n_dofs, space.n_skeleton
     il = fem._interior_locals(space.p)
     bl = np.setdiff1d(np.arange(dofs.shape[1]), il)
-    A = system.coef[:, None, None] * S - system.kappa2 * M
+    A = coefficients(system)[:, None, None] * S - system.params.kappa**2 * M
     rhs = fem._scatter(dofs, system.loads - np.einsum("eij,ej->ei", A, system.gvec[dofs]), n)
     schur, rhs_s, X_b, x_r = [], rhs[:ns].copy(), [], []
     for e in range(len(dofs)):
@@ -944,7 +951,7 @@ class TestManufactured:
         f = solve(assemble(sp, params5, src, uniform_eps=True))
         rng = np.random.default_rng(42)
         pts = np.column_stack([2.0 * rng.random(50), 4.0 * rng.random(50) - 2.0])
-        vals = f.evaluate(pts)
+        vals = evaluate(f, pts)
         assert np.max(np.abs(vals - pts[:, 0])) <= 1e-10
 
     def test_exact_on_curved_mesh(self, params5):
@@ -1020,7 +1027,7 @@ class TestEvaluation:
     def test_locator_does_not_pin_mesh(self, params5):
         m = mesh.square_mesh_A(1)
         f = solve(assemble(FeSpace(m, 2), params5, SourceSpec.dirichlet_radius()))
-        f.evaluate(np.array([[0.5, 0.5], [1.5, -1.0]]))
+        evaluate(f, np.array([[0.5, 0.5], [1.5, -1.0]]))
         ref = weakref.ref(m)
         del f, m
         gc.collect()
@@ -1030,7 +1037,7 @@ class TestEvaluation:
         sp = FeSpace(mesh_a2, 2)
         f = solve(assemble(sp, params5, SourceSpec.dirichlet_radius()))
         with pytest.raises(PointLocationError):
-            f.evaluate(np.array([3.5, 0.0]))
+            evaluate(f, np.array([3.5, 0.0]))
 
 
 def band_points(config, sigma, n=4000, seed=0):
@@ -1139,7 +1146,7 @@ def test_field_decays_into_the_b1_core():
     m = mesh.mesh_for("B1", "M2", sigma_max=400.0)
     params = physics.PhysicalParams(sigma=80.0)
     system = assemble(FeSpace(m, 8), params, SourceSpec.dirichlet_radius())
-    assert abs(solve(system).evaluate(np.array([0.7, -0.2]))) <= 1e-9
+    assert abs(evaluate(solve(system), np.array([0.7, -0.2]))) <= 1e-9
 
 
 class TestSources:
@@ -1219,7 +1226,7 @@ class TestReflectedMeridian:
             m = mesh.mesh_for(config, spec, sigma_max=sigma_max)
             src = cli.STUDY_TABLE[config].source
             systems[config, spec, p] = [assemble(FeSpace(x, p), params, src) for x in (m, reflected(m))]
-        half, whole = (solve(s.at(params)) for s in systems[config, spec, p])
+        half, whole = (fem.solve_all(s, [params])[0] for s in systems[config, spec, p])
         return config, half, whole
 
     def test_coefficients_at_shared_nodes(self, fields):

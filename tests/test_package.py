@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -115,3 +115,17 @@ def test_config_name_scan_finds_each_form():
         'x = name.startswith("field_")\n'
     )
     assert found == [1, 2, 3, 4]
+
+
+def test_benchmark_library_calls_run():
+    """The benchmark's eval-b1 workload calls the library directly (mesh,
+    space, assemble with uniform_eps, solve), where the CLI workloads reach
+    only `cli.run`; its set-up still runs and meets its oracle H = r."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    field = worker.eval_b1_setup()
+    pts = [[0.5, 0.1], [1.5, -0.7], [3.0, 1.0], [3.9, 0.0]]
+    h = skinfem.evaluate(field, pts)
+    assert max(abs(v - r) for v, (r, _) in zip(h, pts)) <= worker.EVAL_TOL

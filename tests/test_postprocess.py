@@ -69,6 +69,12 @@ class TestScaling:
         with pytest.raises(ValueError):
             postprocess.scaling_exponent([1.0, 2.0], [1.0, 1.0])
 
+    def test_needs_three_distinct_sigmas(self):
+        # A repeated sigma adds no point to the fit: 80, 80, 80 is one.
+        for sigmas in ([80.0, 80.0, 80.0], [5.0, 20.0, 20.0, 5.0]):
+            with pytest.raises(ValueError, match="3 distinct sigmas"):
+                postprocess.scaling_exponent(sigmas, np.ones(len(sigmas)))
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             postprocess.scaling_exponent([1.0, 2.0, 3.0], [1.0, -1.0, 1.0])
@@ -144,39 +150,37 @@ class TestExtraction:
         assert len(y3) > 3 and y3[0] > 1e-9 and np.all(np.diff(y3) > 0)
         assert y3[-1] == pytest.approx(2.0, abs=1e-12)
         pts = np.column_stack([2.0 + y3, np.zeros_like(y3)])
-        assert np.allclose(vals, field.evaluate(pts), rtol=0, atol=1e-10 * np.max(np.abs(vals)))
+        assert np.allclose(vals, fem.evaluate(field, pts), rtol=0, atol=1e-10 * np.max(np.abs(vals)))
 
 
-class _StubField:
-    """Duck-typed field with a prescribed closed-form evaluate."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def evaluate(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.array([self.fn(r, z) for r, z in pts])
+def _stub_field(monkeypatch, fn):
+    """Let `fem.evaluate`, which corner_slopes reads a field by, return the
+    closed form fn(r, z); the field passed is then not read."""
+    monkeypatch.setattr(
+        postprocess.fem, "evaluate", lambda field, pts: np.array([fn(r, z) for r, z in pts])
+    )
 
 
 class TestCornerSlopes:
-    def test_constant_rate_field(self):
+    def test_constant_rate_field(self, monkeypatch):
         s = 7.0
 
         def fn(r, z):
             rho = np.hypot(1.0 - r, 1.0 - z)
             return 10.0 ** (-s * rho)
 
-        field = _StubField(fn)
+        _stub_field(monkeypatch, fn)
         params = PhysicalParams(sigma=80.0)
-        mid, slopes = postprocess.corner_slopes(field, params, corner=(1.0, 1.0))
+        mid, slopes = postprocess.corner_slopes(None, params, corner=(1.0, 1.0))
         assert np.allclose(slopes, s, rtol=1e-9)
 
-    def test_eleven_samples_at_quarter_skin_depths(self):
+    def test_eleven_samples_at_quarter_skin_depths(self, monkeypatch):
         # At this pair (10 ell/4) / (ell/4) rounds below 10, so a count
         # derived from a depth range would lose the last sample.
         params = PhysicalParams(sigma=0.14063, omega=3e6)
         assert (10 * params.ell / 4) / (params.ell / 4.0) < 10.0
-        mid, slopes = postprocess.corner_slopes(_StubField(lambda r, z: 10.0 ** (r + z)), params)
+        _stub_field(monkeypatch, lambda r, z: 10.0 ** (r + z))
+        mid, slopes = postprocess.corner_slopes(None, params)
         rho = params.ell / 4.0 * np.arange(1, 12)
         assert np.array_equal(mid, 0.5 * (rho[1:] + rho[:-1]))
         assert len(slopes) == 10

@@ -190,7 +190,7 @@ def fields(systems):
     out = {}
     for (s, p), system in systems.items():
         sigmas = [sigma for t, sigma, q in NODAL_ERROR if (t, q) == (s, p)]
-        solved = fem.solve_all([system.at(physics.PhysicalParams(sigma=x)) for x in sigmas])
+        solved = fem.solve_all(system, [physics.PhysicalParams(sigma=x) for x in sigmas])
         out.update(zip([(s, x, p) for x in sigmas], solved))
     return out
 

@@ -152,7 +152,7 @@ def fields(systems):
     out = {}
     for p, system in systems.items():
         sigmas = [s for s, q in NODAL_ERROR if q == p]
-        solved = fem.solve_all([system.at(physics.PhysicalParams(sigma=s)) for s in sigmas])
+        solved = fem.solve_all(system, [physics.PhysicalParams(sigma=s) for s in sigmas])
         out.update(zip([(s, p) for s in sigmas], solved))
     return out
 
