@@ -22,8 +22,6 @@ the run removes its partial outputs and lets it propagate.
 
 from __future__ import annotations
 
-import argparse
-import configparser
 import hashlib
 import math
 import os
@@ -120,6 +118,8 @@ class ExperimentConfig:
             raise ConfigError(f"field 'p': {self.study} takes exactly one degree")
         if self.study == "field-map" and len(self.sigmas) != 1:
             raise ConfigError("field 'sigma': field-map takes exactly one conductivity")
+        if self.study == "sigma-scaling" and len(set(self.sigmas)) < 3:
+            raise ConfigError("field 'sigma': sigma-scaling needs at least 3 distinct conductivities")
         if self.study != "sigma-scaling":
             # A study's artifacts are named by sigma's %g, and by p but for
             # p-convergence's; sigma-scaling writes none per sigma.
@@ -183,6 +183,8 @@ def _parse_ints(raw: str, name: str):
 
 
 def load_config(path: str) -> ExperimentConfig:
+    import configparser  # only here: `run` takes a config already read
+
     cp = configparser.ConfigParser(
         inline_comment_prefixes=(";", "#"), interpolation=None
     )
@@ -428,6 +430,8 @@ def _under(path, root: str) -> bool:
 
 
 def main(argv=None) -> int:
+    import argparse  # only here: `run` needs no command line
+
     ap = argparse.ArgumentParser(prog="skinfem", description=__doc__)
     ap.add_argument("--config", required=True, help="path to INI experiment file")
     ap.add_argument("--study", choices=STUDIES, help="override the study kind")

@@ -40,6 +40,7 @@ from .mesh import (
     _facet_owners,
     _first_appearance,
     _on_line,
+    _sorted_unique,
 )
 from .physics import PhysicalParams
 
@@ -178,8 +179,10 @@ class FeSpace:
         axis = _on_line(self.mesh, one, 0)
         outer = ~axis & ~_on_line(self.mesh, one, 1)
         # The axis condition is essential and wins at shared corners.
-        self.axis_dofs = np.unique(ids[axis])
-        self.outer_dofs = np.setdiff1d(ids[outer], self.axis_dofs)
+        self.axis_dofs = _sorted_unique(ids[axis])
+        self.outer_dofs = np.setdiff1d(
+            _sorted_unique(ids[outer]), self.axis_dofs, assume_unique=True
+        )
         constrained = np.zeros(self.n_dofs, dtype=bool)
         constrained[self.axis_dofs] = True
         constrained[self.outer_dofs] = True
@@ -264,7 +267,7 @@ class FeSpace:
                 order, h = bisect(elems)
                 children = [build(order[:h]), build(order[h:])]
                 up = np.concatenate([passed[c][0] for c in children])
-                keep = dofs = np.unique(up)
+                keep = dofs = _sorted_unique(up)
                 below = np.bincount(
                     np.searchsorted(dofs, up),
                     np.concatenate([passed[c][1] for c in children]),
@@ -585,7 +588,7 @@ def _interior_locals(p: int) -> np.ndarray:
 
 def _skeleton_locals(p: int) -> np.ndarray:
     """Local tensor indices of the 4p vertex and edge nodes, ascending."""
-    return np.setdiff1d(np.arange((p + 1) ** 2), _interior_locals(p))
+    return np.setdiff1d(np.arange((p + 1) ** 2), _interior_locals(p), assume_unique=True)
 
 
 def solve(system: AssembledSystem) -> DiscreteField:
@@ -832,7 +835,9 @@ def locate(mesh: QuadMesh, points):
 
     uv = inverse_map(mesh, e, pts[k])
     miss = misses(uv)
-    again = np.flatnonzero(~np.isin(k, k[miss <= 1e-6]))
+    hit = np.zeros(len(pts), dtype=bool)
+    hit[k[miss <= 1e-6]] = True
+    again = np.flatnonzero(~hit[k])
     if len(again):
         near = np.argmin(np.sum((X[e[again]] - pts[k[again], None]) ** 2, axis=2), axis=1)
         g = basis.gll_points(mesh.geomdeg)

@@ -160,6 +160,15 @@ def _first_appearance(keys, axis=None):
     return rank[inverse.reshape(-1)].reshape(shape), np.sort(first)
 
 
+def _sorted_unique(a) -> np.ndarray:
+    """The distinct entries of a, ascending, as `np.unique(a)` gives them
+    but without its masked-array check, which imports numpy.ma."""
+    a = np.sort(np.ravel(a))
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = a[1:] != a[:-1]
+    return a[new]
+
+
 def _facet_error(face, what: str) -> MeshGenerationError:
     e, f = divmod(int(face), 4)
     return MeshGenerationError(f"element {e} face {f}: {what}")

@@ -14,6 +14,7 @@ import numpy as np
 from .basis import tensor_lagrange_grid
 from . import fem
 from .fem import DiscreteField, _geometry_eval, _quad_points
+from .mesh import _sorted_unique
 from .physics import PhysicalParams, curv_ratio, theoretical_slope
 
 __all__ = [
@@ -57,10 +58,11 @@ def scaling_exponent(sigmas, norms) -> float:
     """Least-squares exponent t in norm ~ C sigma^t (log-log fit)."""
     sigmas = np.asarray(sigmas, dtype=float)
     norms = np.asarray(norms, dtype=float)
-    if len(np.unique(sigmas)) < 3:
+    if len(_sorted_unique(sigmas)) < 3:
         raise ValueError("scaling fit needs at least 3 distinct sigmas")
-    if np.any(sigmas <= 0) or np.any(norms <= 0):
-        raise ValueError("sigma and norm values must be positive")
+    values = np.concatenate([sigmas, norms])
+    if not np.all((0 < values) & (values < np.inf)):
+        raise ValueError("sigma and norm values must be positive and finite")
     t, _ = np.polyfit(np.log(sigmas), np.log(norms), 1)
     return float(t)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from skinfem.basis import (
     gauss_rule,
@@ -105,3 +106,45 @@ def test_returned_points_and_weights_are_private():
         a[:] = 0.0
     for new, old in zip([gll_points(3), *gauss_rule(4)], before):
         assert np.array_equal(new, old)
+
+
+def legendre_gll_reference(p):
+    """GLL points on [0, 1] from numpy's companion-matrix roots of P_p', as
+    `gll_points` computed them before the Newton iteration."""
+    interior = legendre.legroots(legendre.legder(np.eye(p + 1)[p])) if p > 1 else []
+    pts = 0.5 * (np.concatenate([[-1.0], np.sort(interior), [1.0]]) + 1.0)
+    pts[0], pts[-1] = 0.0, 1.0
+    return pts
+
+
+@pytest.mark.parametrize("n", range(1, 24))
+def test_gauss_rule_is_exact_to_degree_2n_minus_1_and_symmetric(n):
+    x, w = gauss_rule(n)
+    k = np.arange(2 * n)
+    assert np.max(np.abs(x[None, :] ** k[:, None] @ w - 1.0 / (k + 1))) <= 1e-14
+    assert np.all(x + x[::-1] == 1.0) and np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("p", range(1, 24))
+def test_gll_ends_and_symmetry(p):
+    pts = gll_points(p)
+    assert pts[0] == 0.0 and pts[-1] == 1.0
+    assert np.all(np.diff(pts) > 0)
+    assert np.all(pts + pts[::-1] == 1.0)
+
+
+def test_rules_match_numpy_legendre():
+    for p in range(1, 21):
+        assert np.max(np.abs(gll_points(p) - legendre_gll_reference(p))) <= 2e-15, p
+    for n in range(1, 24):
+        x, w = legendre.leggauss(n)
+        new_x, new_w = gauss_rule(n)
+        assert np.max(np.abs(new_x - 0.5 * (x + 1.0))) <= 2e-15, n
+        assert np.max(np.abs(new_w - 0.5 * w)) <= 2e-15, n
+
+
+def test_rules_need_a_point():
+    with pytest.raises(ValueError):
+        gll_points(0)
+    with pytest.raises(ValueError):
+        gauss_rule(0)

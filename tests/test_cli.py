@@ -186,7 +186,7 @@ class TestValidation:
         [
             ("solve", [5.0, 5.0], [2, 3]),  # field_s5_p2.csv and field_s5_p3.csv
             ("slope-study", [100.0, 100.001], [8]),  # s100 and s100.001
-            ("sigma-scaling", [5.0, 5.0, 20.0], [2]),  # no file per sigma
+            ("sigma-scaling", [5.0, 5.0, 20.0, 80.0], [2]),  # no file per sigma
         ],
     )
     def test_distinct_artifact_names_accepted(self, study, sigmas, ps):
@@ -334,12 +334,18 @@ class TestRuns:
         assert np.count_nonzero(inside) > 81 * 81 / 2
         assert np.all(np.isfinite(rows["imH"][inside]))
 
-    def test_failed_rerun_leaves_no_manifest(self, tmp_path):
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         assert cli.main(["--config", write_ini(tmp_path, BASE.format(out=out))]) == cli.EXIT_OK
         assert (out / "manifest.txt").exists()
-        # One sigma is too few for the scaling fit: a postprocess failure.
+
+        def no_fit(sigmas, norms):
+            raise ValueError("scaling fit failed")
+
+        # A postprocess failure after scaling.csv is written.
+        monkeypatch.setattr(cli.postprocess, "scaling_exponent", no_fit)
         body = BASE.format(out=out).replace("study = solve", "study = sigma-scaling")
+        body = body.replace("sigma = 5", "sigma = 5, 20, 80")
         assert cli.main(["--config", write_ini(tmp_path, body, "b.ini")]) == cli.EXIT_POST
         assert not (out / "manifest.txt").exists()
         assert not (out / "scaling.csv").exists()
@@ -414,14 +420,20 @@ class TestExitCodes:
         assert "singular front at element" in capsys.readouterr().err
         assert os.listdir(out) == []
 
-    def test_repeated_sigmas_exit_4(self, tmp_path, capsys):
-        # Three copies of one sigma are one point of the scaling fit.
+    def test_repeated_sigmas_exit_2(self, tmp_path, monkeypatch, capsys):
+        # Three copies of one sigma are one point of the scaling fit: the
+        # config is refused before any mesh is built.
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("mesh built for a config that fails validation")
+
+        monkeypatch.setattr(cli.mesh, "mesh_for", no_mesh)
         out = tmp_path / "out"
         body = BASE.format(out=out).replace("study = solve", "study = sigma-scaling")
         body = body.replace("sigma = 5", "sigma = 80, 80, 80")
-        assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_POST
-        assert "3 distinct sigmas" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert cli.main(["--config", write_ini(tmp_path, body)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "field 'sigma'" in err and "3 distinct" in err
+        assert not out.exists()
 
     def test_postprocess_value_error_exit_4(self, tmp_path, monkeypatch):
         def bad(field):

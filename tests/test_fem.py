@@ -421,7 +421,9 @@ class TestEliminationTree:
         # The tree's digest from child processes with one and two OpenBLAS
         # threads, with the default kernels and another type the CPU can
         # run, under which LAPACK may return another vector of a repeated
-        # eigenspace and rounds otherwise.
+        # eigenspace and rounds otherwise. So are the digests of the GLL
+        # points and Gauss rules, and of a geometry-degree-8 mesh and its
+        # shape classes, which hold GLL points of degree 8.
         try:
             blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         except (TypeError, KeyError):
@@ -439,20 +441,39 @@ class TestEliminationTree:
             "    tree = [(d.tolist(), n, [(c, pos.tolist()) for c, pos in ch], lo, k.tolist())\n"
             "            for d, n, ch, lo, k in FeSpace(m, int(p)).tree]\n"
             "    print(case, hashlib.sha256(repr(tree).encode()).hexdigest())\n"
+            "from skinfem import basis\n"
+            "gll = [basis.gll_points(p).tolist() for p in range(1, 21)]\n"
+            "gauss = [[a.tolist() for a in basis.gauss_rule(n)] for n in range(1, 24)]\n"
+            "mesh.GEOM_DEG_CURVED = 8\n"
+            "m = mesh.mesh_for('B1', 'M3', sigma_max=400.0)\n"
+            "deg8 = (m.nodes.tolist(), m.elem_nodes.tolist(), FeSpace(m, 2).elem_shape.tolist())\n"
+            "for name, x in [('gll', gll), ('gauss', gauss), ('deg8', deg8)]:\n"
+            "    print(name, hashlib.sha256(repr(x).encode()).hexdigest())\n"
         )
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         pkg_parent = str(Path(fem.__file__).resolve().parents[1])
         env["PYTHONPATH"] = pkg_parent + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        digests = set()
-        for threads in ("1", "2"):
-            for core in [{}] + [{"OPENBLAS_CORETYPE": c} for c in _safe_openblas_kernels()]:
-                proc = subprocess.run(
-                    [sys.executable, "-c", code, *cases],
-                    env={**env, "OPENBLAS_NUM_THREADS": threads, **core},
-                    capture_output=True, text=True, timeout=120,
+        envs = [
+            {**env, "OPENBLAS_NUM_THREADS": threads, **core}
+            for core in [{}] + [{"OPENBLAS_CORETYPE": c} for c in _safe_openblas_kernels()]
+            for threads in ("1", "2")
+        ]
+        # Two children at a time, one of each thread count: two children with
+        # two OpenBLAS threads each, which spin between calls, would slow
+        # each other down on a two-CPU machine.
+        runs = []
+        for k in range(0, len(envs), 2):
+            procs = [
+                subprocess.Popen(
+                    [sys.executable, "-c", code, *cases], env=e, text=True,
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 )
-                assert proc.returncode == 0 and len(proc.stdout.splitlines()) == len(cases), proc.stderr
-                digests.add(proc.stdout)
+                for e in envs[k : k + 2]
+            ]
+            runs += [(*proc.communicate(timeout=120), proc.returncode) for proc in procs]
+        for out, err, returncode in runs:
+            assert returncode == 0 and len(out.splitlines()) == len(cases) + 3, err
+        digests = {out for out, _, _ in runs}
         assert len(digests) == 1, digests
 
 

@@ -35,11 +35,13 @@ def test_no_process_wide_caches(modname):
     assert not cached, f"{modname} holds caches: {cached}"
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
+def test_cli_import_leaves_out_scipy_interpolate(tmp_path):
     """No scipy module at all is loaded: numpy is the only runtime
     dependency, and `scipy.interpolate` alone (with the optimize, fft and
     special modules it pulls in) would add about 0.3 s to every
-    command-line start."""
+    command-line start. Nor do runs of three studies load `numpy.ma`,
+    `numpy.polynomial`, `argparse` or `configparser`, which would add to
+    every run's start-up time and resident memory."""
     env = dict(os.environ)
     pkg_parent = str(Path(skinfem.__file__).resolve().parents[1])
     env["PYTHONPATH"] = pkg_parent + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
@@ -47,15 +49,24 @@ def test_cli_import_leaves_out_scipy_interpolate():
         "import sys, skinfem, skinfem.cli\n"
         "print(skinfem.__file__)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from skinfem.cli import ExperimentConfig, run\n"
+        "for study, sigmas, p in [('sigma-scaling', [5.0, 20.0, 80.0], 1),\n"
+        "                         ('p-convergence', [5.0], 1), ('field-map', [5.0], 1)]:\n"
+        "    cfg = ExperimentConfig(study=study, config='A', sigmas=sigmas, ps=[p],\n"
+        "                           mesh_spec='M1', out=f'{sys.argv[1]}/{study}')\n"
+        "    assert run(cfg) == 0, study\n"
+        "print([m for m in ('numpy.ma', 'numpy.polynomial', 'argparse', 'configparser')\n"
+        "       if m in sys.modules])\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
     )
     msg = f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
     assert proc.returncode == 0, msg
-    child_file, loaded = proc.stdout.splitlines()
+    child_file, loaded, after_runs = proc.stdout.splitlines()
     assert Path(child_file).resolve() == Path(skinfem.__file__).resolve(), msg
     assert loaded == "[]", msg
+    assert after_runs == "[]", msg
 
 
 CONFIG_NAMES = ("A", "B1", "B2", "C1", "C2")

@@ -76,8 +76,15 @@ class TestScaling:
                 postprocess.scaling_exponent(sigmas, np.ones(len(sigmas)))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            postprocess.scaling_exponent([1.0, 2.0, 3.0], [1.0, -1.0, 1.0])
+        # NaN and inf are not positive finite values either; NaNs never
+        # compare equal, so three of them pass the distinct-sigma count.
+        for sigmas, norms in [
+            ([1.0, 2.0, 3.0], [1.0, -1.0, 1.0]),
+            ([np.nan] * 3, [1.0] * 3),
+            ([1.0, 2.0, 3.0], [1.0, np.inf, 1.0]),
+        ]:
+            with pytest.raises(ValueError, match="positive and finite"):
+                postprocess.scaling_exponent(sigmas, norms)
 
 
 class TestConductorNorm:
